@@ -20,7 +20,7 @@ for k in range(res.horizon):
                                                res.gains[k][0, 0],
                                                res.bounds[k].tolist()))
 print("  terminal offsets:", res.bounds[-1].tolist())
-print("  every step re-certified:", res.certified)
+print("  every step certified by its LP multipliers:", res.certified)
 
 # Autonomous and expanding: x+ = 2 x.  No gain can help, so the sets
 # shrink by the growth factor each backward step: 0.1 -> 0.05 -> 0.025.
@@ -32,6 +32,6 @@ for k in range(res.horizon):
     print("  k=%d: %-7s defect=%s offsets=%s" % (k, res.provenance[k],
                                                  res.residuals[k].tolist(),
                                                  res.bounds[k].tolist()))
-print("  every step re-certified:", res.certified)
+print("  every step certified by its LP multipliers:", res.certified)
 print("\nany start inside +-%.3f stays in the tube and ends inside +-0.1"
       % res.bounds[0][0])

@@ -6,8 +6,9 @@ state must occupy at each step, the package computes a time-varying
 linear output feedback together with a shrunken sequence of traversed
 sets certifying that every admissible trajectory started inside the
 first set stays inside the tube.  Certification rests on nonnegative
-row-multiplier matrices extracted from LP duals, so every claim the
-synthesizer makes can be rechecked by matrix arithmetic.
+row-multiplier matrices taken from the synthesis LPs (or, for one-shot
+checks, from support-LP duals), so every claim the synthesizer makes
+can be rechecked by matrix arithmetic.
 """
 
 from .lp import (DenseSimplexSolver, LpError, LpNumericalError, LpProblem,
@@ -17,7 +18,8 @@ from .polytope import (EmptySetError, PolyhedralSet, UnboundedSetError, box,
                        vertices)
 from .reach import (CertificateError, ContainmentReport, PolytopicModel,
                     check_containment, check_containment_disturbance,
-                    check_robust_invariant, contractivity_factor)
+                    check_robust_invariant, contractivity_factor,
+                    verify_certificates)
 from .sim import (FixedVertex, MembershipReport, RandomConvex, RandomVertex,
                   SimulationError, Trajectory, discretize_zoh, hull_sampler,
                   sample_states, simulate_closed_loop, tanks_linearize,
@@ -37,7 +39,7 @@ __all__ = [
     "contains_point", "is_bounded", "support_lp", "support_max", "vertices",
     "CertificateError", "ContainmentReport", "PolytopicModel",
     "check_containment", "check_containment_disturbance",
-    "check_robust_invariant", "contractivity_factor",
+    "check_robust_invariant", "contractivity_factor", "verify_certificates",
     "FixedVertex", "MembershipReport", "RandomConvex", "RandomVertex",
     "SimulationError", "Trajectory", "discretize_zoh", "hull_sampler",
     "sample_states", "simulate_closed_loop", "tanks_linearize",

@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from . import sim, synth
+from . import lp, sim, synth
 from .polytope import EmptySetError, PolyhedralSet, is_bounded, vertices
 from .reach import PolytopicModel, check_containment, \
     check_containment_disturbance, check_robust_invariant
@@ -116,8 +116,12 @@ class ProblemConfig:
 def decode_model(obj):
     if not isinstance(obj, dict) or "vertices" not in obj or "C" not in obj:
         raise ConfigError("model: expected {vertices, C[, D]}")
+    if not isinstance(obj["vertices"], list):
+        raise ConfigError("model.vertices: expected a list")
     pairs = []
     for i, v in enumerate(obj["vertices"]):
+        if not isinstance(v, dict) or "A" not in v or "B" not in v:
+            raise ConfigError("model.vertices[%d]: expected {A, B}" % i)
         pairs.append((decode_matrix(v["A"], "model.vertices[%d].A" % i),
                       decode_matrix(v["B"], "model.vertices[%d].B" % i)))
     D = obj.get("D")
@@ -140,6 +144,8 @@ def _decode_tube(obj, K, n):
         t = TargetTube(sets)
     elif "step_specs" in obj:
         block = obj["step_specs"]
+        if not isinstance(block, dict) or "C" not in block or "specs" not in block:
+            raise ConfigError("tube.step_specs: expected {C, specs}")
         C = decode_matrix(block["C"], "tube.step_specs.C")
         specs = []
         for i, s in enumerate(block["specs"]):
@@ -312,12 +318,15 @@ def run_synth(config_path, out_dir, tol=None):
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
+    except EmptySetError:
+        print("config error: a tube section is empty", file=sys.stderr)
+        return EXIT_INPUT
     try:
         result = synth.synthesize(
             cfg.to_problem(),
             containment_tol=cfg.containment_tol if tol is None else tol,
             eps_zero_tol=cfg.defect_zero_tol)
-    except synth.SynthesisError as exc:
+    except (synth.SynthesisError, lp.LpNumericalError) as exc:
         print("synthesis failed: %s" % exc, file=sys.stderr)
         return EXIT_SYNTH
     except ValueError as exc:
@@ -326,7 +335,7 @@ def run_synth(config_path, out_dir, tol=None):
     write_result_files(out_dir, cfg, result)
     print("synthesized %d steps -> %s" % (result.horizon, out_dir))
     if not result.certified:
-        print("warning: a step failed re-certification", file=sys.stderr)
+        print("warning: a step failed certification", file=sys.stderr)
         return EXIT_AUDIT
     return EXIT_OK
 
@@ -512,7 +521,7 @@ def run_demo_tanks(out_dir, horizon=15, runs=100, seed=0, r1=None, tol=1e-7):
     stage = "synthesis"
     try:
         result = synth.synthesize(problem, containment_tol=tol)
-    except synth.SynthesisError as exc:
+    except (synth.SynthesisError, lp.LpNumericalError) as exc:
         print("demo %s failed: %s" % (stage, exc), file=sys.stderr)
         return EXIT_SYNTH
     model = problem.model

@@ -136,6 +136,28 @@ def is_bounded(P: PolyhedralSet) -> bool:
     return True
 
 
+# recession-cone verdicts by row matrix, see _rows_bound_every_set
+_CONE_CACHE = {}
+_CONE_CACHE_MAX = 256
+
+
+def _rows_bound_every_set(A) -> bool:
+    """Is every nonempty {x : A x <= b} bounded, whatever b is?
+
+    True iff the recession cone {x : A x <= 0} is {0}.  The verdict
+    depends on A alone, so it is cached by the bytes of A: tubes share
+    one row matrix across all steps.
+    """
+    key = (A.shape, A.tobytes())
+    verdict = _CONE_CACHE.get(key)
+    if verdict is None:
+        if len(_CONE_CACHE) >= _CONE_CACHE_MAX:
+            _CONE_CACHE.clear()
+        verdict = is_bounded(PolyhedralSet(A, np.zeros(A.shape[0])))
+        _CONE_CACHE[key] = verdict
+    return verdict
+
+
 def vertices(P: PolyhedralSet, max_dim=6, max_subsets=500000):
     """All vertices of a bounded nonempty P, by brute force.
 
@@ -143,6 +165,10 @@ def vertices(P: PolyhedralSet, max_dim=6, max_subsets=500000):
     solved; solutions feasible in all rows are kept and deduplicated at
     1e-9 in the infinity norm.  Intended for low dimensions only; the
     caps guard against combinatorial blow-up.
+
+    Boundedness is decided from the row matrix alone (cached), and
+    emptiness by the enumeration itself: a bounded set without a
+    feasible vertex raises EmptySetError.
     """
     n = P.dim
     q = P.nrows
@@ -152,7 +178,8 @@ def vertices(P: PolyhedralSet, max_dim=6, max_subsets=500000):
         raise UnboundedSetError("fewer rows than dimensions")
     if comb(q, n) > max_subsets:
         raise ValueError("row subsets %d exceed the cap %d" % (comb(q, n), max_subsets))
-    if not is_bounded(P):  # raises EmptySetError on an empty set
+    if not _rows_bound_every_set(P.A):
+        is_bounded(P)  # an empty set is reported as such, not as unbounded
         raise UnboundedSetError("vertex enumeration needs a bounded set")
 
     found = []
@@ -169,4 +196,6 @@ def vertices(P: PolyhedralSet, max_dim=6, max_subsets=500000):
         if np.all(P.A @ x <= P.b + VERTEX_DEDUP_TOL):
             if not any(np.max(np.abs(x - v)) < VERTEX_DEDUP_TOL for v in found):
                 found.append(x)
+    if not found:
+        raise EmptySetError("set is empty")
     return found

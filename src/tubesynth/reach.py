@@ -11,7 +11,8 @@ row form nonnegative certificate matrices G_i with
 
     G_i >= 0,   G_i A_src = A_tgt (A_i + B_i F C),   G_i b_src <= b_tgt,
 
-which any third party can recheck by matrix arithmetic alone.
+which any third party can recheck by matrix arithmetic alone;
+``verify_certificates`` is that recheck.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import lp
-from .polytope import EmptySetError, PolyhedralSet
+from .polytope import EmptySetError, PolyhedralSet, support_lp
 
 DEFAULT_TOL = 1e-7
+# certificate entries may undershoot zero by this much
+CERT_SIGN_TOL = 1e-10
 
 
 class CertificateError(Exception):
@@ -109,9 +112,7 @@ def _row_supports(source: PolyhedralSet, directions):
     values = []
     duals = []
     for a in directions:
-        sol = lp.solve(lp.LpProblem(c=a, A_in=source.A, b_in=source.b,
-                                    free=np.ones(source.dim, dtype=bool),
-                                    sense=lp.MAXIMIZE))
+        sol = support_lp(source, a)
         if sol.status == lp.INFEASIBLE:
             raise EmptySetError("source set is empty")
         if sol.status == lp.UNBOUNDED:
@@ -121,6 +122,41 @@ def _row_supports(source: PolyhedralSet, directions):
             values.append(float(sol.objective))
             duals.append(sol.duals_in)
     return values, duals
+
+
+def verify_certificates(blocks, source: PolyhedralSet, target: PolyhedralSet,
+                        maps, tol=DEFAULT_TOL) -> ContainmentReport:
+    """Recheck multiplier certificates by matrix arithmetic alone.
+
+    Block G_i certifies maps[i] * source inside target when
+
+        G_i >= -CERT_SIGN_TOL,
+        ||G_i A_src - A_tgt maps[i]||_inf <= lp.FEASIBILITY_TOL,
+        max(G_i b_src - b_tgt) <= tol.
+
+    worst_violation is the largest bound residual max(G_i b_src - b_tgt),
+    an upper bound on the tight support gap.  Blocks that miss a
+    threshold give contained=False with no certificates; that says only
+    that these multipliers do not prove containment, not that it fails.
+    """
+    if len(blocks) != len(maps):
+        raise ValueError("%d certificate blocks for %d maps" % (len(blocks), len(maps)))
+    ok = True
+    worst = -np.inf
+    certs = []
+    for G, M in zip(blocks, maps):
+        G = np.asarray(G, dtype=float)
+        if G.shape != (target.nrows, source.nrows):
+            raise ValueError("certificate block is %dx%d, expected %dx%d"
+                             % (G.shape + (target.nrows, source.nrows)))
+        worst = max(worst, float(np.max(G @ source.b - target.b)))
+        ok = (ok and G.min() >= -CERT_SIGN_TOL
+              and np.max(np.abs(G @ source.A - target.A @ M)) <= lp.FEASIBILITY_TOL)
+        certs.append(G)
+    contained = bool(ok and worst <= tol)
+    return ContainmentReport(contained=contained,
+                             certificates=certs if contained else None,
+                             worst_violation=worst)
 
 
 def check_containment(model: PolytopicModel, F, source: PolyhedralSet,
@@ -146,10 +182,7 @@ def _containment_over_rows(maps, source, target, tol):
         directions = target.A @ A_map
         G = np.zeros((target.nrows, source.nrows))
         for j in range(target.nrows):
-            sol = lp.solve(lp.LpProblem(c=directions[j], A_in=source.A,
-                                        b_in=source.b,
-                                        free=np.ones(source.dim, dtype=bool),
-                                        sense=lp.MAXIMIZE))
+            sol = support_lp(source, directions[j])
             if sol.status == lp.INFEASIBLE:
                 raise EmptySetError("source set is empty")
             if sol.status == lp.UNBOUNDED:
@@ -183,14 +216,21 @@ def check_containment_disturbance(model: PolytopicModel, F, source: PolyhedralSe
                          % (v_set.dim, model.p))
     if source.dim != model.n or target.dim != model.n:
         raise ValueError("set dimensions do not match the model")
+    stacked, maps = disturbed_step(model, F, source, v_set)
+    return _containment_over_rows(maps, stacked, target, tol)
+
+
+def disturbed_step(model: PolytopicModel, F, source: PolyhedralSet,
+                   v_set: PolyhedralSet):
+    """Stacked (x, v) source set [A_src 0; 0 A_v] and the per-vertex maps
+    [A_i + B_i F C  D] of the disturbed step."""
     n, p = model.n, model.p
     stacked_A = np.zeros((source.nrows + v_set.nrows, n + p))
     stacked_A[:source.nrows, :n] = source.A
     stacked_A[source.nrows:, n:] = v_set.A
     stacked_b = np.concatenate([source.b, v_set.b])
-    stacked = PolyhedralSet(stacked_A, stacked_b)
     maps = [np.hstack([A_cl, model.D]) for A_cl in model.closed_loop(F)]
-    return _containment_over_rows(maps, stacked, target, tol)
+    return PolyhedralSet(stacked_A, stacked_b), maps
 
 
 def contractivity_factor(A, shape_set: PolyhedralSet) -> float:

@@ -16,8 +16,16 @@ linear programs:
 
 A zero defect means the whole section maps inside the next set, so the
 section is kept unchanged ("TubeExact"); otherwise the shrunken
-offsets are recorded ("Shrunk").  Every accepted step is re-certified
-after the fact with an independent containment check, and the reports
+offsets are recorded ("Shrunk").
+
+The first LP's multiplier blocks are the step's certificates: they
+satisfy G_i Q(k) = Q(k+1)(A_i + B_i F C), and the defect-free bound
+rows (the first LP's when the defect is zero, the second LP's
+otherwise) give G_i psi(k) <= psi(k+1).  After the recursion every
+step's blocks are rechecked by matrix arithmetic alone
+(reach.verify_certificates).  A step whose blocks miss a threshold is
+decided by the support-LP containment check instead, so a "not
+contained" verdict always comes from the tight check.  The reports
 ship with the result.
 
 Optional extensions follow the same pattern: a bounded additive
@@ -34,9 +42,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import lp
-from .polytope import PolyhedralSet, vertices
+from .polytope import PolyhedralSet, support_lp, vertices
 from .reach import ContainmentReport, PolytopicModel, check_containment, \
-    check_containment_disturbance
+    check_containment_disturbance, disturbed_step, verify_certificates
 from .tube import TargetTube
 
 TUBE_EXACT = "TubeExact"
@@ -145,11 +153,17 @@ class SynthesisResult:
     residuals: List[np.ndarray]                   # defect vectors, k = 0..K-1
     provenance: List[str]                         # TUBE_EXACT or SHRUNK per k
     step_reports: List[ContainmentReport]         # X(k) -> X(k+1) under F(k)
-    tube_step_reports: List[Optional[ContainmentReport]]  # from full H(k) when exact
 
     @property
     def horizon(self):
         return len(self.gains)
+
+    @property
+    def tube_step_reports(self) -> List[Optional[ContainmentReport]]:
+        """Step reports of the TubeExact steps, which certify the full
+        section H(k) = X(k); None for Shrunk steps."""
+        return [rpt if prov == TUBE_EXACT else None
+                for rpt, prov in zip(self.step_reports, self.provenance)]
 
     @property
     def bounds(self):
@@ -322,9 +336,16 @@ def synthesize(problem: SynthesisProblem, containment_tol=1e-7,
     has no solution.  The first stage can only fail under control
     constraints.  The second cannot fail for a nominal problem with
     nonnegative offsets, but may under a disturbance (see
-    SynthesisProblem) or with the safeguards disabled; with
-    ``nonneg_bounds`` off a traversed set can also come out empty, in
-    which case the certification pass surfaces EmptySetError.
+    SynthesisProblem) or with the safeguards disabled.  With
+    ``nonneg_bounds`` off the offsets can also describe an empty
+    traversed set, which raises SynthesisError ("traversed set is
+    empty") at that step; one feasibility LP decides it, and only when
+    some offset is negative (otherwise the origin is in the set).
+
+    Each step report carries the first LP's multiplier blocks when they
+    pass reach.verify_certificates; its worst_violation is then their
+    bound residual max(G b_src - b_tgt), an upper bound on the tight
+    support gap.  Otherwise the report is the support-LP check's.
     """
     model = problem.model
     K = problem.horizon
@@ -359,6 +380,7 @@ def synthesize(problem: SynthesisProblem, containment_tol=1e-7,
     gains = [None] * K
     residuals = [None] * K
     provenance = [None] * K
+    certificates = [None] * K
 
     for k in range(K - 1, -1, -1):
         dist_k = problem.disturbance[k] if disturbed else None
@@ -376,6 +398,7 @@ def synthesize(problem: SynthesisProblem, containment_tol=1e-7,
             sol1.x, Q[k].shape[0], Q[k + 1].shape[0], model.s, model.m, model.r, qv)
         gains[k] = F
         residuals[k] = eps
+        certificates[k] = blocks
         if np.max(np.abs(eps), initial=0.0) <= eps_zero_tol:
             bounds[k] = phi[k].copy()
             provenance[k] = TUBE_EXACT
@@ -391,20 +414,30 @@ def synthesize(problem: SynthesisProblem, containment_tol=1e-7,
                 raise SynthesisError(k, "stage 2", "LP is %s" % sol2.status)
             bounds[k] = sol2.x.copy()
             provenance[k] = SHRUNK
+        if np.any(bounds[k] < 0.0):   # otherwise the origin is in X(k)
+            probe = support_lp(PolyhedralSet(Q[k], bounds[k]), np.zeros(model.n))
+            if probe.status == lp.INFEASIBLE:
+                stage = "stage 1" if provenance[k] == TUBE_EXACT else "stage 2"
+                raise SynthesisError(k, stage, "traversed set is empty")
 
     sets = [PolyhedralSet(Q[k], bounds[k]) for k in range(K + 1)]
     step_reports = []
-    tube_reports = []
     for k in range(K):
         if disturbed:
-            rpt = check_containment_disturbance(
-                model, gains[k], sets[k], v_sets[k], sets[k + 1], tol=containment_tol)
+            source, maps = disturbed_step(model, gains[k], sets[k], v_sets[k])
         else:
-            rpt = check_containment(model, gains[k], sets[k], sets[k + 1],
-                                    tol=containment_tol)
+            source, maps = sets[k], model.closed_loop(gains[k])
+        rpt = verify_certificates(certificates[k], source, sets[k + 1], maps,
+                                  tol=containment_tol)
+        if not rpt.contained:
+            if disturbed:
+                rpt = check_containment_disturbance(
+                    model, gains[k], sets[k], v_sets[k], sets[k + 1],
+                    tol=containment_tol)
+            else:
+                rpt = check_containment(model, gains[k], sets[k], sets[k + 1],
+                                        tol=containment_tol)
         step_reports.append(rpt)
-        tube_reports.append(rpt if provenance[k] == TUBE_EXACT else None)
 
     return SynthesisResult(gains=gains, sets=sets, residuals=residuals,
-                           provenance=provenance, step_reports=step_reports,
-                           tube_step_reports=tube_reports)
+                           provenance=provenance, step_reports=step_reports)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from tubesynth import cli
+from tubesynth import cli, lp
 
 
 def mat(rows):
@@ -76,6 +76,59 @@ def test_synth_failure_exit_code(tmp_path):
         {"A": mat([[1.0], [-1.0]]), "b": [-1.0, -1.0]}] * 2}
     cfg = write(tmp_path / "bad.json", bad)
     assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+def test_synth_empty_traversed_set_exit_code(tmp_path):
+    # without nonnegative offsets the shrunken X(0) comes out empty
+    cfg_obj = scalar_config(a=0.5, b=0.0)
+    cfg_obj["tube"]["explicit"][2] = {"A": mat([[1.0], [-1.0]]), "b": [0.6, -0.5]}
+    cfg_obj["flags"] = {"nonneg_bounds": False}
+    cfg = write(tmp_path / "cfg.json", cfg_obj)
+    assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+def test_synth_empty_tube_section_exit_code(tmp_path):
+    cfg_obj = scalar_config()
+    cfg_obj["tube"]["explicit"][1] = {"A": mat([[1.0], [-1.0]]), "b": [-1.0, -1.0]}
+    cfg = write(tmp_path / "cfg.json", cfg_obj)
+    assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_synth_vertex_without_input_matrix_exit_code(tmp_path):
+    bad = scalar_config()
+    del bad["model"]["vertices"][0]["B"]
+    cfg = write(tmp_path / "bad.json", bad)
+    assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_synth_step_specs_without_output_map_exit_code(tmp_path):
+    bad = scalar_config()
+    bad["tube"] = {"step_specs": {"specs": []}}
+    cfg = write(tmp_path / "bad.json", bad)
+    assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def _degrade_stage_one(monkeypatch):
+    """Make every LP with equality rows (the stage-1 LP) fail numerically."""
+    solve = lp.solve
+
+    def degraded(problem, solver=None):
+        if problem.A_eq.shape[0]:
+            raise lp.LpNumericalError("pivot below tolerance")
+        return solve(problem, solver)
+
+    monkeypatch.setattr(lp, "solve", degraded)
+
+
+def test_synth_lp_numerical_error_exit_code(tmp_path, monkeypatch):
+    cfg = write(tmp_path / "cfg.json", scalar_config())
+    _degrade_stage_one(monkeypatch)
+    assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+def test_demo_tanks_lp_numerical_error_exit_code(tmp_path, monkeypatch):
+    _degrade_stage_one(monkeypatch)
+    assert cli.main(["demo-tanks", "--out", str(tmp_path / "d"), "--runs", "2"]) == 3
 
 
 def test_simulate_round_trip(tmp_path):

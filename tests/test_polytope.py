@@ -102,6 +102,25 @@ def test_vertices_error_modes():
     assert len(poly.vertices(big, max_dim=7)) == 128
 
 
+def test_vertices_empty_set_after_rows_cached_as_bounded():
+    rows = poly.box([-1, -1], [1, 1]).A
+    assert len(poly.vertices(poly.PolyhedralSet(rows, [1, 1, 1, 1]))) == 4
+    assert poly._CONE_CACHE[(rows.shape, rows.tobytes())] is True
+    # x <= -1 and x >= 1: the cached rows are bounded, but no vertex is feasible
+    with pytest.raises(poly.EmptySetError):
+        poly.vertices(poly.PolyhedralSet(rows, [-1, -1, 1, 1]))
+
+
+def test_vertices_unbounded_rows_still_rejected():
+    strip = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]
+    for _ in range(2):   # the second call reads the cached verdict
+        with pytest.raises(poly.UnboundedSetError):
+            poly.vertices(poly.PolyhedralSet(strip, [1, 1, 1]))
+    # empty as well as unbounded: emptiness is reported first, as before
+    with pytest.raises(poly.EmptySetError):
+        poly.vertices(poly.PolyhedralSet(strip, [-1, -1, 1]))
+
+
 def test_vertices_match_convex_hull_membership():
     # random bounded 2-d set with 6 rows; 10^4 probes against the hull
     rng = np.random.default_rng(31)

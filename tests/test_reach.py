@@ -54,6 +54,33 @@ def test_empty_source_raises():
         reach.check_containment(_autonomous(np.eye(2)), F0, empty, unit_box())
 
 
+def test_verify_certificates_accepts_support_duals():
+    model = _autonomous(0.5 * np.eye(2), 0.8 * np.eye(2))
+    target = box([-0.9, -0.9], [0.9, 0.9])
+    r = reach.check_containment(model, F0, unit_box(), target)
+    v = reach.verify_certificates(r.certificates, unit_box(), target,
+                                  model.closed_loop(F0))
+    assert v.contained
+    assert v.worst_violation == pytest.approx(r.worst_violation, abs=1e-12)
+
+
+def test_verify_certificates_rejects_each_failed_threshold():
+    maps = [0.5 * np.eye(2)]
+    target = box([-0.6, -0.6], [0.6, 0.6])
+    G = 0.5 * np.eye(4)
+    assert reach.verify_certificates([G], unit_box(), target, maps).contained
+    negative = G.copy()
+    negative[0, 1] = -1e-6
+    wrong_map = [0.4 * np.eye(2)]
+    loose = box([-0.4, -0.4], [0.4, 0.4])
+    for blocks, tgt, ms in (([negative], target, maps), ([G], target, wrong_map),
+                            ([G], loose, maps)):
+        v = reach.verify_certificates(blocks, unit_box(), tgt, ms)
+        assert not v.contained and v.certificates is None
+    assert reach.verify_certificates([G], unit_box(), loose, maps).worst_violation \
+        == pytest.approx(0.1)
+
+
 def test_zero_disturbance_map_matches_nominal():
     rng = np.random.default_rng(2)
     pairs, C, F, (A1, b1), (A2, b2) = random_containment_instance(rng)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from tubesynth import lp, synth
+from tubesynth.cli import tanks_problem
 from tubesynth.polytope import PolyhedralSet, box
-from tubesynth.reach import PolytopicModel, check_containment
+from tubesynth.reach import PolytopicModel, check_containment, \
+    check_containment_disturbance
 from tubesynth.sim import RandomVertex, sample_states, simulate_closed_loop, \
     verify_membership
 from tubesynth.tube import TargetTube
@@ -101,6 +103,44 @@ def test_lp2_infeasible_without_safeguards():
     assert lp.solve(p).status == lp.INFEASIBLE
 
 
+def support_check(prob, res, k, tol=1e-7):
+    """The support-LP containment check of step k."""
+    model = prob.model
+    if prob.disturbance is not None:
+        W, gamma = prob.disturbance[k]
+        return check_containment_disturbance(model, res.gains[k], res.sets[k],
+                                             PolyhedralSet(W, gamma),
+                                             res.sets[k + 1], tol=tol)
+    return check_containment(model, res.gains[k], res.sets[k], res.sets[k + 1],
+                             tol=tol)
+
+
+def assert_certificates_sound(prob, res, tol=1e-7):
+    """Plain NumPy residuals of every step's certificates, and each verdict
+    against the support-LP check on the same sets and gain."""
+    model = prob.model
+    for k, rpt in enumerate(res.step_reports):
+        assert rpt.contained == support_check(prob, res, k, tol).contained
+        if not rpt.contained:
+            continue
+        X, Y = res.sets[k], res.sets[k + 1]
+        A_src, b_src = X.A, X.b
+        if prob.disturbance is not None:
+            W, gamma = prob.disturbance[k]
+            A_src = np.block([[X.A, np.zeros((X.nrows, model.p))],
+                              [np.zeros((W.shape[0], model.n)), W]])
+            b_src = np.concatenate([X.b, gamma])
+        assert len(rpt.certificates) == model.s
+        for G, (A, B) in zip(rpt.certificates, model.vertices):
+            M = A + B @ res.gains[k] @ model.C
+            if prob.disturbance is not None:
+                M = np.hstack([M, model.D])
+            assert G.min() >= -1e-10
+            assert np.max(np.abs(G @ A_src - Y.A @ M)) <= lp.FEASIBILITY_TOL
+            assert np.max(G @ b_src - Y.b) <= tol
+            assert np.max(G @ b_src - Y.b) <= rpt.worst_violation + 1e-15
+
+
 # -- full recursion ----------------------------------------------------------
 
 def test_scalar_controllable_case():
@@ -138,7 +178,8 @@ def test_result_invariants():
         K = int(rng.integers(2, 5))
         widths = np.sort(rng.uniform(0.2, 1.5, size=K + 1))[::-1]
         t = TargetTube([box([-w] * n, [w] * n) for w in widths])
-        res = synth.synthesize(synth.SynthesisProblem(model=model, tube=t))
+        prob = synth.SynthesisProblem(model=model, tube=t)
+        res = synth.synthesize(prob)
         assert np.array_equal(res.bounds[K], t[K].b)      # terminal kept
         for k in range(K + 1):
             assert np.all(res.bounds[k] <= t[k].b + 1e-12)  # inside the tube
@@ -147,6 +188,7 @@ def test_result_invariants():
             exact = np.max(np.abs(res.residuals[k])) <= synth.EPS_ZERO_TOL
             assert (res.provenance[k] == synth.TUBE_EXACT) == exact
         assert res.certified
+        assert_certificates_sound(prob, res)
 
 
 def test_tube_exact_steps_certify_from_full_section():
@@ -208,6 +250,9 @@ def test_disturbed_synthesis_certifies():
     res = synth.synthesize(prob)
     assert res.certified
     assert np.array_equal(res.bounds[6], t[6].b)
+    # the wide LP1 blocks over [X(k) 0; 0 W] are the certificates
+    assert all(G.shape == (4, 8) for G in res.step_reports[0].certificates)
+    assert_certificates_sound(prob, res)
 
 
 def test_disturbed_recursion_aborts_cleanly_or_certifies():
@@ -297,3 +342,67 @@ def test_problem_validation():
                             C=np.ones((1, 2)))
     with pytest.raises(ValueError):
         synth.SynthesisProblem(model=model2, tube=t)
+
+
+# -- certificates taken from the first-stage LP -------------------------------
+
+def test_certificates_under_control_rows_are_sound():
+    prob, _ = tanks_problem(horizon=15)
+    res = synth.synthesize(prob)
+    assert res.certified
+    assert set(res.provenance) == {synth.TUBE_EXACT, synth.SHRUNK}
+    assert_certificates_sound(prob, res)
+    # LP2 makes the multiplier bound tight on Shrunk steps, so their
+    # reports read 0 where the support LP's tight gap is negative
+    for k, rpt in enumerate(res.step_reports):
+        if res.provenance[k] == synth.SHRUNK:
+            assert abs(rpt.worst_violation) <= 1e-12
+            assert support_check(prob, res, k).worst_violation < -1e-4
+
+
+def test_rejected_multipliers_fall_back_to_the_support_check(monkeypatch):
+    # a defect below eps_zero_tol keeps the full section although it does
+    # not map inside: the LP1 blocks miss the bound threshold, and the
+    # verdict comes from the support LP
+    fallbacks = []
+
+    def spy(*args, **kwargs):
+        fallbacks.append(args)
+        return check_containment(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "check_containment", spy)
+    prob = synth.SynthesisProblem(model=scalar_model(2.0, 0.0),
+                                  tube=interval_tube(1.0, 1.0, 0.1))
+    res = synth.synthesize(prob, eps_zero_tol=10.0)
+    assert res.provenance == [synth.TUBE_EXACT, synth.TUBE_EXACT]
+    assert len(fallbacks) == 2
+    assert not res.certified
+    for k, rpt in enumerate(res.step_reports):
+        ref = support_check(prob, res, k)
+        assert not rpt.contained and rpt.certificates is None
+        assert rpt.worst_violation == ref.worst_violation
+
+
+# -- empty traversed sets ------------------------------------------------------
+
+def test_empty_traversed_set_is_a_synthesis_error():
+    # without nonnegative offsets the second stage can shrink X(0) to
+    # {x <= c, -x <= d} with c + d < 0; the step is named, not certified
+    model = scalar_model(0.5, 0.0)
+    t = TargetTube([box([-1], [1]), box([-1], [1]), box([0.5], [0.6])])
+    prob = synth.SynthesisProblem(model=model, tube=t, nonneg_bounds=False)
+    with pytest.raises(synth.SynthesisError) as err:
+        synth.synthesize(prob)
+    assert err.value.k == 0
+    assert err.value.stage == "stage 2"
+    assert "empty" in str(err.value)
+
+
+def test_negative_offsets_of_a_nonempty_set_are_accepted():
+    # X(k) away from the origin has a negative offset but is not empty
+    t = TargetTube([box([-1], [1]), box([-1], [1]), box([2.0], [3.0])])
+    prob = synth.SynthesisProblem(model=scalar_model(2.0, 0.0), tube=t,
+                                  nonneg_bounds=False)
+    res = synth.synthesize(prob)
+    assert np.any(res.bounds[0] < 0)
+    assert res.certified
