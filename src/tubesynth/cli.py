@@ -68,7 +68,7 @@ def decode_set(obj, name="set"):
     try:
         return PolyhedralSet(decode_matrix(obj["A"], name + ".A"),
                              np.asarray(obj["b"], dtype=float))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError("%s: %s" % (name, exc))
 
 
@@ -166,25 +166,24 @@ def _decode_tube(obj, K, n):
 
 
 def _decode_setlist(obj, K, what):
+    """Per-step (A, b) pairs from a list of K sets, bare or as {"sets": [...]}."""
     if obj is None:
         return None
     entries = obj["sets"] if isinstance(obj, dict) and "sets" in obj else obj
-    if len(entries) != K:
-        raise ConfigError("%s has %d entries, expected %d" % (what, len(entries), K))
-    out = []
-    for k, e in enumerate(entries):
-        if not isinstance(e, dict) or "A" not in e or "b" not in e:
-            raise ConfigError("%s[%d]: expected {A, b}" % (what, k))
-        out.append((decode_matrix(e["A"], "%s[%d].A" % (what, k)),
-                    np.asarray(e["b"], dtype=float)))
-    return out
+    if not isinstance(entries, list) or len(entries) != K:
+        raise ConfigError("%s: expected a list of %d sets" % (what, K))
+    sets = [decode_set(e, "%s[%d]" % (what, k)) for k, e in enumerate(entries)]
+    return [(S.A, S.b) for S in sets]
 
 
 def load_config(path) -> ProblemConfig:
     obj = _load_json(path)
-    if "horizon" not in obj or "model" not in obj or "tube" not in obj:
+    if not isinstance(obj, dict) or not {"horizon", "model", "tube"} <= obj.keys():
         raise ConfigError("config needs horizon, model and tube")
-    K = int(obj["horizon"])
+    try:
+        K = int(obj["horizon"])
+    except (TypeError, ValueError):
+        raise ConfigError("horizon: expected an integer, got %r" % (obj["horizon"],))
     if K < 1:
         raise ConfigError("horizon must be at least 1")
     model = decode_model(obj["model"])
@@ -264,48 +263,71 @@ def load_gains(path, model: PolytopicModel, K):
 
 
 def _realized_field(w):
-    if w is None:
-        return ""
     if isinstance(w, (int, np.integer)):
         return str(int(w))
     return ";".join("%.17g" % v for v in np.asarray(w).reshape(-1))
 
 
-def write_trajectories_csv(path, runs, sets, tol):
-    """runs: list of Trajectory; sets: per-step membership sets."""
-    n = runs[0].states.shape[1]
-    m = runs[0].controls.shape[1]
+def write_trajectories_csv(path, runs: sim.Runs, inside):
+    """One row per run and step of ``runs``; ``inside`` holds the (R, K+1)
+    membership flags.  Rows are formatted and written one run at a time.
+
+    No field can contain a comma, quote or line break, so every row is
+    formatted with one template; the bytes are those csv.writer would
+    write (CRLF line ends, nothing quoted).
+    """
+    K = runs.horizon
+    n = runs.states.shape[2]
+    m = runs.controls.shape[2]
     header = (["run_id", "k"] + ["x_%d" % (i + 1) for i in range(n)]
               + ["u_%d" % (i + 1) for i in range(m)] + ["realized", "membership_ok"])
+    step_row = ",".join(["%d", "%d"] + ["%.17g"] * (n + m) + ["%s", "%d"]) + "\r\n"
+    last_row = ",".join(["%d", "%d"] + ["%.17g"] * n + [""] * (m + 1) + ["%d"]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for rid, tr in enumerate(runs):
-            K = tr.horizon
-            for k in range(K + 1):
-                ok = int(np.all(sets[k].A @ tr.states[k] <= sets[k].b + tol))
-                row = [rid, k] + ["%.17g" % v for v in tr.states[k]]
-                if k < K:
-                    row += ["%.17g" % v for v in tr.controls[k]]
-                    row += [_realized_field(tr.realized[k])]
-                else:
-                    row += [""] * m + [""]
-                row += [ok]
-                w.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for rid in range(len(runs)):
+            xs = runs.states[rid].tolist()
+            us = runs.controls[rid].tolist()
+            realized = runs.realized[rid]
+            if realized.ndim == 1:
+                realized = realized.tolist()
+            ok = inside[rid].tolist()
+            fh.write("".join([step_row % (rid, k, *xs[k], *us[k],
+                                          _realized_field(realized[k]), ok[k])
+                              for k in range(K)]
+                             + [last_row % (rid, K, *xs[K], ok[K])]))
 
 
-def audit_runs(runs, sets, tol):
+def audit_runs(reports, tol):
+    """The audit.json summary of per-run membership reports."""
     failures = []
     worst = -np.inf
-    for rid, tr in enumerate(runs):
-        rep = sim.verify_membership(tr, sets, tol=tol)
+    for rid, rep in enumerate(reports):
         worst = max(worst, rep.worst)
         if not rep.ok:
             k, row, amount = rep.first_violation
             failures.append({"run": rid, "k": k, "row": row, "violation": amount})
-    return {"runs": len(runs), "passed": len(runs) - len(failures),
+    return {"runs": len(reports), "passed": len(reports) - len(failures),
             "failed": len(failures), "tolerance": tol,
             "worst_violation": float(worst), "failures": failures}
+
+
+def linear_audit(out, model, gains, sets, runs, rng, tol, disturbance_sampler=None):
+    """Simulate ``runs`` closed-loop runs, write trajectories.csv into
+    ``out`` and return the audit summary.
+
+    ``rng`` draws the initial states from sets[0], then one seed per
+    run; run r realizes a uniformly random vertex at every step (and,
+    with a sampler, its disturbance) from its own generator.  sets[k]
+    is the membership set of step k.
+    """
+    x0s = sim.sample_states(sets[0], runs, rng)
+    seeds = rng.integers(2 ** 31, size=runs).tolist()
+    policies = [sim.RandomVertex(seed=v) for v in seeds]
+    batch = sim.simulate_runs(model, gains, x0s, policies, disturbance_sampler)
+    inside, reports = sim.verify_runs(batch.states, sets, tol)
+    write_trajectories_csv(out / "trajectories.csv", batch, inside)
+    return audit_runs(reports, tol)
 
 
 # -- subcommand drivers ----------------------------------------------------
@@ -348,19 +370,23 @@ def _load_traversed_sets(gains_path, cfg):
     if not sets_path.exists():
         return list(cfg.tube.sets)
     obj = _load_json(sets_path)
-    steps = obj.get("steps", [])
-    if len(steps) != cfg.horizon + 1:
-        raise ConfigError("sets.json has %d steps, expected %d"
-                          % (len(steps), cfg.horizon + 1))
+    steps = obj.get("steps") if isinstance(obj, dict) else None
+    if not isinstance(steps, list) or len(steps) != cfg.horizon + 1:
+        raise ConfigError("%s: expected a list of %d steps"
+                          % (sets_path, cfg.horizon + 1))
     out = []
     for k, entry in enumerate(steps):
-        bounds = np.asarray(entry["set_bounds"], dtype=float)
-        out.append(PolyhedralSet(cfg.tube[k].A, bounds))
+        try:
+            out.append(PolyhedralSet(cfg.tube[k].A, entry["set_bounds"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError("%s: steps[%d].set_bounds: %s" % (sets_path, k, exc))
     return out
 
 
 def run_simulate(config_path, gains_path, runs, seed, out_dir, tol=None):
     try:
+        if runs < 1:
+            raise ConfigError("--runs must be at least 1, got %d" % runs)
         cfg = load_config(config_path)
         gains = load_gains(gains_path, cfg.model, cfg.horizon)
         sets = _load_traversed_sets(gains_path, cfg)
@@ -378,16 +404,9 @@ def run_simulate(config_path, gains_path, runs, seed, out_dir, tol=None):
             return rng.dirichlet(np.ones(V.shape[0])) @ V
 
     rng = np.random.default_rng(seed if seed is not None else cfg.seed)
-    x0s = sim.sample_states(sets[0], runs, rng)
-    trajectories = [
-        sim.simulate_closed_loop(cfg.model, gains, x0,
-                                 sim.RandomVertex(seed=int(rng.integers(2 ** 31))),
-                                 disturbance_sampler=sampler)
-        for x0 in x0s]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_trajectories_csv(out / "trajectories.csv", trajectories, sets, tol)
-    audit = audit_runs(trajectories, sets, tol)
+    audit = linear_audit(out, cfg.model, gains, sets, runs, rng, tol, sampler)
     _write_json(out / "audit.json", audit)
     print("%d/%d runs inside the tube (worst violation %g)"
           % (audit["passed"], audit["runs"], audit["worst_violation"]))
@@ -512,6 +531,10 @@ def _write_sets_csv(path, tube_sets, traversed_sets):
 def run_demo_tanks(out_dir, horizon=15, runs=100, seed=0, r1=None, tol=1e-7):
     out = Path(out_dir)
     stage = "setup"
+    if runs < 1:
+        print("demo %s failed: --runs must be at least 1, got %d" % (stage, runs),
+              file=sys.stderr)
+        return EXIT_INPUT
     try:
         problem, specs = tanks_problem(horizon=horizon)
     except ValueError as exc:
@@ -533,14 +556,8 @@ def run_demo_tanks(out_dir, horizon=15, runs=100, seed=0, r1=None, tol=1e-7):
     write_result_files(out, cfg_like, result)
 
     stage = "linear audit"
-    rng = np.random.default_rng(seed)
-    x0s = sim.sample_states(result.sets[0], runs, rng)
-    trajectories = [
-        sim.simulate_closed_loop(model, result.gains, x0,
-                                 sim.RandomVertex(seed=int(rng.integers(2 ** 31))))
-        for x0 in x0s]
-    write_trajectories_csv(out / "trajectories.csv", trajectories, result.sets, tol)
-    audit = audit_runs(trajectories, result.sets, tol)
+    audit = linear_audit(out, model, result.gains, result.sets, runs,
+                         np.random.default_rng(seed), tol)
 
     stage = "nonlinear runs"
     areas = list(TANKS_R1) if r1 is None else [float(r1)]

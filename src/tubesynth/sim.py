@@ -3,8 +3,13 @@
 The linear simulator draws a realization of the inclusion at every
 step according to a policy (a fixed vertex, a random vertex, or a
 random point of the matrix hull) and applies the stored feedback
-sequence exactly: y = C x, u = F(k) y, x+ = A x + B u (+ D v).  All
-randomness flows from explicit seeds, so runs are reproducible.
+sequence exactly: y = C x, u = F(k) y, x+ = A x + B u (+ D v).
+``simulate_runs`` steps many runs at once; each run draws from its own
+generator seeded by its policy, so a run is the same alone
+(``simulate_closed_loop``) or in a batch, and one seed reproduces it
+bit for bit.  ``verify_runs`` audits every run and step from one
+product A_k x each; ``sample_states`` draws initial states by
+rejection from a bounding box.
 
 The tanks plant is the usual pair of coupled water tanks: levels x1,
 x2, inflow into tank 1 and outflow from tank 2, gravity-driven flow
@@ -15,12 +20,13 @@ with RK4 under the sampled feedback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .polytope import PolyhedralSet, contains_point, support_max, vertices
+from .polytope import PolyhedralSet, support_max, vertices
 from .reach import PolytopicModel
 
 
@@ -72,6 +78,118 @@ def _weights(policy, rng, s):
     raise TypeError("unknown realization policy %r" % (policy,))
 
 
+def _realize(policy, s, K, disturbance_sampler):
+    """One run's draws from its own generator, in the order the step
+    recursion consumes them: the realization of step k, then (with a
+    sampler) its disturbance.  Returns (K,) vertex indices or (K, s)
+    hull weights, and the (K, p) disturbances or None."""
+    rng = np.random.default_rng(getattr(policy, "seed", 0))
+    if disturbance_sampler is None and isinstance(policy, RandomVertex):
+        # one call yields the same stream as K single draws
+        return rng.integers(s, size=K), None
+    realized = []
+    disturbances = []
+    for k in range(K):
+        realized.append(_weights(policy, rng, s))
+        if disturbance_sampler is not None:
+            disturbances.append(np.asarray(disturbance_sampler(k, rng),
+                                           dtype=float).reshape(-1))
+    return (np.array(realized),
+            np.array(disturbances) if disturbance_sampler is not None else None)
+
+
+@dataclass
+class Runs:
+    """R closed-loop runs over one horizon, stacked along a leading run axis."""
+    states: np.ndarray                    # (R, K+1, n)
+    controls: np.ndarray                  # (R, K, m)
+    outputs: np.ndarray                   # (R, K+1, r)
+    realized: np.ndarray                  # (R, K) vertex indices or (R, K, s) weights
+    disturbances: Optional[np.ndarray]    # (R, K, p) or None
+
+    def __len__(self):
+        return self.states.shape[0]
+
+    @property
+    def horizon(self):
+        return self.states.shape[1] - 1
+
+    def trajectory(self, r) -> Trajectory:
+        """Run r as a Trajectory (arrays are views into the stack)."""
+        realized = self.realized[r]
+        return Trajectory(
+            states=self.states[r], controls=self.controls[r],
+            outputs=self.outputs[r],
+            realized=realized.tolist() if realized.ndim == 1 else list(realized),
+            disturbances=None if self.disturbances is None else self.disturbances[r])
+
+
+def simulate_runs(model: PolytopicModel, gains: Sequence[np.ndarray], x0s,
+                  policies: Sequence, disturbance_sampler: Optional[Callable] = None
+                  ) -> Runs:
+    """Run the exact closed-loop recursion for len(gains) steps from every
+    row of ``x0s``, run r realizing ``policies[r]``.
+
+    Each run draws from its own ``default_rng(policy.seed)``, so a run's
+    states do not depend on the other runs.  ``disturbance_sampler(k,
+    rng)`` must return a disturbance vector when the model carries a D
+    map; it shares the run's generator and is called right after the
+    step's realization is drawn.
+
+    All runs are propagated together: the stacked products
+    ``np.matmul(A[idx], x[..., None])`` give bit for bit the per-run
+    ``A @ x``, which ``X @ A.T`` would not.  The policies must all
+    realize vertices (FixedVertex, RandomVertex) or all hull weights
+    (RandomConvex).
+    """
+    X0 = np.asarray(x0s, dtype=float)
+    if X0.ndim != 2 or X0.shape[1] != model.n:
+        raise ValueError("initial states have shape %s, model has dimension %d"
+                         % (X0.shape, model.n))
+    if len(policies) != X0.shape[0]:
+        raise ValueError("have %d initial states but %d policies"
+                         % (X0.shape[0], len(policies)))
+    if disturbance_sampler is not None and model.D is None:
+        raise ValueError("disturbance sampler given but model has no D")
+    K = len(gains)
+    draws = [_realize(policy, model.s, K, disturbance_sampler) for policy in policies]
+    realized = np.stack([w for w, _ in draws])
+    disturbances = (np.stack([v for _, v in draws])
+                    if disturbance_sampler is not None else None)
+
+    R = X0.shape[0]
+    states = np.empty((R, K + 1, model.n))
+    controls = np.empty((R, K, model.m))
+    outputs = np.empty((R, K + 1, model.r))
+    if realized.ndim == 2:
+        A_stack = np.array([A for A, _ in model.vertices])
+        B_stack = np.array([B for _, B in model.vertices])
+    x = X0[..., None]                     # (R, n, 1): one column per run
+    y = np.matmul(model.C, x)
+    states[:, 0] = X0
+    outputs[:, 0] = y[..., 0]
+    for k in range(K):
+        if realized.ndim == 2:
+            A = A_stack[realized[:, k]]
+            B = B_stack[realized[:, k]]
+        else:
+            A = np.array([sum(wi * Ai for wi, (Ai, _) in zip(w, model.vertices))
+                          for w in realized[:, k]])
+            B = np.array([sum(wi * Bi for wi, (_, Bi) in zip(w, model.vertices))
+                          for w in realized[:, k]])
+        F = np.asarray(gains[k], dtype=float).reshape(model.m, model.r)
+        u = np.matmul(F, y)
+        x = np.matmul(A, x) + np.matmul(B, u)
+        if disturbances is not None:
+            x = x + np.matmul(model.D, disturbances[:, k, :, None])
+        y = np.matmul(model.C, x)
+        controls[:, k] = u[..., 0]
+        states[:, k + 1] = x[..., 0]
+        outputs[:, k + 1] = y[..., 0]
+    return Runs(states=states, controls=controls, outputs=outputs,
+                realized=realized, disturbances=disturbances)
+
+
 def simulate_closed_loop(model: PolytopicModel, gains: Sequence[np.ndarray], x0,
                          policy, disturbance_sampler: Optional[Callable] = None
                          ) -> Trajectory:
@@ -79,47 +197,14 @@ def simulate_closed_loop(model: PolytopicModel, gains: Sequence[np.ndarray], x0,
 
     ``disturbance_sampler(k, rng)`` must return a disturbance vector
     when the model carries a D map; it shares the policy's generator so
-    one seed reproduces the whole run.
+    one seed reproduces the whole run.  This is ``simulate_runs`` with
+    a single run.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != model.n:
         raise ValueError("x0 has dimension %d, model has %d" % (x0.size, model.n))
-    K = len(gains)
-    seed = getattr(policy, "seed", 0)
-    rng = np.random.default_rng(seed)
-
-    states = np.zeros((K + 1, model.n))
-    controls = np.zeros((K, model.m))
-    outputs = np.zeros((K + 1, model.r))
-    disturbances = np.zeros((K, model.p)) if disturbance_sampler else None
-    realized = []
-
-    x = x0.copy()
-    states[0] = x
-    outputs[0] = model.C @ x
-    for k in range(K):
-        w = _weights(policy, rng, model.s)
-        if isinstance(w, (int, np.integer)):
-            A, B = model.vertices[w]
-        else:
-            A = sum(wi * Ai for wi, (Ai, _) in zip(w, model.vertices))
-            B = sum(wi * Bi for wi, (_, Bi) in zip(w, model.vertices))
-        realized.append(w)
-        F = np.asarray(gains[k], dtype=float).reshape(model.m, model.r)
-        y = model.C @ x
-        u = F @ y
-        x = A @ x + B @ u
-        if disturbance_sampler is not None:
-            if model.D is None:
-                raise ValueError("disturbance sampler given but model has no D")
-            v = np.asarray(disturbance_sampler(k, rng), dtype=float).reshape(-1)
-            disturbances[k] = v
-            x = x + model.D @ v
-        controls[k] = u
-        states[k + 1] = x
-        outputs[k + 1] = model.C @ x
-    return Trajectory(states=states, controls=controls, outputs=outputs,
-                      realized=realized, disturbances=disturbances)
+    return simulate_runs(model, gains, x0[None], [policy],
+                         disturbance_sampler).trajectory(0)
 
 
 @dataclass
@@ -129,20 +214,47 @@ class MembershipReport:
     worst: float                          # max over steps of max row residual
 
 
+def verify_runs(states, sets: Sequence[PolyhedralSet], tol=1e-7):
+    """Check states[r, k] against sets[k] for every run r and step k.
+
+    The products A_k x are formed once per (run, step).  Returns the
+    (R, K+1) flags ``A x <= b + tol`` and one MembershipReport per run,
+    whose first violation is the first step with max(A x - b) > tol.
+    A step whose largest residual is NaN is neither the worst step nor
+    a violation.
+    """
+    states = np.asarray(states, dtype=float)
+    if len(sets) != states.shape[1]:
+        raise ValueError("have %d states but %d sets" % (states.shape[1], len(sets)))
+    R, steps = states.shape[:2]
+    inside = np.empty((R, steps), dtype=bool)
+    row_max = np.empty((R, steps))
+    row_arg = np.empty((R, steps), dtype=int)
+    for k, S in enumerate(sets):
+        products = np.matmul(S.A, states[:, k, :, None])[..., 0]
+        inside[:, k] = np.all(products <= S.b + tol, axis=1)
+        resid = products - S.b
+        row_max[:, k] = resid.max(axis=1)
+        row_arg[:, k] = resid.argmax(axis=1)
+    worst = np.fmax.reduce(row_max, axis=1, initial=-np.inf)
+    violated = row_max > tol
+    first_k = violated.argmax(axis=1)
+    reports = []
+    for r in range(R):
+        first = None
+        if violated[r, first_k[r]]:
+            k = int(first_k[r])
+            first = (k, int(row_arg[r, k]), float(row_max[r, k]))
+        reports.append(MembershipReport(ok=first is None, first_violation=first,
+                                        worst=float(worst[r])))
+    return inside, reports
+
+
 def verify_membership(traj: Trajectory, sets: Sequence[PolyhedralSet],
                       tol=1e-7) -> MembershipReport:
     """Check states[k] against sets[k] for every k; report the first miss."""
-    states = traj.states if isinstance(traj, Trajectory) else np.asarray(traj)
-    if len(sets) != states.shape[0]:
-        raise ValueError("have %d states but %d sets" % (states.shape[0], len(sets)))
-    worst = -np.inf
-    first = None
-    for k, (x, S) in enumerate(zip(states, sets)):
-        resid = S.A @ x - S.b
-        worst = max(worst, float(resid.max()))
-        if first is None and resid.max() > tol:
-            first = (k, int(np.argmax(resid)), float(resid.max()))
-    return MembershipReport(ok=first is None, first_violation=first, worst=worst)
+    states = traj.states if isinstance(traj, Trajectory) else traj
+    return verify_runs(np.asarray(states)[None], sets, tol)[1][0]
 
 
 def hull_sampler(P: PolyhedralSet):
@@ -162,6 +274,10 @@ def sample_states(P: PolyhedralSet, count, rng, max_tries=200000):
     Acceptance allows 1e-12 of slack so degenerate sets (an offset
     shrunk to zero) still yield their boundary points despite the LP
     rounding in the bounding box.
+
+    Each round draws as many points as are still missing (never more
+    than the tries left) and tests them in one product, so the
+    generator ends where point-by-point sampling would leave it.
     """
     n = P.dim
     lo = np.zeros(n)
@@ -173,16 +289,20 @@ def sample_states(P: PolyhedralSet, count, rng, max_tries=200000):
         e[i] = -1.0
         lo[i] = -support_max(P, e)
         e[i] = 0.0
-    out = []
+    accepted = [np.empty((0, n))]
+    found = 0
     tries = 0
-    while len(out) < count:
-        x = rng.uniform(lo, hi)
-        if contains_point(P, x, tol=1e-12):
-            out.append(x)
-        tries += 1
-        if tries > max_tries:
-            raise RuntimeError("rejection sampling failed after %d tries" % tries)
-    return np.array(out)
+    while found < count:
+        draw = min(count - found, max_tries - tries)
+        if draw <= 0:
+            raise RuntimeError("rejection sampling failed after %d tries"
+                               % (tries + 1))
+        X = rng.uniform(lo, hi, size=(draw, n))
+        ok = np.all(np.matmul(P.A, X[..., None])[..., 0] <= P.b + 1e-12, axis=1)
+        accepted.append(X[ok])
+        found += int(np.count_nonzero(ok))
+        tries += draw
+    return np.concatenate(accepted)
 
 
 # -- coupled tanks -------------------------------------------------------
@@ -267,45 +387,51 @@ def tanks_nonlinear_simulate(R1, R2, x0, gains, setpoint, Ts=1.0, T_end=None,
     n_steps = len(gains) if T_end is None else int(round(T_end / Ts))
     if n_steps > len(gains):
         raise ValueError("horizon needs %d gains, have %d" % (n_steps, len(gains)))
-    L1 = np.sqrt(2.0 * gravity) / R1
-    L2 = np.sqrt(2.0 * gravity) / R2
-    shift = np.sqrt(setpoint[0] - setpoint[1])
+    # the integration runs on Python floats: the same operations in the
+    # same order as on 2-vectors, without an array per stage
+    L1 = float(np.sqrt(2.0 * gravity) / R1)
+    L2 = float(np.sqrt(2.0 * gravity) / R2)
+    shift = float(np.sqrt(setpoint[0] - setpoint[1]))
+    s1, s2 = float(setpoint[0]), float(setpoint[1])
 
-    def deriv(x, u_phys):
-        d = x[0] - x[1]
+    def deriv(x1, x2, u1, u2):
+        d = x1 - x2
         if d < 0.0:
-            raise SimulationError("level inversion at x = %s" % x)
-        root = np.sqrt(d)
-        return np.array([-L1 * root + u_phys[0], L2 * root + u_phys[1]])
+            raise SimulationError("level inversion at x = %s" % np.array([x1, x2]))
+        root = math.sqrt(d)
+        return -L1 * root + u1, L2 * root + u2
 
     states = np.zeros((n_steps + 1, 2))
     controls = np.zeros((n_steps, 2))
     outputs = np.zeros((n_steps + 1, 1))
     overflow = False
 
-    x = x0.copy()
-    states[0] = x - setpoint
+    x1, x2 = float(x0[0]), float(x0[1])
+    states[0] = (x1 - s1, x2 - s2)
     outputs[0] = states[0][1]
     substeps = max(1, int(round(Ts / step)))
     h = Ts / substeps
+    half = 0.5 * h
+    sixth = h / 6.0
     for k in range(n_steps):
-        e2 = x[1] - setpoint[1]
+        e2 = x2 - s2
         F = np.asarray(gains[k], dtype=float).reshape(2, 1)
         u_shift = (F @ np.array([e2])).reshape(2)
         controls[k] = u_shift
         # physical controls: undo the equilibrium shift, then clip so
         # inflow stays nonnegative and outflow nonpositive
-        u_phys = np.array([max(u_shift[0] + L1 * shift, 0.0),
-                           min(u_shift[1] - L2 * shift, 0.0)])
+        u1 = max(float(u_shift[0]) + L1 * shift, 0.0)
+        u2 = min(float(u_shift[1]) - L2 * shift, 0.0)
         for _ in range(substeps):
-            k1 = deriv(x, u_phys)
-            k2 = deriv(x + 0.5 * h * k1, u_phys)
-            k3 = deriv(x + 0.5 * h * k2, u_phys)
-            k4 = deriv(x + h * k3, u_phys)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.any(x > TANK_HEIGHT):
+            a1, a2 = deriv(x1, x2, u1, u2)
+            b1, b2 = deriv(x1 + half * a1, x2 + half * a2, u1, u2)
+            c1, c2 = deriv(x1 + half * b1, x2 + half * b2, u1, u2)
+            d1, d2 = deriv(x1 + h * c1, x2 + h * c2, u1, u2)
+            x1 = x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+            x2 = x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+        if x1 > TANK_HEIGHT or x2 > TANK_HEIGHT:
             overflow = True
-        states[k + 1] = x - setpoint
+        states[k + 1] = (x1 - s1, x2 - s2)
         outputs[k + 1] = states[k + 1][1]
     return Trajectory(states=states, controls=controls, outputs=outputs,
                       realized=[None] * n_steps, disturbances=None,

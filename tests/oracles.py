@@ -109,3 +109,77 @@ def point_in_convex_polygon(pt, verts, tol=1e-9):
         if cross < -tol * (1.0 + np.linalg.norm(edge)):
             return False
     return True
+
+
+def simulate_reference(model, gains, x0s, seeds, disturbance_sampler=None):
+    """Per-run closed loop, one vector at a time: run r draws a vertex
+    (then, with a sampler, a disturbance) per step from default_rng(seeds[r])
+    and steps x+ = A x + B u (+ D v) with u = F(k) C x.
+
+    Returns stacked states (R, K+1, n), controls (R, K, m) and vertex
+    indices (R, K)."""
+    states, controls, realized = [], [], []
+    for x0, seed in zip(x0s, seeds):
+        rng = np.random.default_rng(seed)
+        x = np.asarray(x0, dtype=float).copy()
+        xs, us, idx = [x], [], []
+        for k, F in enumerate(gains):
+            i = int(rng.integers(len(model.vertices)))
+            A, B = model.vertices[i]
+            u = F @ (model.C @ x)
+            x = A @ x + B @ u
+            if disturbance_sampler is not None:
+                x = x + model.D @ disturbance_sampler(k, rng)
+            xs.append(x)
+            us.append(u)
+            idx.append(i)
+        states.append(xs)
+        controls.append(us)
+        realized.append(idx)
+    return np.array(states), np.array(controls), np.array(realized)
+
+
+def rejection_sample_reference(A, b, lo, hi, count, rng, tol=1e-12):
+    """Draw points uniformly from the box [lo, hi] one at a time and keep
+    those with A x <= b + tol until ``count`` are kept."""
+    out = []
+    while len(out) < count:
+        x = rng.uniform(lo, hi)
+        if np.all(A @ x <= b + tol):
+            out.append(x)
+    return np.array(out)
+
+
+def tanks_rk4_reference(R1, R2, x0, gains, setpoint, Ts=1.0, step=0.01,
+                        gravity=10.0):
+    """Nonlinear coupled tanks under held error feedback, RK4 on 2-vectors.
+
+    The shifted control F(k) e2(k) is turned into physical flows and
+    clipped (inflow >= 0, outflow <= 0).  Returns the sampled states in
+    error coordinates, shape (len(gains) + 1, 2)."""
+    L1 = np.sqrt(2.0 * gravity) / R1
+    L2 = np.sqrt(2.0 * gravity) / R2
+    setpoint = np.asarray(setpoint, dtype=float)
+    shift = np.sqrt(setpoint[0] - setpoint[1])
+
+    def deriv(x, u):
+        root = np.sqrt(x[0] - x[1])
+        return np.array([-L1 * root + u[0], L2 * root + u[1]])
+
+    substeps = max(1, int(round(Ts / step)))
+    h = Ts / substeps
+    x = np.asarray(x0, dtype=float).copy()
+    states = [x - setpoint]
+    for F in gains:
+        u_shift = (np.asarray(F, dtype=float).reshape(2, 1)
+                   @ np.array([x[1] - setpoint[1]])).reshape(2)
+        u = np.array([max(u_shift[0] + L1 * shift, 0.0),
+                      min(u_shift[1] - L2 * shift, 0.0)])
+        for _ in range(substeps):
+            k1 = deriv(x, u)
+            k2 = deriv(x + 0.5 * h * k1, u)
+            k3 = deriv(x + 0.5 * h * k2, u)
+            k4 = deriv(x + h * k3, u)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(x - setpoint)
+    return np.array(states)

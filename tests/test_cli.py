@@ -313,3 +313,49 @@ def test_demo_tanks_single_area_reproducible(tmp_path):
     with open(a / "tank2_envelopes.csv", newline="") as fh:
         header = next(csv.reader(fh))
     assert header == ["k", "lower", "upper", "e2_r1_5"]
+
+
+def test_simulate_rejects_runs_below_one(tmp_path, capsys):
+    cfg = write(tmp_path / "cfg.json", scalar_config())
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--config", cfg, "--out", str(out)]) == 0
+    assert cli.main(["simulate", "--config", cfg, "--gains", str(out / "gains.json"),
+                     "--out", str(tmp_path / "a"), "--runs", "0"]) == 2
+    assert "--runs must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+
+def test_demo_tanks_rejects_runs_below_one(tmp_path, capsys):
+    assert cli.main(["demo-tanks", "--out", str(tmp_path / "d"), "--runs", "-1"]) == 2
+    assert "--runs must be at least 1" in capsys.readouterr().err
+
+
+def test_simulate_rejects_malformed_sets_json(tmp_path):
+    cfg = write(tmp_path / "cfg.json", scalar_config())
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--config", cfg, "--out", str(out)]) == 0
+    good = json.loads((out / "sets.json").read_text())
+    for step in ({"k": 1}, {"k": 1, "set_bounds": [1.0, 1.0, 1.0]},
+                 {"k": 1, "set_bounds": ["wide", 1.0]}):
+        sets = json.loads(json.dumps(good))
+        sets["steps"][1] = step
+        write(out / "sets.json", sets)
+        assert cli.main(["simulate", "--config", cfg, "--gains", str(out / "gains.json"),
+                         "--out", str(tmp_path / "a"), "--runs", "3"]) == 2
+
+
+@pytest.mark.parametrize("field", ["disturbance", "control_constraints"])
+def test_synth_rejects_non_numeric_set_offsets(tmp_path, field):
+    bad = scalar_config()
+    bad["model"]["D"] = mat([[1.0]])
+    for offsets in (["small", 0.01], {"small": 0.01}):
+        bad[field] = {"sets": [{"A": mat([[1.0], [-1.0]]), "b": offsets}] * 2}
+        cfg = write(tmp_path / "bad.json", bad)
+        assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_synth_rejects_non_integer_horizon(tmp_path):
+    bad = scalar_config()
+    bad["horizon"] = "two"
+    cfg = write(tmp_path / "bad.json", bad)
+    assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import enum_vertices, rejection_sample_reference, simulate_reference, \
+    tanks_rk4_reference
 from tubesynth import sim
-from tubesynth.polytope import box
+from tubesynth.polytope import PolyhedralSet, box
 from tubesynth.reach import PolytopicModel
 
 
@@ -221,3 +223,87 @@ def test_sampling_degenerate_sets():
     flat = box([-1.0, 0.5], [1.0, 0.5])
     pts = sim.sample_states(flat, 10, np.random.default_rng(1))
     assert np.max(np.abs(pts[:, 1] - 0.5)) <= 1e-10
+
+
+# -- batched runs against the one-at-a-time references ------------------------
+
+def _three_vertex_model(rng):
+    # vertex matrices as strided views, the way discretize_zoh returns them
+    blocks = [rng.normal(size=(5, 5)) * 0.4 for _ in range(3)]
+    return PolytopicModel(vertices=[(M[:3, :3], M[:3, 3:]) for M in blocks],
+                          C=rng.normal(size=(2, 3)))
+
+
+def test_batched_runs_match_reference():
+    rng = np.random.default_rng(21)
+    model = _three_vertex_model(rng)
+    gains = [rng.normal(size=(2, 2)) * 0.3 for _ in range(9)]
+    x0s = rng.normal(size=(40, 3))
+    seeds = rng.integers(2 ** 31, size=40).tolist()
+    runs = sim.simulate_runs(model, gains, x0s,
+                             [sim.RandomVertex(seed=s) for s in seeds])
+    states, controls, realized = simulate_reference(model, gains, x0s, seeds)
+    assert np.array_equal(runs.states, states)
+    assert np.array_equal(runs.controls, controls)
+    assert np.array_equal(runs.realized, realized)
+    one = sim.simulate_closed_loop(model, gains, x0s[7], sim.RandomVertex(seed=seeds[7]))
+    assert np.array_equal(one.states, states[7])
+    assert one.realized == realized[7].tolist()
+
+
+def test_batched_disturbed_runs_match_reference():
+    rng = np.random.default_rng(22)
+    model = PolytopicModel(
+        vertices=[(rng.normal(size=(2, 2)) * 0.4, rng.normal(size=(2, 1)))
+                  for _ in range(2)],
+        C=np.eye(2), D=rng.normal(size=(2, 2)))
+    gains = [rng.normal(size=(1, 2)) * 0.3 for _ in range(6)]
+    x0s = rng.normal(size=(25, 2))
+    seeds = list(range(100, 125))
+    draw = sim.hull_sampler(box([-0.1, -0.2], [0.1, 0.05]))
+    runs = sim.simulate_runs(model, gains, x0s,
+                             [sim.RandomVertex(seed=s) for s in seeds],
+                             disturbance_sampler=draw)
+    states, controls, realized = simulate_reference(model, gains, x0s, seeds,
+                                                    disturbance_sampler=draw)
+    assert np.array_equal(runs.states, states)
+    assert np.array_equal(runs.controls, controls)
+    assert np.array_equal(runs.realized, realized)
+
+
+def test_verify_runs_flags_and_reports():
+    states = np.array([[[0.2], [0.4], [0.8]],
+                       [[0.2], [1.5], [0.1]],
+                       [[3.0], [0.0], [2.0]]])
+    sets = [box([-1], [1]), box([-1], [1]), box([-0.5], [0.5])]
+    inside, reports = sim.verify_runs(states, sets, tol=1e-7)
+    assert inside.tolist() == [[True, True, False], [True, False, True],
+                               [False, True, False]]
+    assert [rep.first_violation[:2] for rep in reports] == [(2, 0), (1, 0), (0, 0)]
+    assert [rep.first_violation[2] for rep in reports] == \
+        pytest.approx([0.3, 0.5, 2.0], abs=1e-15)
+    assert [rep.worst for rep in reports] == pytest.approx([0.3, 0.5, 2.0], abs=1e-15)
+    assert not any(rep.ok for rep in reports)
+    _, reports = sim.verify_runs(states, [box([-4], [4])] * 3, tol=1e-7)
+    assert all(rep.ok and rep.first_violation is None for rep in reports)
+
+
+def test_batched_sampling_matches_reference():
+    # a triangle fills half its bounding box, so half the draws are rejected
+    P = PolyhedralSet(np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]),
+                      np.array([0.0, 0.0, 1.0]))
+    V = np.array(enum_vertices(P.A, P.b))
+    a = np.random.default_rng(31)
+    b = np.random.default_rng(31)
+    pts = sim.sample_states(P, 60, a)
+    ref = rejection_sample_reference(P.A, P.b, V.min(axis=0), V.max(axis=0), 60, b)
+    assert np.array_equal(pts, ref)
+    assert a.integers(2 ** 31) == b.integers(2 ** 31)
+
+
+def test_tanks_nonlinear_matches_array_rk4():
+    gains = [np.array([[-0.3], [-0.9]]), np.array([[0.2], [-0.4]])] * 5
+    for R1, x0 in ((3.0, [1.75, 1.52]), (5.0, [2.2, 1.7])):
+        traj = sim.tanks_nonlinear_simulate(R1, 5.0, x0, gains, [2.0, 1.6])
+        ref = tanks_rk4_reference(R1, 5.0, x0, gains, [2.0, 1.6])
+        assert np.array_equal(traj.states, ref)
