@@ -6,8 +6,12 @@ as {"rows": r, "cols": c, "data": [...]} with row-major data, so the
 files are diffable and language-neutral.  Trajectories are written as
 RFC-4180 CSV with a header row.
 
-Exit codes: 0 success, 2 input/validation error, 3 synthesis failure,
-4 audit failure (a membership or containment check came back false).
+Every value read from a user file goes through the typed readers below,
+which raise ConfigError and nothing else.  ``main`` is the one place
+where exceptions become exit codes: 0 success, 2 input/validation error
+("config error: ..." on stderr), 3 synthesis failure ("synthesis
+failed: ..."), 4 audit failure (a membership or containment check came
+back false).
 """
 
 from __future__ import annotations
@@ -18,15 +22,14 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import lp, sim, synth
-from .polytope import EmptySetError, PolyhedralSet, is_bounded, vertices
+from .polytope import EmptySetError, PolyhedralSet, UnboundedSetError, vertices
 from .reach import PolytopicModel, check_containment, \
     check_containment_disturbance, check_robust_invariant
-from .tube import StepSpec, TargetTube, tube_from_step_specs
+from .tube import StepSpec, TargetTube, all_bounded, tube_from_step_specs
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -38,7 +41,52 @@ class ConfigError(Exception):
     """Malformed or inconsistent input file."""
 
 
-# -- JSON helpers --------------------------------------------------------
+# -- typed readers ---------------------------------------------------------
+
+def _object(value, name, *required):
+    """``value`` as a JSON object holding every key in ``required``."""
+    if not isinstance(value, dict):
+        raise ConfigError("%s: expected an object" % name)
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise ConfigError("%s: missing %s" % (name, ", ".join(map(repr, missing))))
+    return value
+
+
+def _list(value, name, length=None):
+    if not isinstance(value, list):
+        raise ConfigError("%s: expected a list" % name)
+    if length is not None and len(value) != length:
+        raise ConfigError("%s has %d entries, expected %d" % (name, len(value), length))
+    return value
+
+
+def _number(value, name):
+    """A finite JSON number as a float."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ConfigError("%s: expected a finite number, got %r" % (name, value))
+
+
+def _numbers(value, name):
+    return np.array([_number(v, "%s[%d]" % (name, i))
+                     for i, v in enumerate(_list(value, name))], dtype=float)
+
+
+def _integer(value, name):
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError("%s: expected an integer, got %r" % (name, value))
+    return value
+
+
+def _flag(value, name):
+    if not isinstance(value, bool):
+        raise ConfigError("%s: expected true or false, got %r" % (name, value))
+    return value
+
 
 def encode_matrix(M):
     M = np.atleast_2d(np.asarray(M, dtype=float))
@@ -47,12 +95,11 @@ def encode_matrix(M):
 
 
 def decode_matrix(obj, name="matrix"):
-    try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-        data = np.asarray(obj["data"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError("%s: expected {rows, cols, data}: %s" % (name, exc))
-    if data.size != rows * cols:
+    obj = _object(obj, name, "rows", "cols", "data")
+    rows = _integer(obj["rows"], name + ".rows")
+    cols = _integer(obj["cols"], name + ".cols")
+    data = _numbers(obj["data"], name + ".data")
+    if min(rows, cols) < 0 or data.size != rows * cols:
         raise ConfigError("%s: %d data values for a %dx%d matrix"
                           % (name, data.size, rows, cols))
     return data.reshape(rows, cols)
@@ -63,12 +110,12 @@ def encode_set(P: PolyhedralSet):
 
 
 def decode_set(obj, name="set"):
-    if not isinstance(obj, dict) or "A" not in obj or "b" not in obj:
-        raise ConfigError("%s: expected {A, b}" % name)
+    obj = _object(obj, name, "A", "b")
+    A = decode_matrix(obj["A"], name + ".A")
+    b = _numbers(obj["b"], name + ".b")
     try:
-        return PolyhedralSet(decode_matrix(obj["A"], name + ".A"),
-                             np.asarray(obj["b"], dtype=float))
-    except (TypeError, ValueError) as exc:
+        return PolyhedralSet(A, b)
+    except ValueError as exc:
         raise ConfigError("%s: %s" % (name, exc))
 
 
@@ -78,7 +125,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError("%s is not valid JSON: %s" % (path, exc))
 
 
@@ -92,36 +139,20 @@ def _write_json(path, obj):
 
 @dataclass
 class ProblemConfig:
-    """Validated, in-memory form of a problem file."""
+    """Validated, in-memory form of a problem file: the synthesis problem
+    plus the settings that are not part of it."""
 
-    horizon: int
-    model: PolytopicModel
-    tube: TargetTube
-    disturbance: Optional[List[Tuple[np.ndarray, np.ndarray]]]
-    control_constraints: Optional[List[Tuple[np.ndarray, np.ndarray]]]
-    nonneg_bounds: bool
-    disturbance_floor: bool
+    problem: synth.SynthesisProblem
     containment_tol: float
     defect_zero_tol: float
     seed: int
 
-    def to_problem(self) -> synth.SynthesisProblem:
-        return synth.SynthesisProblem(
-            model=self.model, tube=self.tube, disturbance=self.disturbance,
-            control_constraints=self.control_constraints,
-            nonneg_bounds=self.nonneg_bounds,
-            disturbance_floor=self.disturbance_floor)
-
 
 def decode_model(obj):
-    if not isinstance(obj, dict) or "vertices" not in obj or "C" not in obj:
-        raise ConfigError("model: expected {vertices, C[, D]}")
-    if not isinstance(obj["vertices"], list):
-        raise ConfigError("model.vertices: expected a list")
+    obj = _object(obj, "model", "vertices", "C")
     pairs = []
-    for i, v in enumerate(obj["vertices"]):
-        if not isinstance(v, dict) or "A" not in v or "B" not in v:
-            raise ConfigError("model.vertices[%d]: expected {A, B}" % i)
+    for i, v in enumerate(_list(obj["vertices"], "model.vertices")):
+        v = _object(v, "model.vertices[%d]" % i, "A", "B")
         pairs.append((decode_matrix(v["A"], "model.vertices[%d].A" % i),
                       decode_matrix(v["B"], "model.vertices[%d].B" % i)))
     D = obj.get("D")
@@ -132,27 +163,26 @@ def decode_model(obj):
         raise ConfigError("model: %s" % exc)
 
 
+def _decode_step_spec(obj, name):
+    fields = {key: _number(v, "%s.%s" % (name, key))
+              for key, v in _object(obj, name).items()}
+    try:
+        return StepSpec(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("%s: %s" % (name, exc))
+
+
 def _decode_tube(obj, K, n):
-    if not isinstance(obj, dict):
-        raise ConfigError("tube: expected an object")
+    obj = _object(obj, "tube")
     if "explicit" in obj:
-        entries = obj["explicit"]
-        if len(entries) != K + 1:
-            raise ConfigError("tube.explicit has %d entries, expected %d"
-                              % (len(entries), K + 1))
-        sets = [decode_set(e, "tube.explicit[%d]" % k) for k, e in enumerate(entries)]
-        t = TargetTube(sets)
+        entries = _list(obj["explicit"], "tube.explicit", K + 1)
+        t = TargetTube([decode_set(e, "tube.explicit[%d]" % k)
+                        for k, e in enumerate(entries)])
     elif "step_specs" in obj:
-        block = obj["step_specs"]
-        if not isinstance(block, dict) or "C" not in block or "specs" not in block:
-            raise ConfigError("tube.step_specs: expected {C, specs}")
+        block = _object(obj["step_specs"], "tube.step_specs", "C", "specs")
         C = decode_matrix(block["C"], "tube.step_specs.C")
-        specs = []
-        for i, s in enumerate(block["specs"]):
-            try:
-                specs.append(StepSpec(**s))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError("tube.step_specs.specs[%d]: %s" % (i, exc))
+        specs = [_decode_step_spec(s, "tube.step_specs.specs[%d]" % i)
+                 for i, s in enumerate(_list(block["specs"], "tube.step_specs.specs"))]
         try:
             t = tube_from_step_specs(specs, C, K)
         except ValueError as exc:
@@ -170,55 +200,48 @@ def _decode_setlist(obj, K, what):
     if obj is None:
         return None
     entries = obj["sets"] if isinstance(obj, dict) and "sets" in obj else obj
-    if not isinstance(entries, list) or len(entries) != K:
-        raise ConfigError("%s: expected a list of %d sets" % (what, K))
-    sets = [decode_set(e, "%s[%d]" % (what, k)) for k, e in enumerate(entries)]
+    sets = [decode_set(e, "%s[%d]" % (what, k))
+            for k, e in enumerate(_list(entries, what, K))]
     return [(S.A, S.b) for S in sets]
 
 
 def load_config(path) -> ProblemConfig:
-    obj = _load_json(path)
-    if not isinstance(obj, dict) or not {"horizon", "model", "tube"} <= obj.keys():
-        raise ConfigError("config needs horizon, model and tube")
-    try:
-        K = int(obj["horizon"])
-    except (TypeError, ValueError):
-        raise ConfigError("horizon: expected an integer, got %r" % (obj["horizon"],))
+    obj = _object(_load_json(path), "config", "horizon", "model", "tube")
+    K = _integer(obj["horizon"], "horizon")
     if K < 1:
         raise ConfigError("horizon must be at least 1")
     model = decode_model(obj["model"])
-    t = _decode_tube(obj["tube"], K, model.n)
-    flags = obj.get("flags", {})
-    tols = obj.get("tolerances", {})
-    seeds = obj.get("seeds", {})
-    cfg = ProblemConfig(
-        horizon=K, model=model, tube=t,
+    flags = _object(obj.get("flags", {}), "flags")
+    tols = _object(obj.get("tolerances", {}), "tolerances")
+    seeds = _object(obj.get("seeds", {}), "seeds")
+    problem = synth.SynthesisProblem(
+        model=model, tube=_decode_tube(obj["tube"], K, model.n),
         disturbance=_decode_setlist(obj.get("disturbance"), K, "disturbance"),
         control_constraints=_decode_setlist(obj.get("control_constraints"), K,
                                             "control_constraints"),
-        nonneg_bounds=bool(flags.get("nonneg_bounds", True)),
-        disturbance_floor=bool(flags.get("disturbance_floor", False)),
-        containment_tol=float(tols.get("containment", 1e-7)),
-        defect_zero_tol=float(tols.get("defect_zero", synth.EPS_ZERO_TOL)),
-        seed=int(seeds.get("simulate", 0)))
-    try:
-        cfg.to_problem()   # cross-checks every dimension at load time
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    return cfg
+        nonneg_bounds=_flag(flags.get("nonneg_bounds", True), "flags.nonneg_bounds"),
+        disturbance_floor=_flag(flags.get("disturbance_floor", False),
+                                "flags.disturbance_floor"))
+    return ProblemConfig(
+        problem=problem,
+        containment_tol=_number(tols.get("containment", 1e-7), "tolerances.containment"),
+        defect_zero_tol=_number(tols.get("defect_zero", synth.EPS_ZERO_TOL),
+                                "tolerances.defect_zero"),
+        seed=_integer(seeds.get("simulate", 0), "seeds.simulate"))
 
 
 # -- result files ----------------------------------------------------------
 
-def write_result_files(out_dir, cfg: ProblemConfig, result: synth.SynthesisResult):
+def write_result_files(out_dir, problem: synth.SynthesisProblem,
+                       result: synth.SynthesisResult):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     K = result.horizon
 
     _write_json(out / "gains.json", {
         "horizon": K,
-        "inputs": cfg.model.m,
-        "outputs": cfg.model.r,
+        "inputs": problem.model.m,
+        "outputs": problem.model.r,
         "gains": [encode_matrix(F) for F in result.gains],
     })
 
@@ -226,7 +249,7 @@ def write_result_files(out_dir, cfg: ProblemConfig, result: synth.SynthesisResul
     for k in range(K + 1):
         entry = {
             "k": k,
-            "tube_bounds": [float(v) for v in cfg.tube[k].b],
+            "tube_bounds": [float(v) for v in problem.tube[k].b],
             "set_bounds": [float(v) for v in result.bounds[k]],
         }
         if k < K:
@@ -246,14 +269,9 @@ def write_result_files(out_dir, cfg: ProblemConfig, result: synth.SynthesisResul
 
 
 def load_gains(path, model: PolytopicModel, K):
-    obj = _load_json(path)
-    gains = obj.get("gains")
-    if gains is None:
-        raise ConfigError("gains file lacks a 'gains' list")
-    if len(gains) != K:
-        raise ConfigError("gains file has %d entries, expected %d" % (len(gains), K))
+    gains = _object(_load_json(path), "gains file", "gains")["gains"]
     out = []
-    for k, g in enumerate(gains):
+    for k, g in enumerate(_list(gains, "gains", K)):
         F = decode_matrix(g, "gains[%d]" % k)
         if F.shape != (model.m, model.r):
             raise ConfigError("gains[%d] is %dx%d, expected %dx%d"
@@ -332,29 +350,20 @@ def linear_audit(out, model, gains, sets, runs, rng, tol, disturbance_sampler=No
 
 # -- subcommand drivers ----------------------------------------------------
 
+def _check_runs(runs):
+    if runs < 1:
+        raise ConfigError("--runs must be at least 1, got %d" % runs)
+
+
 def run_synth(config_path, out_dir, tol=None):
-    try:
-        cfg = load_config(config_path)
-        if cfg.nonneg_bounds and not all(is_bounded(s) for s in cfg.tube.sets):
-            raise ConfigError("tube must be bounded for the guaranteed mode")
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except EmptySetError:
-        print("config error: a tube section is empty", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        result = synth.synthesize(
-            cfg.to_problem(),
-            containment_tol=cfg.containment_tol if tol is None else tol,
-            eps_zero_tol=cfg.defect_zero_tol)
-    except (synth.SynthesisError, lp.LpNumericalError) as exc:
-        print("synthesis failed: %s" % exc, file=sys.stderr)
-        return EXIT_SYNTH
-    except ValueError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    write_result_files(out_dir, cfg, result)
+    cfg = load_config(config_path)
+    problem = cfg.problem
+    if problem.nonneg_bounds and not all_bounded(problem.tube):
+        raise ConfigError("tube must be bounded for the guaranteed mode")
+    result = synth.synthesize(
+        problem, containment_tol=cfg.containment_tol if tol is None else tol,
+        eps_zero_tol=cfg.defect_zero_tol)
+    write_result_files(out_dir, problem, result)
     print("synthesized %d steps -> %s" % (result.horizon, out_dir))
     if not result.certified:
         print("warning: a step failed certification", file=sys.stderr)
@@ -362,111 +371,88 @@ def run_synth(config_path, out_dir, tol=None):
     return EXIT_OK
 
 
-def _load_traversed_sets(gains_path, cfg):
+def _load_traversed_sets(gains_path, tube: TargetTube):
     """Traversed sets from the sets.json written next to the gains, when
     available; the tube sections otherwise.  Sampling and auditing always
     use the same sets, so re-audits of a synthesis run are exact."""
     sets_path = Path(gains_path).parent / "sets.json"
     if not sets_path.exists():
-        return list(cfg.tube.sets)
-    obj = _load_json(sets_path)
-    steps = obj.get("steps") if isinstance(obj, dict) else None
-    if not isinstance(steps, list) or len(steps) != cfg.horizon + 1:
-        raise ConfigError("%s: expected a list of %d steps"
-                          % (sets_path, cfg.horizon + 1))
+        return list(tube.sets)
+    steps = _object(_load_json(sets_path), str(sets_path), "steps")["steps"]
     out = []
-    for k, entry in enumerate(steps):
+    for k, entry in enumerate(_list(steps, "%s: steps" % sets_path, tube.horizon + 1)):
+        name = "%s: steps[%d]" % (sets_path, k)
+        bounds = _numbers(_object(entry, name, "set_bounds")["set_bounds"],
+                          name + ".set_bounds")
         try:
-            out.append(PolyhedralSet(cfg.tube[k].A, entry["set_bounds"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("%s: steps[%d].set_bounds: %s" % (sets_path, k, exc))
+            out.append(PolyhedralSet(tube[k].A, bounds))
+        except ValueError as exc:
+            raise ConfigError("%s.set_bounds: %s" % (name, exc))
     return out
 
 
 def run_simulate(config_path, gains_path, runs, seed, out_dir, tol=None):
-    try:
-        if runs < 1:
-            raise ConfigError("--runs must be at least 1, got %d" % runs)
-        cfg = load_config(config_path)
-        gains = load_gains(gains_path, cfg.model, cfg.horizon)
-        sets = _load_traversed_sets(gains_path, cfg)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    tol = cfg.containment_tol if tol is None else tol
+    _check_runs(runs)
+    cfg = load_config(config_path)
+    problem = cfg.problem
+    gains = load_gains(gains_path, problem.model, problem.horizon)
+    sets = _load_traversed_sets(gains_path, problem.tube)
     sampler = None
-    if cfg.disturbance is not None and cfg.model.p > 0:
-        v_corners = [np.array(vertices(PolyhedralSet(W, g)))
-                     for W, g in cfg.disturbance]
+    if problem.disturbance is not None and problem.model.p > 0:
+        step_samplers = [sim.hull_sampler(PolyhedralSet(W, g))
+                         for W, g in problem.disturbance]
 
-        def sampler(k, rng, _v=v_corners):
-            V = _v[k]
-            return rng.dirichlet(np.ones(V.shape[0])) @ V
+        def sampler(k, rng):
+            return step_samplers[k](k, rng)
 
-    rng = np.random.default_rng(seed if seed is not None else cfg.seed)
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    audit = linear_audit(out, cfg.model, gains, sets, runs, rng, tol, sampler)
+    audit = linear_audit(out, problem.model, gains, sets, runs, rng,
+                         cfg.containment_tol if tol is None else tol, sampler)
     _write_json(out / "audit.json", audit)
     print("%d/%d runs inside the tube (worst violation %g)"
           % (audit["passed"], audit["runs"], audit["worst_violation"]))
     return EXIT_OK if audit["failed"] == 0 else EXIT_AUDIT
 
 
-def run_check_contain(config_path, out_path=None, tol=None):
-    try:
-        obj = _load_json(config_path)
-        model = decode_model(obj["model"])
-        F = decode_matrix(obj["F"], "F")
-        P1 = decode_set(obj["P1"], "P1")
-        P2 = decode_set(obj["P2"], "P2")
-        V = decode_set(obj["V"], "V") if obj.get("V") is not None else None
-        tol = tol if tol is not None else float(obj.get("tol", 1e-7))
-    except (ConfigError, KeyError) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        if V is None:
-            rpt = check_containment(model, F, P1, P2, tol=tol)
-        else:
-            rpt = check_containment_disturbance(model, F, P1, V, P2, tol=tol)
-    except (ValueError, EmptySetError) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    payload = {"contained": rpt.contained, "worst_violation": rpt.worst_violation}
-    if rpt.certificates is not None:
-        payload["certificates"] = [encode_matrix(G) for G in rpt.certificates]
-    print(json.dumps({"contained": rpt.contained,
-                      "worst_violation": rpt.worst_violation}))
+def _load_check(config_path, tol, *set_keys):
+    """A check file, its model, its gain F and the tolerance in force;
+    ``set_keys`` name the sets the check needs."""
+    obj = _object(_load_json(config_path), "config", "model", "F", *set_keys)
+    tol = _number(obj.get("tol", 1e-7), "tol") if tol is None else tol
+    return obj, decode_model(obj["model"]), decode_matrix(obj["F"], "F"), tol
+
+
+def _report_check(verdict, rpt, out_path):
+    """Print the verdict line, write the report with its certificates to
+    ``out_path`` (if given) and return the exit code of the verdict."""
+    summary = {verdict: rpt.contained, "worst_violation": rpt.worst_violation}
+    print(json.dumps(summary))
     if out_path:
-        _write_json(out_path, payload)
+        if rpt.certificates is not None:
+            summary["certificates"] = [encode_matrix(G) for G in rpt.certificates]
+        _write_json(out_path, summary)
     return EXIT_OK if rpt.contained else EXIT_AUDIT
+
+
+def run_check_contain(config_path, out_path=None, tol=None):
+    obj, model, F, tol = _load_check(config_path, tol, "P1", "P2")
+    P1 = decode_set(obj["P1"], "P1")
+    P2 = decode_set(obj["P2"], "P2")
+    if obj.get("V") is None:
+        rpt = check_containment(model, F, P1, P2, tol=tol)
+    else:
+        rpt = check_containment_disturbance(model, F, P1, decode_set(obj["V"], "V"),
+                                            P2, tol=tol)
+    return _report_check("contained", rpt, out_path)
 
 
 def run_check_invariant(config_path, out_path=None, tol=None):
-    try:
-        obj = _load_json(config_path)
-        model = decode_model(obj["model"])
-        F = decode_matrix(obj["F"], "F")
-        S = decode_set(obj["S"], "S")
-        V = decode_set(obj["V"], "V")
-        tol = tol if tol is not None else float(obj.get("tol", 1e-7))
-    except (ConfigError, KeyError) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        rpt = check_robust_invariant(model, F, S, V, tol=tol)
-    except (ValueError, EmptySetError) as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    payload = {"invariant": rpt.contained, "worst_violation": rpt.worst_violation}
-    if rpt.certificates is not None:
-        payload["certificates"] = [encode_matrix(G) for G in rpt.certificates]
-    print(json.dumps({"invariant": rpt.contained,
-                      "worst_violation": rpt.worst_violation}))
-    if out_path:
-        _write_json(out_path, payload)
-    return EXIT_OK if rpt.contained else EXIT_AUDIT
+    obj, model, F, tol = _load_check(config_path, tol, "S", "V")
+    rpt = check_robust_invariant(model, F, decode_set(obj["S"], "S"),
+                                 decode_set(obj["V"], "V"), tol=tol)
+    return _report_check("invariant", rpt, out_path)
 
 
 # -- tanks demo -------------------------------------------------------------
@@ -529,37 +515,14 @@ def _write_sets_csv(path, tube_sets, traversed_sets):
 
 
 def run_demo_tanks(out_dir, horizon=15, runs=100, seed=0, r1=None, tol=1e-7):
+    _check_runs(runs)
+    problem, specs = tanks_problem(horizon=horizon)
+    result = synth.synthesize(problem, containment_tol=tol)
     out = Path(out_dir)
-    stage = "setup"
-    if runs < 1:
-        print("demo %s failed: --runs must be at least 1, got %d" % (stage, runs),
-              file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        problem, specs = tanks_problem(horizon=horizon)
-    except ValueError as exc:
-        print("demo %s failed: %s" % (stage, exc), file=sys.stderr)
-        return EXIT_INPUT
-
-    stage = "synthesis"
-    try:
-        result = synth.synthesize(problem, containment_tol=tol)
-    except (synth.SynthesisError, lp.LpNumericalError) as exc:
-        print("demo %s failed: %s" % (stage, exc), file=sys.stderr)
-        return EXIT_SYNTH
-    model = problem.model
-    cfg_like = ProblemConfig(
-        horizon=horizon, model=model, tube=problem.tube, disturbance=None,
-        control_constraints=problem.control_constraints, nonneg_bounds=True,
-        disturbance_floor=False, containment_tol=tol,
-        defect_zero_tol=synth.EPS_ZERO_TOL, seed=seed)
-    write_result_files(out, cfg_like, result)
-
-    stage = "linear audit"
-    audit = linear_audit(out, model, result.gains, result.sets, runs,
+    write_result_files(out, problem, result)
+    audit = linear_audit(out, problem.model, result.gains, result.sets, runs,
                          np.random.default_rng(seed), tol)
 
-    stage = "nonlinear runs"
     areas = list(TANKS_R1) if r1 is None else [float(r1)]
     nl_runs = {}
     nl_worst = -np.inf
@@ -581,7 +544,6 @@ def run_demo_tanks(out_dir, horizon=15, runs=100, seed=0, r1=None, tol=1e-7):
     audit["nonlinear_worst_violation"] = float(nl_worst)
     _write_json(out / "audit.json", audit)
 
-    stage = "figure data"
     Ts = specs[0].sample_time
     _write_envelope_csv(out / "tank1_envelopes.csv", specs[0], Ts, horizon, nl_runs, 0)
     _write_envelope_csv(out / "tank2_envelopes.csv", specs[1], Ts, horizon, nl_runs, 1)
@@ -594,7 +556,7 @@ def run_demo_tanks(out_dir, horizon=15, runs=100, seed=0, r1=None, tol=1e-7):
     return EXIT_OK if ok else EXIT_AUDIT
 
 
-# -- argument parsing --------------------------------------------------------
+# -- argument parsing and the exit-code boundary ------------------------------
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
@@ -606,6 +568,7 @@ def main(argv=None):
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--tol", type=float, default=None)
+    p.set_defaults(run=lambda a: run_synth(a.config, a.out, tol=a.tol))
 
     p = subs.add_parser("simulate", help="audit stored gains by simulation")
     p.add_argument("--config", required=True)
@@ -614,16 +577,20 @@ def main(argv=None):
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
+    p.set_defaults(run=lambda a: run_simulate(a.config, a.gains, a.runs, a.seed,
+                                              a.out, tol=a.tol))
 
     p = subs.add_parser("check-contain", help="one-shot containment check")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--tol", type=float, default=None)
+    p.set_defaults(run=lambda a: run_check_contain(a.config, a.out, tol=a.tol))
 
     p = subs.add_parser("check-invariant", help="robust-invariance check")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--tol", type=float, default=None)
+    p.set_defaults(run=lambda a: run_check_invariant(a.config, a.out, tol=a.tol))
 
     p = subs.add_parser("demo-tanks", help="coupled-tanks case study")
     p.add_argument("--out", required=True)
@@ -632,21 +599,18 @@ def main(argv=None):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--r1", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-7)
+    p.set_defaults(run=lambda a: run_demo_tanks(a.out, horizon=a.k, runs=a.runs,
+                                                seed=a.seed, r1=a.r1, tol=a.tol))
 
     args = parser.parse_args(argv)
-    if args.command == "synth":
-        return run_synth(args.config, args.out, tol=args.tol)
-    if args.command == "simulate":
-        return run_simulate(args.config, args.gains, args.runs, args.seed,
-                            args.out, tol=args.tol)
-    if args.command == "check-contain":
-        return run_check_contain(args.config, args.out, tol=args.tol)
-    if args.command == "check-invariant":
-        return run_check_invariant(args.config, args.out, tol=args.tol)
-    if args.command == "demo-tanks":
-        return run_demo_tanks(args.out, horizon=args.k, runs=args.runs,
-                              seed=args.seed, r1=args.r1, tol=args.tol)
-    parser.error("unknown command")
+    try:
+        return args.run(args)
+    except (synth.SynthesisError, lp.LpNumericalError) as exc:
+        print("synthesis failed: %s" % exc, file=sys.stderr)
+        return EXIT_SYNTH
+    except (ConfigError, ValueError, EmptySetError, UnboundedSetError) as exc:
+        print("config error: %s" % exc, file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -220,8 +220,8 @@ def verify_runs(states, sets: Sequence[PolyhedralSet], tol=1e-7):
     The products A_k x are formed once per (run, step).  Returns the
     (R, K+1) flags ``A x <= b + tol`` and one MembershipReport per run,
     whose first violation is the first step with max(A x - b) > tol.
-    A step whose largest residual is NaN is neither the worst step nor
-    a violation.
+    A step with a non-finite residual (a diverged or NaN state) is a
+    violation of amount +inf.
     """
     states = np.asarray(states, dtype=float)
     if len(sets) != states.shape[1]:
@@ -236,6 +236,7 @@ def verify_runs(states, sets: Sequence[PolyhedralSet], tol=1e-7):
         resid = products - S.b
         row_max[:, k] = resid.max(axis=1)
         row_arg[:, k] = resid.argmax(axis=1)
+    row_max[~np.isfinite(row_max)] = np.inf
     worst = np.fmax.reduce(row_max, axis=1, initial=-np.inf)
     violated = row_max > tol
     first_k = violated.argmax(axis=1)

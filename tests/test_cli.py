@@ -1,8 +1,11 @@
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tubesynth import cli, lp
 
@@ -279,8 +282,8 @@ def test_step_spec_tube_config(tmp_path):
     }
     cfg = write(tmp_path / "cfg.json", cfg_obj)
     loaded = cli.load_config(cfg)
-    assert loaded.tube.horizon == 15
-    assert loaded.tube[0].b.tolist() == [0.01, 0.3, 0.01, 0.15]
+    assert loaded.problem.tube.horizon == 15
+    assert loaded.problem.tube[0].b.tolist() == [0.01, 0.3, 0.01, 0.15]
 
 
 def test_demo_tanks_smoke(tmp_path):
@@ -359,3 +362,134 @@ def test_synth_rejects_non_integer_horizon(tmp_path):
     bad["horizon"] = "two"
     cfg = write(tmp_path / "bad.json", bad)
     assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def _patched(**fields):
+    cfg = scalar_config()
+    cfg.update(fields)
+    return cfg
+
+
+def contain_config():
+    return {
+        "model": {"vertices": [{"A": mat([[0.5]]), "B": mat([[0.0]])}],
+                  "C": mat([[0.0]])},
+        "F": mat([[0.0]]), "P1": interval(1.0), "P2": interval(0.6),
+    }
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("synth", _patched(tolerances={"containment": "tight"})),
+    ("synth", _patched(tolerances={"defect_zero": "x"})),
+    ("synth", _patched(flags=[1])),
+    ("synth", _patched(tolerances=[1])),
+    ("synth", _patched(flags={"nonneg_bounds": "false"})),
+    ("synth", _patched(seeds={"simulate": "x"})),
+    ("synth", _patched(tube={"explicit": 5})),
+    ("simulate", [1]),          # the gains file
+    ("simulate", {"gains": 5}),
+    ("check-contain", dict(contain_config(), tol="x")),
+    ("check-contain", [1]),
+    ("check-invariant", [1]),
+])
+def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
+    good = write(tmp_path / "good.json", scalar_config())
+    bad = write(tmp_path / "bad.json", payload)
+    if command == "simulate":
+        assert cli.main(["synth", "--config", good, "--out", str(tmp_path)]) == 0
+        argv = ["simulate", "--config", good, "--gains", bad, "--out", str(tmp_path / "a")]
+    else:
+        argv = [command, "--config", bad, "--out", str(tmp_path / "o")]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+# -- exit-code contract on arbitrary input -----------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=8)
+
+
+def scalar_gains():
+    return {"gains": [mat([[-0.5]]), mat([[-0.5]])]}
+
+
+def _paths(obj, prefix=()):
+    """Every key path into a JSON value, the value itself included."""
+    yield prefix
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _set_path(obj, path, value):
+    """obj with the entry at ``path`` replaced (None deletes it); a path
+    that an earlier mutation cut off is left alone."""
+    if not path:
+        return value
+    try:
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is None:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+    return obj
+
+
+EXTRA_PATHS = [("flags",), ("flags", "nonneg_bounds"), ("flags", "disturbance_floor"),
+               ("tolerances",), ("tolerances", "containment"), ("tolerances", "defect_zero"),
+               ("disturbance",), ("control_constraints",), ("model", "D")]
+
+
+@st.composite
+def mutated(draw, base):
+    obj = base()
+    paths = list(_paths(obj)) + EXTRA_PATHS
+    values = st.floats() | st.integers(-3, 3) | json_values
+    for _ in range(draw(st.integers(1, 3))):
+        obj = _set_path(obj, draw(st.sampled_from(paths)), draw(values))
+    return obj
+
+
+@pytest.fixture(scope="module")
+def synthesized(tmp_path_factory):
+    out = tmp_path_factory.mktemp("synth")
+    cfg = write(out / "cfg.json", scalar_config())
+    assert cli.main(["synth", "--config", cfg, "--out", str(out)]) == 0
+    return out
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(command=st.sampled_from(["synth", "simulate", "check-contain", "check-invariant"]),
+       as_gains=st.booleans(),
+       payload=(json_values | mutated(scalar_config) | mutated(scalar_gains)
+                | mutated(contain_config)))
+def test_exit_code_contract_on_any_input(synthesized, command, as_gains, payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = write(Path(tmp) / "in.json", payload)
+        out = str(Path(tmp) / "out")
+        if command == "simulate":
+            cfg, gains = str(synthesized / "cfg.json"), str(synthesized / "gains.json")
+            if as_gains:
+                gains = bad
+            else:
+                cfg = bad
+            argv = ["simulate", "--config", cfg, "--gains", gains, "--out", out,
+                    "--runs", "3"]
+        else:
+            argv = [command, "--config", bad, "--out", out]
+        assert cli.main(argv) in (0, 2, 3, 4)

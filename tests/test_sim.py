@@ -93,6 +93,16 @@ def test_verify_membership_reports_first_violation():
     assert ok.ok and ok.first_violation is None
 
 
+def test_verify_membership_flags_non_finite_state():
+    # 0 * inf makes every residual at k = 1 NaN; the step must still fail
+    with np.errstate(invalid="ignore"):
+        rep = sim.verify_membership([[0.0, 0.0], [5.0, np.inf]],
+                                    [box([-1, -1], [1, 1])] * 2)
+    assert rep.ok is False
+    assert rep.first_violation[0] == 1 and rep.first_violation[2] == np.inf
+    assert rep.worst == np.inf
+
+
 def test_membership_length_mismatch():
     model = scalar_model(1.0, 0.0)
     traj = sim.simulate_closed_loop(model, [np.zeros((1, 1))] * 2, [0.0],
