@@ -211,23 +211,26 @@ def load_config(path) -> ProblemConfig:
     if K < 1:
         raise ConfigError("horizon must be at least 1")
     model = decode_model(obj["model"])
+    # every other field first: the tube may take long to build
     flags = _object(obj.get("flags", {}), "flags")
+    nonneg_bounds = _flag(flags.get("nonneg_bounds", True), "flags.nonneg_bounds")
+    disturbance_floor = _flag(flags.get("disturbance_floor", False),
+                              "flags.disturbance_floor")
     tols = _object(obj.get("tolerances", {}), "tolerances")
+    containment_tol = _number(tols.get("containment", 1e-7), "tolerances.containment")
+    defect_zero_tol = _number(tols.get("defect_zero", synth.EPS_ZERO_TOL),
+                              "tolerances.defect_zero")
     seeds = _object(obj.get("seeds", {}), "seeds")
+    seed = _integer(seeds.get("simulate", 0), "seeds.simulate")
+    disturbance = _decode_setlist(obj.get("disturbance"), K, "disturbance")
+    control_constraints = _decode_setlist(obj.get("control_constraints"), K,
+                                          "control_constraints")
     problem = synth.SynthesisProblem(
         model=model, tube=_decode_tube(obj["tube"], K, model.n),
-        disturbance=_decode_setlist(obj.get("disturbance"), K, "disturbance"),
-        control_constraints=_decode_setlist(obj.get("control_constraints"), K,
-                                            "control_constraints"),
-        nonneg_bounds=_flag(flags.get("nonneg_bounds", True), "flags.nonneg_bounds"),
-        disturbance_floor=_flag(flags.get("disturbance_floor", False),
-                                "flags.disturbance_floor"))
-    return ProblemConfig(
-        problem=problem,
-        containment_tol=_number(tols.get("containment", 1e-7), "tolerances.containment"),
-        defect_zero_tol=_number(tols.get("defect_zero", synth.EPS_ZERO_TOL),
-                                "tolerances.defect_zero"),
-        seed=_integer(seeds.get("simulate", 0), "seeds.simulate"))
+        disturbance=disturbance, control_constraints=control_constraints,
+        nonneg_bounds=nonneg_bounds, disturbance_floor=disturbance_floor)
+    return ProblemConfig(problem=problem, containment_tol=containment_tol,
+                         defect_zero_tol=defect_zero_tol, seed=seed)
 
 
 # -- result files ----------------------------------------------------------

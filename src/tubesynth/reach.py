@@ -23,7 +23,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import lp
-from .polytope import EmptySetError, PolyhedralSet, support_lp
+from .polytope import (EmptySetError, PolyhedralSet, UnboundedSetError, support_lp,
+                       support_max)
 
 DEFAULT_TOL = 1e-7
 # certificate entries may undershoot zero by this much
@@ -104,24 +105,6 @@ class ContainmentReport:
     contained: bool
     certificates: Optional[List[np.ndarray]]
     worst_violation: float
-
-
-def _row_supports(source: PolyhedralSet, directions):
-    """Support value and dual row for each direction; None dual when
-    the support is unbounded (encoded as +inf)."""
-    values = []
-    duals = []
-    for a in directions:
-        sol = support_lp(source, a)
-        if sol.status == lp.INFEASIBLE:
-            raise EmptySetError("source set is empty")
-        if sol.status == lp.UNBOUNDED:
-            values.append(np.inf)
-            duals.append(None)
-        else:
-            values.append(float(sol.objective))
-            duals.append(sol.duals_in)
-    return values, duals
 
 
 def verify_certificates(blocks, source: PolyhedralSet, target: PolyhedralSet,
@@ -247,13 +230,11 @@ def contractivity_factor(A, shape_set: PolyhedralSet) -> float:
     A = np.asarray(A, dtype=float)
     if A.shape != (shape_set.dim, shape_set.dim):
         raise ValueError("A must be %d-by-%d" % (shape_set.dim, shape_set.dim))
+    # a unit-offset set contains the origin, so it is never empty
     try:
-        values, _ = _row_supports(shape_set, shape_set.A @ A)
-    except EmptySetError as exc:
-        raise CertificateError("shape set is empty") from exc
-    eta = max(values)
-    if not np.isfinite(eta):
-        raise CertificateError("shape set is unbounded along an image direction")
+        eta = max(support_max(shape_set, a) for a in shape_set.A @ A)
+    except UnboundedSetError as exc:
+        raise CertificateError("shape set is unbounded along an image direction") from exc
     return float(max(eta, 0.0))
 
 

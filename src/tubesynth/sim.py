@@ -8,8 +8,10 @@ sequence exactly: y = C x, u = F(k) y, x+ = A x + B u (+ D v).
 generator seeded by its policy, so a run is the same alone
 (``simulate_closed_loop``) or in a batch, and one seed reproduces it
 bit for bit.  ``verify_runs`` audits every run and step from one
-product A_k x each; ``sample_states`` draws initial states by
-rejection from a bounding box.
+product A_k x each.  ``sample_states`` draws initial states, and
+``hull_sampler`` disturbances, as Dirichlet(1, ..., 1) combinations of
+the set's vertices, so every draw lies in the set even when it is
+lower-dimensional.
 
 The tanks plant is the usual pair of coupled water tanks: levels x1,
 x2, inflow into tank 1 and outflow from tank 2, gravity-driven flow
@@ -26,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .polytope import PolyhedralSet, support_max, vertices
+from .polytope import PolyhedralSet, vertices
 from .reach import PolytopicModel
 
 
@@ -258,52 +260,32 @@ def verify_membership(traj: Trajectory, sets: Sequence[PolyhedralSet],
     return verify_runs(np.asarray(states)[None], sets, tol)[1][0]
 
 
+def _hull_draw(V, rng, size=None):
+    """Dirichlet(1, ..., 1) weights over the rows of V, applied to V: one
+    point of their hull, or ``size`` points stacked."""
+    return rng.dirichlet(np.ones(V.shape[0]), size) @ V
+
+
 def hull_sampler(P: PolyhedralSet):
     """Sampler over P drawing random convex combinations of its vertices."""
     V = np.array(vertices(P))
 
     def sample(k, rng):
-        w = rng.dirichlet(np.ones(V.shape[0]))
-        return w @ V
+        return _hull_draw(V, rng)
 
     return sample
 
 
-def sample_states(P: PolyhedralSet, count, rng, max_tries=200000):
-    """Rejection-sample ``count`` points of P from its bounding box.
+def sample_states(P: PolyhedralSet, count, rng):
+    """``count`` random convex combinations of the vertices of P, shape
+    (count, n).
 
-    Acceptance allows 1e-12 of slack so degenerate sets (an offset
-    shrunk to zero) still yield their boundary points despite the LP
-    rounding in the bounding box.
-
-    Each round draws as many points as are still missing (never more
-    than the tries left) and tests them in one product, so the
-    generator ends where point-by-point sampling would leave it.
+    The points are not uniform over P, but each lies in it up to
+    rounding, also when P is lower-dimensional (an offset shrunk to
+    zero).  P must be bounded, nonempty and within the caps of
+    ``vertices``, which raises ValueError past them.
     """
-    n = P.dim
-    lo = np.zeros(n)
-    hi = np.zeros(n)
-    e = np.zeros(n)
-    for i in range(n):
-        e[i] = 1.0
-        hi[i] = support_max(P, e)
-        e[i] = -1.0
-        lo[i] = -support_max(P, e)
-        e[i] = 0.0
-    accepted = [np.empty((0, n))]
-    found = 0
-    tries = 0
-    while found < count:
-        draw = min(count - found, max_tries - tries)
-        if draw <= 0:
-            raise RuntimeError("rejection sampling failed after %d tries"
-                               % (tries + 1))
-        X = rng.uniform(lo, hi, size=(draw, n))
-        ok = np.all(np.matmul(P.A, X[..., None])[..., 0] <= P.b + 1e-12, axis=1)
-        accepted.append(X[ok])
-        found += int(np.count_nonzero(ok))
-        tries += draw
-    return np.concatenate(accepted)
+    return _hull_draw(np.array(vertices(P)), rng, count)
 
 
 # -- coupled tanks -------------------------------------------------------

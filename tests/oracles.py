@@ -139,17 +139,6 @@ def simulate_reference(model, gains, x0s, seeds, disturbance_sampler=None):
     return np.array(states), np.array(controls), np.array(realized)
 
 
-def rejection_sample_reference(A, b, lo, hi, count, rng, tol=1e-12):
-    """Draw points uniformly from the box [lo, hi] one at a time and keep
-    those with A x <= b + tol until ``count`` are kept."""
-    out = []
-    while len(out) < count:
-        x = rng.uniform(lo, hi)
-        if np.all(A @ x <= b + tol):
-            out.append(x)
-    return np.array(out)
-
-
 def tanks_rk4_reference(R1, R2, x0, gains, setpoint, Ts=1.0, step=0.01,
                         gravity=10.0):
     """Nonlinear coupled tanks under held error feedback, RK4 on 2-vectors.

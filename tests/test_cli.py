@@ -328,6 +328,47 @@ def test_simulate_rejects_runs_below_one(tmp_path, capsys):
     assert not (tmp_path / "a").exists()
 
 
+def diagonal_config():
+    """X(0) = {x1 + x2 = 0, |x1 - x2| <= 1}: a segment, the kind of
+    lower-dimensional set LP2 leaves when offsets shrink to zero."""
+    return {
+        "horizon": 2,
+        "model": {"vertices": [{"A": mat([[0.5, 0.0], [0.0, 0.5]]),
+                                "B": mat([[1.0], [0.0]])}],
+                  "C": mat([[1.0, 0.0]])},
+        "tube": {"explicit": [
+            {"A": mat([[1, 1], [-1, -1], [1, -1], [-1, 1]]), "b": [0.0, 0.0, 1.0, 1.0]},
+            {"A": mat([[1, 0], [0, 1], [-1, 0], [0, -1]]), "b": [1.0] * 4},
+            {"A": mat([[1, 0], [0, 1], [-1, 0], [0, -1]]), "b": [1.0] * 4}]},
+    }
+
+
+def test_simulate_samples_lower_dimensional_initial_set(tmp_path):
+    # no sets.json next to the gains, so X(0) is the diagonal tube section
+    cfg = write(tmp_path / "cfg.json", diagonal_config())
+    gains = write(tmp_path / "gains.json", {"gains": [mat([[0.0]])] * 2})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--gains", gains,
+                     "--out", str(out), "--runs", "50", "--seed", "4"]) == 0
+    audit = json.loads((out / "audit.json").read_text())
+    assert audit["runs"] == audit["passed"] == 50
+
+
+def test_simulate_initial_set_past_vertex_cap_exits_2(tmp_path, capsys):
+    n = 7   # above the enumeration cap of polytope.vertices
+    box7 = {"A": mat(np.vstack([np.eye(n), -np.eye(n)])), "b": [1.0] * (2 * n)}
+    cfg_obj = {"horizon": 1,
+               "model": {"vertices": [{"A": mat(np.eye(n)), "B": mat(np.zeros((n, 1)))}],
+                         "C": mat(np.eye(1, n))},
+               "tube": {"explicit": [box7, box7]}}
+    cfg = write(tmp_path / "cfg.json", cfg_obj)
+    gains = write(tmp_path / "gains.json", {"gains": [mat([[0.0]])]})
+    assert cli.main(["simulate", "--config", cfg, "--gains", gains,
+                     "--out", str(tmp_path / "out"), "--runs", "3"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+
+
 def test_demo_tanks_rejects_runs_below_one(tmp_path, capsys):
     assert cli.main(["demo-tanks", "--out", str(tmp_path / "d"), "--runs", "-1"]) == 2
     assert "--runs must be at least 1" in capsys.readouterr().err
@@ -404,6 +445,21 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+def test_scalar_fields_decoded_before_the_tube(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("tube built before the scalar fields were checked")
+
+    monkeypatch.setattr(cli, "tube_from_step_specs", never)
+    spec = {"setpoint": 0.0, "rise_time": 5.0, "rise_tol": 0.1, "settle_time": 10.0,
+            "settle_tol": 0.01, "overshoot": 0.01, "initial_lower": -0.3,
+            "sample_time": 1.0}
+    bad = _patched(horizon=10 ** 9, tolerances={"containment": "tight"},
+                   tube={"step_specs": {"C": mat([[1.0]]), "specs": [spec]}})
+    cfg = write(tmp_path / "bad.json", bad)
+    assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "tolerances.containment" in capsys.readouterr().err
 
 
 # -- exit-code contract on arbitrary input -----------------------------------

