@@ -340,9 +340,12 @@ def linear_audit(out, model, gains, sets, runs, rng, tol, disturbance_sampler=No
     ``rng`` draws the initial states from sets[0], then one seed per
     run; run r realizes a uniformly random vertex at every step (and,
     with a sampler, its disturbance) from its own generator.  sets[k]
-    is the membership set of step k.
+    is the membership set of step k.  ``out`` is created only after the
+    initial states are drawn, so an X(0) that cannot be sampled leaves
+    no directory behind.
     """
     x0s = sim.sample_states(sets[0], runs, rng)
+    out.mkdir(parents=True, exist_ok=True)
     seeds = rng.integers(2 ** 31, size=runs).tolist()
     policies = [sim.RandomVertex(seed=v) for v in seeds]
     batch = sim.simulate_runs(model, gains, x0s, policies, disturbance_sampler)
@@ -410,7 +413,6 @@ def run_simulate(config_path, gains_path, runs, seed, out_dir, tol=None):
 
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     audit = linear_audit(out, problem.model, gains, sets, runs, rng,
                          cfg.containment_tol if tol is None else tol, sampler)
     _write_json(out / "audit.json", audit)

@@ -7,7 +7,15 @@ determinism matters downstream, where optimal bases are not unique and
 the synthesized feedback must be reproducible.
 
 Problems are small and dense (tens to a few hundred rows), so no
-attempt is made at sparse or revised-simplex machinery.
+attempt is made at sparse or revised-simplex machinery.  At these
+sizes a pivot spends more time in NumPy call overhead than in
+arithmetic, so the pivot loop keeps its calls few: the entering column
+is the first set entry of a mask (``argmax``), the ratio test is one
+masked ``np.divide``, the leaving row is read from an int-array basis,
+and the tableau update is one broadcast rank-1 product.  Each forms the
+same floating-point operations, in the same order, as an element-wise
+loop would, so the pivot sequence and every output bit are fixed by the
+problem alone.
 """
 
 from __future__ import annotations
@@ -150,7 +158,7 @@ class DenseSimplexSolver(LpSolver):
         T[row] /= piv
         colvals = T[:, col].copy()
         colvals[row] = 0.0
-        T -= np.outer(colvals, T[row])
+        T -= colvals[:, None] * T[row]
         # re-orthogonalise the pivot column exactly
         T[:, col] = 0.0
         T[row, col] = 1.0
@@ -160,29 +168,29 @@ class DenseSimplexSolver(LpSolver):
         """Run simplex pivots until optimal or unbounded.
 
         ``allowed`` is a boolean mask of columns permitted to enter the
-        basis.  Entering column: lowest index with reduced cost below
+        basis and ``basis`` an int array of the basic column per row.
+        Entering column: lowest index with reduced cost below
         -reduced_cost_tol; leaving row: minimum ratio, ties broken by
         lowest basis index (Bland).
         """
         m = T.shape[0] - 1
+        neg_tol = -self.reduced_cost_tol
+        no_ratio = np.full(m, np.inf)
         it = 0
         while True:
-            red = T[-1, :-1]
-            candidates = np.nonzero(allowed & (red < -self.reduced_cost_tol))[0]
-            if candidates.size == 0:
+            entering = allowed & (T[-1, :-1] < neg_tol)
+            col = int(entering.argmax())
+            if not entering[col]:
                 return OPTIMAL, it
-            col = int(candidates[0])
             colvals = T[:m, col]
-            rhs = T[:m, -1]
             eligible = colvals > self.pivot_tol
-            if not np.any(eligible):
+            if not eligible.any():
                 return UNBOUNDED, it
-            ratios = np.full(m, np.inf)
-            ratios[eligible] = np.maximum(rhs[eligible], 0.0) / colvals[eligible]
+            ratios = np.divide(np.maximum(T[:m, -1], 0.0), colvals,
+                               out=no_ratio.copy(), where=eligible)
             rmin = ratios.min()
-            tie = ratios <= rmin + 1e-12 * (1.0 + abs(rmin))
-            rows = np.nonzero(tie)[0]
-            row = int(rows[np.argmin(np.asarray(basis)[rows])])
+            rows = (ratios <= rmin + 1e-12 * (1.0 + abs(rmin))).nonzero()[0]
+            row = int(rows[basis[rows].argmin()])
             self._pivot(T, basis, row, col)
             it += 1
             if it > max_iter:
@@ -203,14 +211,6 @@ class DenseSimplexSolver(LpSolver):
         minus_col = np.where(free, plus_col + 1, -1)
         nx = n + nfree
 
-        def expand(A):
-            if A.shape[0] == 0:
-                return np.zeros((0, nx))
-            out = np.zeros((A.shape[0], nx))
-            out[:, plus_col] = A
-            out[:, minus_col[free]] = -A[:, free]
-            return out
-
         sense_sign = 1.0 if problem.sense == MINIMIZE else -1.0
         c_int = np.zeros(nx)
         c_int[plus_col] = sense_sign * problem.c
@@ -219,50 +219,38 @@ class DenseSimplexSolver(LpSolver):
         me = problem.A_eq.shape[0]
         mi = problem.A_in.shape[0]
         m = me + mi
-        A = np.vstack([expand(problem.A_eq), expand(problem.A_in)])
         b = np.concatenate([problem.b_eq, problem.b_in])
-
-        # slack columns for the inequality block
-        slack_col = nx + np.arange(mi)
-        A = np.hstack([A, np.zeros((m, mi))])
-        for i in range(mi):
-            A[me + i, slack_col[i]] = 1.0
-
         # flip rows so every right-hand side is nonnegative
         sigma = np.where(b < 0.0, -1.0, 1.0)
-        A *= sigma[:, None]
         b = b * sigma
 
         # initial basis: slack where it forms an identity column, otherwise
         # a phase-1 artificial
-        ncols = nx + mi
-        basis = [-1] * m
-        needs_art = []
-        for i in range(m):
-            if i >= me and sigma[i] > 0.0:
-                basis[i] = int(slack_col[i - me])
-            else:
-                needs_art.append(i)
-        art_col = {}
-        for i in needs_art:
-            art_col[i] = ncols
-            ncols += 1
+        slack_col = nx + np.arange(mi)
         art_start = nx + mi
+        art_rows = np.flatnonzero((np.arange(m) < me) | (sigma < 0.0))
+        art_col = art_start + np.arange(art_rows.size)
+        ncols = art_start + art_rows.size
+        basis = np.empty(m, dtype=np.intp)
+        basis[me:] = slack_col
+        basis[art_rows] = art_col
+        initial_basis = basis.copy()
 
         T = np.zeros((m + 1, ncols + 1))
-        T[:m, :nx + mi] = A
+        for rows, A in ((slice(0, me), problem.A_eq), (slice(me, m), problem.A_in)):
+            T[rows, plus_col] = A
+            T[rows, minus_col[free]] = -A[:, free]
+        T[me + np.arange(mi), slack_col] = 1.0
+        T[:m, :art_start] *= sigma[:, None]
         T[:m, -1] = b
-        for i, j in art_col.items():
-            T[i, j] = 1.0
-            basis[i] = j
+        T[art_rows, art_col] = 1.0
 
         max_iter = 500 * (m + ncols + 10)
 
         # phase 1: minimise the sum of artificials
-        if art_col:
-            T[-1, :] = 0.0
-            T[-1, list(art_col.values())] = 1.0
-            for i in art_col:
+        if art_rows.size:
+            T[-1, art_col] = 1.0
+            for i in art_rows:
                 T[-1, :] -= T[i, :]
             allowed = np.ones(ncols, dtype=bool)
             status, it1 = self._iterate(T, basis, allowed, max_iter)
@@ -272,12 +260,10 @@ class DenseSimplexSolver(LpSolver):
                 return LpSolution(status=INFEASIBLE, iterations=it1)
             # pivot out any artificial stuck in the basis at zero level;
             # rows with no structural entry are redundant and stay inert
-            for i in range(m):
-                if basis[i] >= art_start:
-                    row_struct = np.abs(T[i, :art_start])
-                    nz = np.nonzero(row_struct > 1e-9)[0]
-                    if nz.size:
-                        self._pivot(T, basis, i, int(nz[0]))
+            for i in np.flatnonzero(basis >= art_start):
+                nz = np.flatnonzero(np.abs(T[i, :art_start]) > 1e-9)
+                if nz.size:
+                    self._pivot(T, basis, i, int(nz[0]))
         else:
             it1 = 0
 
@@ -285,10 +271,11 @@ class DenseSimplexSolver(LpSolver):
         # artificial columns may never re-enter
         T[-1, :] = 0.0
         T[-1, :nx] = c_int
-        for i in range(m):
-            cb = c_int[basis[i]] if basis[i] < nx else 0.0
-            if cb != 0.0:
-                T[-1, :] -= cb * T[i, :]
+        cb = np.zeros(m)
+        structural = basis < nx
+        cb[structural] = c_int[basis[structural]]
+        for i in np.flatnonzero(cb):
+            T[-1, :] -= cb[i] * T[i, :]
         allowed = np.ones(ncols, dtype=bool)
         allowed[art_start:] = False
         status, it2 = self._iterate(T, basis, allowed, max_iter)
@@ -297,18 +284,14 @@ class DenseSimplexSolver(LpSolver):
 
         # primal extraction
         x_full = np.zeros(ncols)
-        for i in range(m):
-            x_full[basis[i]] = T[i, -1]
+        x_full[basis] = T[:m, -1]
         x = x_full[plus_col].copy()
         x[free] -= x_full[minus_col[free]]
         objective = float(problem.c @ x)
 
         # dual extraction: the initial identity column of row i carries
         # -y_i in the final reduced-cost row
-        y = np.zeros(m)
-        for i in range(m):
-            j0 = art_col[i] if i in art_col else slack_col[i - me]
-            y[i] = -T[-1, j0]
+        y = -T[-1, initial_basis]
         y_user = sigma * y
         if problem.sense == MAXIMIZE:
             y_user = -y_user

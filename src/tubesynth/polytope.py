@@ -12,7 +12,7 @@ read-only), so sets can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
@@ -22,6 +22,8 @@ from . import lp
 # membership slack accepted by default; vertex deduplication distance
 MEMBERSHIP_TOL = 1e-7
 VERTEX_DEDUP_TOL = 1e-9
+# row subsets solved per stacked call in vertices
+_SUBSET_CHUNK = 4096
 
 
 class EmptySetError(Exception):
@@ -161,10 +163,19 @@ def _rows_bound_every_set(A) -> bool:
 def vertices(P: PolyhedralSet, max_dim=6, max_subsets=500000):
     """All vertices of a bounded nonempty P, by brute force.
 
-    Every subset of ``dim`` rows whose normals are independent is
-    solved; solutions feasible in all rows are kept and deduplicated at
-    1e-9 in the infinity norm.  Intended for low dimensions only; the
-    caps guard against combinatorial blow-up.
+    Every subset of ``dim`` rows is solved as one square system, in
+    lexicographic order of the row indices.  The subsets go through a
+    stacked ``np.linalg.solve`` in chunks of ``_SUBSET_CHUNK``, so memory
+    stays bounded at the ``max_subsets`` cap.  A subset whose LU
+    factorisation meets an exactly zero pivot (``slogdet`` sign 0, the
+    case where a single solve raises LinAlgError) is skipped; the rest
+    are solved exactly as one at a time would.  A solution is rejected
+    when its residual exceeds 1e-9 (1 + |x|_inf), which screens out
+    ill-conditioned active sets, kept when it is feasible in all rows,
+    and deduplicated at 1e-9 in the infinity norm against the vertices
+    found so far.  Vertices are returned in first-found order, which
+    sample_states draws its weights over.  Intended for low dimensions
+    only; the caps guard against combinatorial blow-up.
 
     Boundedness is decided from the row matrix alone (cached), and
     emptiness by the enumeration itself: a bounded set without a
@@ -183,19 +194,30 @@ def vertices(P: PolyhedralSet, max_dim=6, max_subsets=500000):
         raise UnboundedSetError("vertex enumeration needs a bounded set")
 
     found = []
-    for rows in combinations(range(q), n):
-        M = P.A[list(rows)]
-        rhs = P.b[list(rows)]
-        try:
-            x = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        # reject ill-conditioned active sets via the residual
-        if np.max(np.abs(M @ x - rhs)) > 1e-9 * (1.0 + np.max(np.abs(x))):
-            continue
-        if np.all(P.A @ x <= P.b + VERTEX_DEDUP_TOL):
-            if not any(np.max(np.abs(x - v)) < VERTEX_DEDUP_TOL for v in found):
-                found.append(x)
+    subsets = combinations(range(q), n)
+    while True:
+        rows = np.fromiter(chain.from_iterable(islice(subsets, _SUBSET_CHUNK)),
+                           dtype=np.intp).reshape(-1, n)
+        if rows.shape[0] == 0:
+            break
+        M = P.A[rows]
+        rhs = P.b[rows]
+        solvable = np.linalg.slogdet(M)[0] != 0.0
+        M = M[solvable]
+        rhs = rhs[solvable]
+        x = np.linalg.solve(M, rhs[:, :, None])[:, :, 0]
+        # negated, so a NaN residual is kept exactly as a per-subset
+        # "skip if resid > tol" would keep it (the feasibility test then
+        # drops it)
+        resid = np.max(np.abs(np.matmul(M, x[:, :, None])[:, :, 0] - rhs), axis=1)
+        kept = ~(resid > 1e-9 * (1.0 + np.max(np.abs(x), axis=1)))
+        x = x[kept]
+        feasible = np.all(np.matmul(P.A, x[:, :, None])[:, :, 0]
+                          <= P.b + VERTEX_DEDUP_TOL, axis=1)
+        for v in x[feasible]:   # sequential: the first of near-duplicates wins
+            if not found or not np.any(
+                    np.max(np.abs(v - np.array(found)), axis=1) < VERTEX_DEDUP_TOL):
+                found.append(v)
     if not found:
         raise EmptySetError("set is empty")
     return found

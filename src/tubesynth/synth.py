@@ -175,6 +175,13 @@ class SynthesisResult:
         return all(r.contained for r in self.step_reports)
 
 
+def _kron(a, b):
+    """np.kron of two matrices by one broadcast product: the same
+    element products, without np.kron's per-call dimension handling."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def build_lp1(model: PolytopicModel, Q_now, bound_now, Q_next, bound_next,
               disturbance=None, control_rows=None) -> lp.LpProblem:
     """First-stage LP of one backward step.
@@ -231,42 +238,46 @@ def build_lp1(model: PolytopicModel, Q_now, bound_now, Q_next, bound_next,
     C_ext = np.hstack([model.C, np.zeros((r, p))])
     bound_ext = np.concatenate([bound_now, gamma])
 
-    eq_rows = []
-    eq_rhs = []
-    in_rows = []
-    in_rhs = []
-    g_cols = np.kron(np.eye(q1), Q_ext.T)        # (q1*(n+p)) x nG
-    for i, (A_i, B_i) in enumerate(model.vertices):
-        block = np.zeros((q1 * (n + p), nvars))
-        block[:, q1:q1 + nF] = -np.kron(Q_next @ B_i, C_ext.T)
-        block[:, q1 + nF + i * nG:q1 + nF + (i + 1) * nG] = g_cols
-        eq_rows.append(block)
-        eq_rhs.append((Q_next @ np.hstack([A_i, D])).reshape(-1))
-
-        bound_block = np.zeros((q1, nvars))
-        bound_block[:, :q1] = -np.eye(q1)
-        bound_block[:, q1 + nF + i * nG:q1 + nF + (i + 1) * nG] = \
-            np.kron(np.eye(q1), bound_ext[None, :])
-        in_rows.append(bound_block)
-        in_rhs.append(bound_next)
-
+    ne = q1 * (n + p)        # equality rows per model vertex
+    nc = 0                   # control rows
     if control_rows is not None:
         U, theta, section_vertices = control_rows
         U = np.asarray(U, dtype=float)
         theta = np.asarray(theta, dtype=float).reshape(-1)
+        nc = U.shape[0] * len(section_vertices)
+    A_eq = np.zeros((s * ne, nvars))
+    b_eq = np.empty(s * ne)
+    A_in = np.zeros((s * q1 + nc, nvars))
+    b_in = np.empty(s * q1 + nc)
+
+    # the blocks shared by every model vertex
+    g_cols = _kron(np.eye(q1), Q_ext.T)               # (q1*(n+p)) x nG
+    g_bound = _kron(np.eye(q1), bound_ext[None, :])   # q1 x nG
+    neg_eye = -np.eye(q1)
+    for i, (A_i, B_i) in enumerate(model.vertices):
+        eq = slice(i * ne, (i + 1) * ne)
+        bnd = slice(i * q1, (i + 1) * q1)
+        g = slice(q1 + nF + i * nG, q1 + nF + (i + 1) * nG)
+        A_eq[eq, q1:q1 + nF] = -_kron(Q_next @ B_i, C_ext.T)
+        A_eq[eq, g] = g_cols
+        b_eq[eq] = (Q_next @ np.hstack([A_i, D])).reshape(-1)
+        A_in[bnd, :q1] = neg_eye
+        A_in[bnd, g] = g_bound
+        b_in[bnd] = bound_next
+
+    if control_rows is not None:
+        row = s * q1
         for h in section_vertices:
             y = model.C @ np.asarray(h, dtype=float)
-            block = np.zeros((U.shape[0], nvars))
-            block[:, q1:q1 + nF] = np.kron(U, y[None, :])
-            in_rows.append(block)
-            in_rhs.append(theta)
+            A_in[row:row + U.shape[0], q1:q1 + nF] = _kron(U, y[None, :])
+            b_in[row:row + U.shape[0]] = theta
+            row += U.shape[0]
 
     c = np.zeros(nvars)
     c[:q1] = 1.0
     free = np.zeros(nvars, dtype=bool)
     free[q1:q1 + nF] = True
-    return lp.LpProblem(c=c, A_eq=np.vstack(eq_rows), b_eq=np.concatenate(eq_rhs),
-                        A_in=np.vstack(in_rows), b_in=np.concatenate(in_rhs),
+    return lp.LpProblem(c=c, A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in,
                         free=free, sense=lp.MINIMIZE)
 
 

@@ -3,11 +3,20 @@
 Everything here avoids the package's LP solver and vertex routines on
 purpose: enumeration is done with plain linear algebra so the oracles
 stay meaningful when the code under test is wrong.
+
+The exceptions are the reference versions at the end (the names ending
+in ``reference``, and ``DenseSimplexReference``): earlier, slower forms
+of package routines (LP1 assembly, vertex enumeration, the simplex
+pivot loop) that keep the package's checks and exit tests, so the
+faster forms can be held to bitwise-equal output.
 """
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
+
+from tubesynth import lp, polytope
 
 
 def enum_vertices(A, b, feas_tol=1e-9):
@@ -172,3 +181,234 @@ def tanks_rk4_reference(R1, R2, x0, gains, setpoint, Ts=1.0, step=0.01,
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states.append(x - setpoint)
     return np.array(states)
+
+
+def lp1_kron_reference(model, Q_now, bound_now, Q_next, bound_next,
+                       disturbance=None, control_rows=None):
+    """synth.build_lp1 as per-vertex blocks of np.kron products, stacked
+    with np.vstack."""
+    Q_now = np.asarray(Q_now, dtype=float)
+    Q_next = np.asarray(Q_next, dtype=float)
+    bound_now = np.asarray(bound_now, dtype=float).reshape(-1)
+    bound_next = np.asarray(bound_next, dtype=float).reshape(-1)
+    n, m, r, s = model.n, model.m, model.r, model.s
+    q0 = Q_now.shape[0]
+    q1 = Q_next.shape[0]
+    if disturbance is not None and model.D is not None and model.p > 0:
+        W, gamma = disturbance
+        W = np.asarray(W, dtype=float)
+        gamma = np.asarray(gamma, dtype=float).reshape(-1)
+        p = model.p
+        qv = W.shape[0]
+        D = model.D
+    else:
+        p, qv = 0, 0
+        W = np.zeros((0, 0))
+        gamma = np.zeros(0)
+        D = np.zeros((n, 0))
+    q0t = q0 + qv
+    nF = m * r
+    nG = q1 * q0t
+    nvars = q1 + nF + s * nG
+    Q_ext = np.zeros((q0t, n + p))
+    Q_ext[:q0, :n] = Q_now
+    if qv:
+        Q_ext[q0:, n:] = W
+    C_ext = np.hstack([model.C, np.zeros((r, p))])
+    bound_ext = np.concatenate([bound_now, gamma])
+
+    eq_rows, eq_rhs, in_rows, in_rhs = [], [], [], []
+    g_cols = np.kron(np.eye(q1), Q_ext.T)
+    for i, (A_i, B_i) in enumerate(model.vertices):
+        block = np.zeros((q1 * (n + p), nvars))
+        block[:, q1:q1 + nF] = -np.kron(Q_next @ B_i, C_ext.T)
+        block[:, q1 + nF + i * nG:q1 + nF + (i + 1) * nG] = g_cols
+        eq_rows.append(block)
+        eq_rhs.append((Q_next @ np.hstack([A_i, D])).reshape(-1))
+        bound_block = np.zeros((q1, nvars))
+        bound_block[:, :q1] = -np.eye(q1)
+        bound_block[:, q1 + nF + i * nG:q1 + nF + (i + 1) * nG] = \
+            np.kron(np.eye(q1), bound_ext[None, :])
+        in_rows.append(bound_block)
+        in_rhs.append(bound_next)
+    if control_rows is not None:
+        U, theta, section_vertices = control_rows
+        U = np.asarray(U, dtype=float)
+        theta = np.asarray(theta, dtype=float).reshape(-1)
+        for h in section_vertices:
+            y = model.C @ np.asarray(h, dtype=float)
+            block = np.zeros((U.shape[0], nvars))
+            block[:, q1:q1 + nF] = np.kron(U, y[None, :])
+            in_rows.append(block)
+            in_rhs.append(theta)
+    c = np.zeros(nvars)
+    c[:q1] = 1.0
+    free = np.zeros(nvars, dtype=bool)
+    free[q1:q1 + nF] = True
+    return lp.LpProblem(c=c, A_eq=np.vstack(eq_rows), b_eq=np.concatenate(eq_rhs),
+                        A_in=np.vstack(in_rows), b_in=np.concatenate(in_rhs),
+                        free=free, sense=lp.MINIMIZE)
+
+
+def vertices_loop_reference(P, max_dim=6, max_subsets=500000):
+    """polytope.vertices with one np.linalg.solve per row subset: its
+    caps and boundedness check, then enum_vertices."""
+    n = P.dim
+    q = P.nrows
+    if n > max_dim:
+        raise ValueError("dimension %d above the enumeration cap %d" % (n, max_dim))
+    if q < n:
+        raise polytope.UnboundedSetError("fewer rows than dimensions")
+    if comb(q, n) > max_subsets:
+        raise ValueError("row subsets %d exceed the cap %d" % (comb(q, n), max_subsets))
+    if not polytope._rows_bound_every_set(P.A):
+        polytope.is_bounded(P)
+        raise polytope.UnboundedSetError("vertex enumeration needs a bounded set")
+    found = enum_vertices(P.A, P.b, feas_tol=polytope.VERTEX_DEDUP_TOL)
+    if not found:
+        raise polytope.EmptySetError("set is empty")
+    return found
+
+
+class DenseSimplexReference(lp.DenseSimplexSolver):
+    """The dense simplex with a list basis, Python loops for the tableau
+    set-up and extraction, and np.outer in the pivot update."""
+
+    def _pivot(self, T, basis, row, col):
+        piv = T[row, col]
+        if abs(piv) < self.pivot_tol:
+            raise lp.LpNumericalError("pivot %g below tolerance" % piv)
+        T[row] /= piv
+        colvals = T[:, col].copy()
+        colvals[row] = 0.0
+        T -= np.outer(colvals, T[row])
+        T[:, col] = 0.0
+        T[row, col] = 1.0
+        basis[row] = col
+
+    def _iterate(self, T, basis, allowed, max_iter):
+        m = T.shape[0] - 1
+        it = 0
+        while True:
+            red = T[-1, :-1]
+            candidates = np.nonzero(allowed & (red < -self.reduced_cost_tol))[0]
+            if candidates.size == 0:
+                return lp.OPTIMAL, it
+            col = int(candidates[0])
+            colvals = T[:m, col]
+            rhs = T[:m, -1]
+            eligible = colvals > self.pivot_tol
+            if not np.any(eligible):
+                return lp.UNBOUNDED, it
+            ratios = np.full(m, np.inf)
+            ratios[eligible] = np.maximum(rhs[eligible], 0.0) / colvals[eligible]
+            rmin = ratios.min()
+            tie = ratios <= rmin + 1e-12 * (1.0 + abs(rmin))
+            rows = np.nonzero(tie)[0]
+            row = int(rows[np.argmin(np.asarray(basis)[rows])])
+            self._pivot(T, basis, row, col)
+            it += 1
+            if it > max_iter:
+                raise lp.LpNumericalError("iteration limit %d exceeded" % max_iter)
+
+    def solve(self, problem):
+        n = problem.nvars
+        free = problem.free
+        nfree = int(free.sum())
+        plus_col = np.arange(n) + np.concatenate([[0], np.cumsum(free[:-1])])
+        minus_col = np.where(free, plus_col + 1, -1)
+        nx = n + nfree
+
+        def expand(A):
+            if A.shape[0] == 0:
+                return np.zeros((0, nx))
+            out = np.zeros((A.shape[0], nx))
+            out[:, plus_col] = A
+            out[:, minus_col[free]] = -A[:, free]
+            return out
+
+        sense_sign = 1.0 if problem.sense == lp.MINIMIZE else -1.0
+        c_int = np.zeros(nx)
+        c_int[plus_col] = sense_sign * problem.c
+        c_int[minus_col[free]] = -sense_sign * problem.c[free]
+        me = problem.A_eq.shape[0]
+        mi = problem.A_in.shape[0]
+        m = me + mi
+        A = np.vstack([expand(problem.A_eq), expand(problem.A_in)])
+        b = np.concatenate([problem.b_eq, problem.b_in])
+        slack_col = nx + np.arange(mi)
+        A = np.hstack([A, np.zeros((m, mi))])
+        for i in range(mi):
+            A[me + i, slack_col[i]] = 1.0
+        sigma = np.where(b < 0.0, -1.0, 1.0)
+        A *= sigma[:, None]
+        b = b * sigma
+        ncols = nx + mi
+        basis = [-1] * m
+        needs_art = []
+        for i in range(m):
+            if i >= me and sigma[i] > 0.0:
+                basis[i] = int(slack_col[i - me])
+            else:
+                needs_art.append(i)
+        art_col = {}
+        for i in needs_art:
+            art_col[i] = ncols
+            ncols += 1
+        art_start = nx + mi
+        T = np.zeros((m + 1, ncols + 1))
+        T[:m, :nx + mi] = A
+        T[:m, -1] = b
+        for i, j in art_col.items():
+            T[i, j] = 1.0
+            basis[i] = j
+        max_iter = 500 * (m + ncols + 10)
+        if art_col:
+            T[-1, :] = 0.0
+            T[-1, list(art_col.values())] = 1.0
+            for i in art_col:
+                T[-1, :] -= T[i, :]
+            allowed = np.ones(ncols, dtype=bool)
+            status, it1 = self._iterate(T, basis, allowed, max_iter)
+            if status != lp.OPTIMAL:
+                raise lp.LpNumericalError("phase 1 cannot be unbounded")
+            if -T[-1, -1] > self.feasibility_tol:
+                return lp.LpSolution(status=lp.INFEASIBLE, iterations=it1)
+            for i in range(m):
+                if basis[i] >= art_start:
+                    row_struct = np.abs(T[i, :art_start])
+                    nz = np.nonzero(row_struct > 1e-9)[0]
+                    if nz.size:
+                        self._pivot(T, basis, i, int(nz[0]))
+        else:
+            it1 = 0
+        T[-1, :] = 0.0
+        T[-1, :nx] = c_int
+        for i in range(m):
+            cb = c_int[basis[i]] if basis[i] < nx else 0.0
+            if cb != 0.0:
+                T[-1, :] -= cb * T[i, :]
+        allowed = np.ones(ncols, dtype=bool)
+        allowed[art_start:] = False
+        status, it2 = self._iterate(T, basis, allowed, max_iter)
+        if status == lp.UNBOUNDED:
+            return lp.LpSolution(status=lp.UNBOUNDED, iterations=it1 + it2)
+        x_full = np.zeros(ncols)
+        for i in range(m):
+            x_full[basis[i]] = T[i, -1]
+        x = x_full[plus_col].copy()
+        x[free] -= x_full[minus_col[free]]
+        objective = float(problem.c @ x)
+        y = np.zeros(m)
+        for i in range(m):
+            j0 = art_col[i] if i in art_col else slack_col[i - me]
+            y[i] = -T[-1, j0]
+        y_user = sigma * y
+        if problem.sense == lp.MAXIMIZE:
+            y_user = -y_user
+        duals_eq = y_user[:me].copy()
+        duals_in = y_user[me:].copy()
+        self._verify(problem, x, objective, duals_eq, duals_in)
+        return lp.LpSolution(status=lp.OPTIMAL, x=x, objective=objective,
+                             duals_eq=duals_eq, duals_in=duals_in,
+                             iterations=it1 + it2)

@@ -354,8 +354,10 @@ def test_simulate_samples_lower_dimensional_initial_set(tmp_path):
     assert audit["runs"] == audit["passed"] == 50
 
 
-def test_simulate_initial_set_past_vertex_cap_exits_2(tmp_path, capsys):
-    n = 7   # above the enumeration cap of polytope.vertices
+def box7_simulate_files(tmp_path):
+    """A config whose X(0) is a 7-D box, above the enumeration cap of
+    polytope.vertices, and a gains file for it."""
+    n = 7
     box7 = {"A": mat(np.vstack([np.eye(n), -np.eye(n)])), "b": [1.0] * (2 * n)}
     cfg_obj = {"horizon": 1,
                "model": {"vertices": [{"A": mat(np.eye(n)), "B": mat(np.zeros((n, 1)))}],
@@ -363,10 +365,23 @@ def test_simulate_initial_set_past_vertex_cap_exits_2(tmp_path, capsys):
                "tube": {"explicit": [box7, box7]}}
     cfg = write(tmp_path / "cfg.json", cfg_obj)
     gains = write(tmp_path / "gains.json", {"gains": [mat([[0.0]])]})
+    return cfg, gains
+
+
+def test_simulate_initial_set_past_vertex_cap_exits_2(tmp_path, capsys):
+    cfg, gains = box7_simulate_files(tmp_path)
     assert cli.main(["simulate", "--config", cfg, "--gains", gains,
                      "--out", str(tmp_path / "out"), "--runs", "3"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
+
+
+def test_simulate_failed_initial_draw_leaves_no_out_dir(tmp_path):
+    cfg, gains = box7_simulate_files(tmp_path)
+    out = tmp_path / "nested" / "out"
+    assert cli.main(["simulate", "--config", cfg, "--gains", gains,
+                     "--out", str(out), "--runs", "3"]) == 2
+    assert not out.exists() and not out.parent.exists()
 
 
 def test_demo_tanks_rejects_runs_below_one(tmp_path, capsys):

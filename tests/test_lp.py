@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from tubesynth import lp
+from tubesynth import lp, synth
+from tubesynth.cli import tanks_problem
 
-from oracles import lp_vertex_optimum, random_bounded_set
+from oracles import DenseSimplexReference, lp_vertex_optimum, random_bounded_set
 
 
 def test_box_maximum():
@@ -130,15 +131,21 @@ def test_phase_one_flags_infeasible():
         assert lp.solve(p).status == lp.INFEASIBLE
 
 
-def test_unbounded_classification():
+def _unbounded_problems():
     rng = np.random.default_rng(3)
+    out = []
     for _ in range(10):
         n = int(rng.integers(2, 4))
         d = np.abs(rng.normal(size=n)) + 0.1  # recession direction
         a = rng.normal(size=n)
         a -= (a @ d) / (d @ d) * d            # row orthogonal to it
-        p = lp.LpProblem(c=d, A_in=a[None, :], b_in=[1.0],
-                         free=np.ones(n, dtype=bool), sense=lp.MAXIMIZE)
+        out.append(lp.LpProblem(c=d, A_in=a[None, :], b_in=[1.0],
+                                free=np.ones(n, dtype=bool), sense=lp.MAXIMIZE))
+    return out
+
+
+def test_unbounded_classification():
+    for p in _unbounded_problems():
         assert lp.solve(p).status == lp.UNBOUNDED
 
 
@@ -196,3 +203,63 @@ def test_random_equality_lps_match_doubled_oracle():
         assert s.objective == pytest.approx(ref, abs=1e-7)
         assert abs(s.duals_eq[0] * b_eq + s.duals_in @ b_box - s.objective) \
             <= 1e-7 * (1 + abs(s.objective))
+
+
+class _Recording(lp.LpSolver):
+    """Backend that keeps every problem it is handed."""
+
+    def __init__(self):
+        self.problems = []
+        self.inner = lp.DenseSimplexSolver()
+
+    def solve(self, problem):
+        self.problems.append(problem)
+        return self.inner.solve(problem)
+
+
+def _assert_same_solution(a, b):
+    assert a.status == b.status
+    assert a.iterations == b.iterations
+    assert a.objective == b.objective
+    for field in ("x", "duals_eq", "duals_in"):
+        u, v = getattr(a, field), getattr(b, field)
+        assert (u is None) == (v is None)
+        if u is not None:
+            assert u.tobytes() == v.tobytes()
+
+
+def _degenerate_lps():
+    # small integer rows under unit offsets: many tied ratio tests, where
+    # the lowest-basis-index rule picks the leaving row
+    rng = np.random.default_rng(5)
+    out = []
+    for _ in range(40):
+        n = int(rng.integers(3, 6))
+        A = rng.integers(0, 3, size=(2 * n, n)).astype(float)
+        A[~A.any(axis=1), 0] = 1.0
+        out.append(lp.LpProblem(c=rng.integers(1, 4, size=n), A_in=A,
+                                b_in=np.ones(2 * n), sense=lp.MAXIMIZE))
+    return out
+
+
+def test_pivot_loop_matches_reference_bitwise():
+    # the same pivots and the same bits as the list-basis np.outer loop,
+    # on the random LPs above, degenerate LPs and every LP of a tanks
+    # synthesis
+    problems = _degenerate_lps()
+    for seed in (42, 7, 99):
+        rng = np.random.default_rng(seed)
+        problems += [_random_lp(rng) for _ in range(100)]
+    problems += _infeasible_problems() + _unbounded_problems()
+    recording = _Recording()
+    synth.synthesize(tanks_problem(horizon=15)[0], solver=recording)
+    assert len(recording.problems) == 22
+    problems += recording.problems
+    reference = DenseSimplexReference()
+    solver = lp.DenseSimplexSolver()
+    statuses = set()
+    for p in problems:
+        got, want = solver.solve(p), reference.solve(p)
+        _assert_same_solution(got, want)
+        statuses.add(got.status)
+    assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}

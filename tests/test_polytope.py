@@ -3,7 +3,8 @@ import pytest
 
 from tubesynth import polytope as poly
 
-from oracles import enum_vertices, point_in_convex_polygon, random_bounded_set
+from oracles import enum_vertices, point_in_convex_polygon, random_bounded_set, \
+    vertices_loop_reference
 
 
 def test_box_rows_unit():
@@ -185,3 +186,94 @@ def test_vertices_subset_cap():
     P = poly.box([-1, -1], [1, 1])
     with pytest.raises(ValueError):
         poly.vertices(P, max_subsets=2)
+
+
+def _assert_same_vertices(P, **caps):
+    """vertices(P) equals the per-subset loop: the same outcome, and the
+    same vertices bit for bit in the same order."""
+    try:
+        want = vertices_loop_reference(P, **caps)
+    except (ValueError, poly.EmptySetError, poly.UnboundedSetError) as exc:
+        with pytest.raises(type(exc)):
+            poly.vertices(P, **caps)
+        return None
+    got = poly.vertices(P, **caps)
+    assert len(got) == len(want)
+    for u, v in zip(got, want):
+        assert u.tobytes() == v.tobytes()
+    return got
+
+
+def test_vertices_match_loop_reference_bitwise():
+    rng = np.random.default_rng(808)
+    outcomes = set()
+    for trial in range(100):
+        n = int(rng.integers(1, 5))
+        A, b = random_bounded_set(rng, n, extra_rows=5)
+        if trial % 4 == 0:
+            # integer rows and half-integer offsets: degenerate vertices
+            # and singular row subsets
+            G = np.round(rng.normal(size=(3, n)))
+            G[~G.any(axis=1), 0] = 1.0
+            A = np.vstack([A, G])
+            b = np.round(np.concatenate([b, rng.uniform(0.2, 1.0, size=3)]) * 2) / 2
+        if trial % 9 == 0:
+            b = b - 1.0                      # often empty
+        V = _assert_same_vertices(poly.PolyhedralSet(A, b))
+        outcomes.add(V is None)
+    assert outcomes == {True, False}
+
+
+def test_vertices_of_box_skip_singular_subsets():
+    # parallel rows make most of the C(6, 3) = 20 subsets singular
+    V = _assert_same_vertices(poly.box([-1, -1, -1], [1, 2, 3]))
+    assert len(V) == 8
+
+
+def test_vertices_of_diagonal_segment():
+    seg = poly.PolyhedralSet([[1, 1], [-1, -1], [1, -1], [-1, 1]], [0, 0, 1, 1])
+    V = _assert_same_vertices(seg)
+    assert {tuple(np.round(v, 12)) for v in V} == {(0.5, -0.5), (-0.5, 0.5)}
+
+
+def test_vertices_when_every_subset_is_singular(monkeypatch):
+    # parallel rows only: unbounded, as before
+    strip = poly.PolyhedralSet([[1.0, 0.0], [-1.0, 0.0], [2.0, 0.0]], [1, 1, 3])
+    with pytest.raises(poly.UnboundedSetError):
+        poly.vertices(strip)
+    # past a (forced) boundedness verdict, a batch without one solvable
+    # subset finds no vertex and reports the set empty, like the loop
+    monkeypatch.setattr(poly, "_rows_bound_every_set", lambda A: True)
+    for f in (poly.vertices, vertices_loop_reference):
+        with pytest.raises(poly.EmptySetError):
+            f(strip)
+
+
+def test_vertices_across_subset_chunks(monkeypatch):
+    rng = np.random.default_rng(4)
+    A, b = random_bounded_set(rng, 3, extra_rows=0)
+    A = np.vstack([A, rng.normal(size=(4, 3))])
+    b = np.concatenate([b, rng.uniform(0.3, 1.0, size=4)])
+    P = poly.PolyhedralSet(A, b)                     # C(10, 3) = 120 subsets
+    monkeypatch.setattr(poly, "_SUBSET_CHUNK", 7)
+    assert len(_assert_same_vertices(P)) >= 8
+    monkeypatch.undo()
+    # at the module's chunk size: C(20, 4) = 4845 subsets, two chunks
+    A = np.vstack([np.eye(4), -np.eye(4), rng.normal(size=(12, 4))])
+    P = poly.PolyhedralSet(A, np.ones(20))
+    assert poly._SUBSET_CHUNK < 4845
+    assert len(_assert_same_vertices(P)) >= 2
+
+
+def test_vertices_subset_cap_checked_before_any_work(monkeypatch):
+    # C(200, 6) ~ 8e10 subsets: the cap is raised before the enumeration
+    # or the boundedness check starts
+    def fail(*args):
+        raise AssertionError("enumeration started past the subset cap")
+
+    monkeypatch.setattr(poly, "combinations", fail)
+    monkeypatch.setattr(poly, "_rows_bound_every_set", fail)
+    rng = np.random.default_rng(6)
+    P = poly.PolyhedralSet(rng.normal(size=(200, 6)), np.ones(200))
+    with pytest.raises(ValueError, match="exceed the cap"):
+        poly.vertices(P)

@@ -10,6 +10,8 @@ from tubesynth.sim import RandomVertex, sample_states, simulate_closed_loop, \
     verify_membership
 from tubesynth.tube import TargetTube
 
+from oracles import lp1_kron_reference
+
 INTERVAL_ROWS = np.array([[1.0], [-1.0]])
 
 
@@ -66,6 +68,56 @@ def test_lp1_zero_width_disturbance_block_matches_nominal():
     assert np.array_equal(p_nom.A_eq, p_dist.A_eq)
     assert np.array_equal(p_nom.A_in, p_dist.A_in)
     assert np.array_equal(p_nom.b_eq, p_dist.b_eq)
+
+
+def _lp1_calls(monkeypatch, problem):
+    """Arguments of every build_lp1 call in a synthesis of ``problem``."""
+    calls = []
+    build = synth.build_lp1
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "build_lp1", spy)
+    try:
+        synth.synthesize(problem)
+    except synth.SynthesisError:
+        pass
+    monkeypatch.setattr(synth, "build_lp1", build)
+    return calls
+
+
+def test_lp1_assembly_matches_kron_reference_bitwise(monkeypatch):
+    # tanks steps, disturbed steps and control-row steps: the same bytes,
+    # signed zeros included, as the per-vertex np.kron/np.vstack assembly
+    disturbed = synth.SynthesisProblem(
+        model=PolytopicModel(vertices=[(0.4 * np.eye(2), np.eye(2)),
+                                       (0.6 * np.eye(2), -np.eye(2))],
+                             C=np.eye(2), D=np.array([[1.0], [-0.5]])),
+        tube=TargetTube([box([-w] * 2, [w] * 2) for w in (1.0, 0.5, 0.25, 0.12)]),
+        disturbance=[(np.array([[1.0], [-1.0]]), np.array([0.005, 0.003]))] * 3)
+    U = np.array([[1.0, 0.5], [-1.0, 0.0], [0.0, -1.0]])
+    controlled = synth.SynthesisProblem(
+        model=PolytopicModel(
+            vertices=[(np.array([[0.9, 0.4], [-0.2, 0.7]]),
+                       np.array([[0.1, 0.0], [1.0, 0.3]])),
+                      (np.array([[1.1, 0.2], [0.1, 0.8]]),
+                       np.array([[0.0, -0.2], [0.9, 1.0]]))],
+            C=np.array([[1.0, -1.0]])),
+        tube=TargetTube([box([-w] * 2, [w] * 2) for w in (1.0, 1.0, 0.8, 0.6)]),
+        control_constraints=[(U, np.array([2.0, 1.5, 1.0]))] * 3)
+    seen = set()
+    for problem in (tanks_problem(horizon=15)[0], disturbed, controlled):
+        for args, kwargs in _lp1_calls(monkeypatch, problem):
+            got = synth.build_lp1(*args, **kwargs)
+            want = lp1_kron_reference(*args, **kwargs)
+            for field in ("c", "A_eq", "b_eq", "A_in", "b_in", "free"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+            seen.update(key for key in ("disturbance", "control_rows")
+                        if kwargs[key] is not None)
+    assert seen == {"disturbance", "control_rows"}
 
 
 # -- stage-2 LP -------------------------------------------------------------
