@@ -19,7 +19,7 @@ K = len(widths) - 1
 tube = TargetTube([box([-w] * 2, [w] * 2) for w in widths])
 
 problem = SynthesisProblem(model=plant, tube=tube,
-                           disturbance=[(V.A, V.b)] * K,
+                           disturbance=[V] * K,
                            disturbance_floor=True)
 res = synthesize(problem)
 print("disturbed synthesis over %d steps: certified=%s" % (K, res.certified))

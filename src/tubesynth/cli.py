@@ -196,13 +196,12 @@ def _decode_tube(obj, K, n):
 
 
 def _decode_setlist(obj, K, what):
-    """Per-step (A, b) pairs from a list of K sets, bare or as {"sets": [...]}."""
+    """Per-step sets from a list of K sets, bare or as {"sets": [...]}."""
     if obj is None:
         return None
     entries = obj["sets"] if isinstance(obj, dict) and "sets" in obj else obj
-    sets = [decode_set(e, "%s[%d]" % (what, k))
+    return [decode_set(e, "%s[%d]" % (what, k))
             for k, e in enumerate(_list(entries, what, K))]
-    return [(S.A, S.b) for S in sets]
 
 
 def load_config(path) -> ProblemConfig:
@@ -283,15 +282,10 @@ def load_gains(path, model: PolytopicModel, K):
     return out
 
 
-def _realized_field(w):
-    if isinstance(w, (int, np.integer)):
-        return str(int(w))
-    return ";".join("%.17g" % v for v in np.asarray(w).reshape(-1))
-
-
 def write_trajectories_csv(path, runs: sim.Runs, inside):
-    """One row per run and step of ``runs``; ``inside`` holds the (R, K+1)
-    membership flags.  Rows are formatted and written one run at a time.
+    """One row per run and step of ``runs``, whose realizations are vertex
+    indices; ``inside`` holds the (R, K+1) membership flags.  Rows are
+    formatted and written one run at a time.
 
     No field can contain a comma, quote or line break, so every row is
     formatted with one template; the bytes are those csv.writer would
@@ -302,19 +296,16 @@ def write_trajectories_csv(path, runs: sim.Runs, inside):
     m = runs.controls.shape[2]
     header = (["run_id", "k"] + ["x_%d" % (i + 1) for i in range(n)]
               + ["u_%d" % (i + 1) for i in range(m)] + ["realized", "membership_ok"])
-    step_row = ",".join(["%d", "%d"] + ["%.17g"] * (n + m) + ["%s", "%d"]) + "\r\n"
+    step_row = ",".join(["%d", "%d"] + ["%.17g"] * (n + m) + ["%d", "%d"]) + "\r\n"
     last_row = ",".join(["%d", "%d"] + ["%.17g"] * n + [""] * (m + 1) + ["%d"]) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for rid in range(len(runs)):
             xs = runs.states[rid].tolist()
             us = runs.controls[rid].tolist()
-            realized = runs.realized[rid]
-            if realized.ndim == 1:
-                realized = realized.tolist()
+            realized = runs.realized[rid].tolist()
             ok = inside[rid].tolist()
-            fh.write("".join([step_row % (rid, k, *xs[k], *us[k],
-                                          _realized_field(realized[k]), ok[k])
+            fh.write("".join([step_row % (rid, k, *xs[k], *us[k], realized[k], ok[k])
                               for k in range(K)]
                              + [last_row % (rid, K, *xs[K], ok[K])]))
 
@@ -404,9 +395,8 @@ def run_simulate(config_path, gains_path, runs, seed, out_dir, tol=None):
     gains = load_gains(gains_path, problem.model, problem.horizon)
     sets = _load_traversed_sets(gains_path, problem.tube)
     sampler = None
-    if problem.disturbance is not None and problem.model.p > 0:
-        step_samplers = [sim.hull_sampler(PolyhedralSet(W, g))
-                         for W, g in problem.disturbance]
+    if problem.disturbance is not None:
+        step_samplers = [sim.hull_sampler(V) for V in problem.disturbance]
 
         def sampler(k, rng):
             return step_samplers[k](k, rng)
@@ -467,21 +457,21 @@ TANKS_R1 = (3.0, 4.0, 5.0)
 TANKS_R2 = 5.0
 
 
-def tanks_problem(horizon=15, Ts=1.0):
+def tanks_problem(horizon=15):
     """Demo problem: three tank-area models, tank-2 output feedback,
     step-response tube on both levels, pump/drain direction limits."""
     pairs = []
     for R1 in TANKS_R1:
         Ac, Bc = sim.tanks_linearize(R1, TANKS_R2, *TANKS_SETPOINT)
-        pairs.append(sim.discretize_zoh(Ac, Bc, Ts))
+        pairs.append(sim.discretize_zoh(Ac, Bc, sim.SAMPLE_TIME))
     model = PolytopicModel(vertices=pairs, C=np.array([[0.0, 1.0]]))
     specs = [
         StepSpec(setpoint=0.0, rise_time=5.0, rise_tol=0.10, settle_time=10.0,
                  settle_tol=0.01, overshoot=0.01, initial_lower=-0.30,
-                 sample_time=Ts),
+                 sample_time=sim.SAMPLE_TIME),
         StepSpec(setpoint=0.0, rise_time=5.0, rise_tol=0.05, settle_time=10.0,
                  settle_tol=0.01, overshoot=0.01, initial_lower=-0.15,
-                 sample_time=Ts),
+                 sample_time=sim.SAMPLE_TIME),
     ]
     t = tube_from_step_specs(specs, np.eye(2), horizon)
     # worst-case admissible shifted controls over the unknown tank-1 area:
@@ -489,10 +479,10 @@ def tanks_problem(horizon=15, Ts=1.0):
     drop = np.sqrt(TANKS_SETPOINT[0] - TANKS_SETPOINT[1])
     u1_floor = min(np.sqrt(2 * sim.GRAVITY) / R1 * drop for R1 in TANKS_R1)
     u2_ceil = np.sqrt(2 * sim.GRAVITY) / TANKS_R2 * drop
-    U = np.array([[-1.0, 0.0], [0.0, 1.0]])
-    theta = np.array([u1_floor, u2_ceil])
+    U = PolyhedralSet(np.array([[-1.0, 0.0], [0.0, 1.0]]),
+                      np.array([u1_floor, u2_ceil]))
     problem = synth.SynthesisProblem(model=model, tube=t,
-                                     control_constraints=[(U, theta)] * horizon)
+                                     control_constraints=[U] * horizon)
     return problem, specs
 
 

@@ -33,8 +33,8 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-# Default tolerances: feasibility on constraint residuals, reduced-cost
-# threshold for optimality, and the smallest pivot magnitude accepted.
+# Tolerances: feasibility on constraint residuals, reduced-cost threshold
+# for optimality, and the smallest pivot magnitude accepted.
 FEASIBILITY_TOL = 1e-8
 REDUCED_COST_TOL = 1e-9
 PIVOT_TOL = 1e-10
@@ -143,11 +143,9 @@ class LpSolver(ABC):
 class DenseSimplexSolver(LpSolver):
     """Reference two-phase dense simplex with Bland's rule."""
 
-    def __init__(self, feasibility_tol=FEASIBILITY_TOL,
-                 reduced_cost_tol=REDUCED_COST_TOL, pivot_tol=PIVOT_TOL):
-        self.feasibility_tol = float(feasibility_tol)
-        self.reduced_cost_tol = float(reduced_cost_tol)
-        self.pivot_tol = float(pivot_tol)
+    feasibility_tol = FEASIBILITY_TOL
+    reduced_cost_tol = REDUCED_COST_TOL
+    pivot_tol = PIVOT_TOL
 
     # -- tableau mechanics -------------------------------------------------
 

@@ -292,9 +292,10 @@ def sample_states(P: PolyhedralSet, count, rng):
 
 GRAVITY = 10.0  # m/s^2
 TANK_HEIGHT = 3.0  # m
+SAMPLE_TIME = 1.0  # s, of the linear models and the nonlinear runs
 
 
-def tanks_linearize(R1, R2, level1, level2, gravity=GRAVITY):
+def tanks_linearize(R1, R2, level1, level2):
     """Continuous-time (A, B) of the tanks' error dynamics about a level pair.
 
     Tank areas R1, R2 (m^2); operating levels level1 > level2 (m).  The
@@ -302,8 +303,8 @@ def tanks_linearize(R1, R2, level1, level2, gravity=GRAVITY):
     """
     if level1 <= level2:
         raise ValueError("need level1 > level2 for a valid operating point")
-    L1 = np.sqrt(2.0 * gravity) / R1
-    L2 = np.sqrt(2.0 * gravity) / R2
+    L1 = np.sqrt(2.0 * GRAVITY) / R1
+    L2 = np.sqrt(2.0 * GRAVITY) / R2
     factor = 0.5 / np.sqrt(level1 - level2)
     A = factor * np.array([[-L1, L1], [L2, -L2]])
     return A, np.eye(2)
@@ -349,31 +350,29 @@ def discretize_zoh(A, B, Ts):
     return E[:n, :n], E[:n, n:]
 
 
-def tanks_nonlinear_simulate(R1, R2, x0, gains, setpoint, Ts=1.0, T_end=None,
-                             step=0.01, gravity=GRAVITY) -> Trajectory:
+def tanks_nonlinear_simulate(R1, R2, x0, gains, setpoint, step=0.01) -> Trajectory:
     """Integrate the nonlinear tanks under the sampled error feedback.
 
     ``x0`` and ``setpoint`` are physical levels (m).  The feedback acts
     on the tank-2 error only: the shifted control is F(k) e2(k), held
-    over each sampling interval.  Physical flows are recovered from the
-    shift and clipped so the pump never runs backwards (inflow >= 0,
-    outflow <= 0).  Levels above the tank height set the overflow flag;
-    a level inversion (x1 < x2) aborts, because the model's square root
-    leaves its domain.
+    over each SAMPLE_TIME interval, for len(gains) intervals; RK4
+    integrates each interval in substeps of about ``step`` seconds.
+    Physical flows are recovered from the shift and clipped so the pump
+    never runs backwards (inflow >= 0, outflow <= 0).  Levels above the
+    tank height set the overflow flag; a level inversion (x1 < x2)
+    aborts, because the model's square root leaves its domain.
 
-    Returns the trajectory in error coordinates, sampled every Ts.
+    Returns the trajectory in error coordinates, sampled every SAMPLE_TIME.
     """
     x0 = np.asarray(x0, dtype=float).reshape(2)
     setpoint = np.asarray(setpoint, dtype=float).reshape(2)
     if setpoint[0] <= setpoint[1]:
         raise ValueError("setpoint must have level1 > level2")
-    n_steps = len(gains) if T_end is None else int(round(T_end / Ts))
-    if n_steps > len(gains):
-        raise ValueError("horizon needs %d gains, have %d" % (n_steps, len(gains)))
+    n_steps = len(gains)
     # the integration runs on Python floats: the same operations in the
     # same order as on 2-vectors, without an array per stage
-    L1 = float(np.sqrt(2.0 * gravity) / R1)
-    L2 = float(np.sqrt(2.0 * gravity) / R2)
+    L1 = float(np.sqrt(2.0 * GRAVITY) / R1)
+    L2 = float(np.sqrt(2.0 * GRAVITY) / R2)
     shift = float(np.sqrt(setpoint[0] - setpoint[1]))
     s1, s2 = float(setpoint[0]), float(setpoint[1])
 
@@ -392,8 +391,8 @@ def tanks_nonlinear_simulate(R1, R2, x0, gains, setpoint, Ts=1.0, T_end=None,
     x1, x2 = float(x0[0]), float(x0[1])
     states[0] = (x1 - s1, x2 - s2)
     outputs[0] = states[0][1]
-    substeps = max(1, int(round(Ts / step)))
-    h = Ts / substeps
+    substeps = max(1, int(round(SAMPLE_TIME / step)))
+    h = SAMPLE_TIME / substeps
     half = 0.5 * h
     sixth = h / 6.0
     for k in range(n_steps):

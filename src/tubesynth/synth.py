@@ -37,7 +37,7 @@ U(k) F(k) C h <= theta(k) for every vertex h of the tube section.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -63,17 +63,28 @@ class SynthesisError(Exception):
         self.stage = stage
 
 
+def _check_step_sets(sets, K, dim, what):
+    """Raise ValueError unless ``sets`` holds K PolyhedralSets in R^dim."""
+    if len(sets) != K:
+        raise ValueError("need one %s set per step (%d)" % (what, K))
+    for k, S in enumerate(sets):
+        if not isinstance(S, PolyhedralSet):
+            raise ValueError("%s set %d is not a PolyhedralSet" % (what, k))
+        if S.dim != dim:
+            raise ValueError("%s set %d has dimension %d, expected %d"
+                             % (what, k, S.dim, dim))
+
+
 @dataclass
 class SynthesisProblem:
     """Inputs of the backward recursion.
 
-    disturbance        : per-step (W, gamma) pairs, k = 0..K-1, bounding
-                         the additive disturbance via W v <= gamma; needs
-                         model.D.  A zero-column D with empty (W, gamma)
-                         degenerates to the nominal problem.
-    control_constraints: per-step (U, theta) pairs restricting the
-                         control to U u <= theta, enforced over the
-                         vertices of each tube section.
+    disturbance        : per-step sets V(k) = {W v <= gamma} over the p
+                         disturbance coordinates, k = 0..K-1, bounding
+                         the additive disturbance; needs model.D.
+    control_constraints: per-step sets {U u <= theta} over the m inputs,
+                         k = 0..K-1, enforced over the vertices of each
+                         tube section.
     nonneg_bounds      : keep the shrunken offsets nonnegative; for a
                          nominal problem over a bounded tube with the
                          origin interior this makes the recursion always
@@ -94,8 +105,8 @@ class SynthesisProblem:
 
     model: PolytopicModel
     tube: TargetTube
-    disturbance: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
-    control_constraints: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
+    disturbance: Optional[List[PolyhedralSet]] = None
+    control_constraints: Optional[List[PolyhedralSet]] = None
     nonneg_bounds: bool = True
     disturbance_floor: bool = False
 
@@ -109,33 +120,9 @@ class SynthesisProblem:
         if self.disturbance is not None:
             if self.model.D is None:
                 raise ValueError("disturbance bounds given but model has no D")
-            if len(self.disturbance) != K:
-                raise ValueError("need one disturbance set per step (%d)" % K)
-            checked = []
-            for W, gamma in self.disturbance:
-                W = np.asarray(W, dtype=float)
-                gamma = np.asarray(gamma, dtype=float).reshape(-1)
-                if W.ndim != 2 or W.shape[1] != self.model.p:
-                    raise ValueError("disturbance rows must have %d columns"
-                                     % self.model.p)
-                if gamma.size != W.shape[0]:
-                    raise ValueError("disturbance bound length mismatch")
-                checked.append((W, gamma))
-            self.disturbance = checked
+            _check_step_sets(self.disturbance, K, self.model.p, "disturbance")
         if self.control_constraints is not None:
-            if len(self.control_constraints) != K:
-                raise ValueError("need one control set per step (%d)" % K)
-            checked = []
-            for U, theta in self.control_constraints:
-                U = np.asarray(U, dtype=float)
-                theta = np.asarray(theta, dtype=float).reshape(-1)
-                if U.ndim != 2 or U.shape[1] != self.model.m:
-                    raise ValueError("control rows must have %d columns"
-                                     % self.model.m)
-                if theta.size != U.shape[0]:
-                    raise ValueError("control bound length mismatch")
-                checked.append((U, theta))
-            self.control_constraints = checked
+            _check_step_sets(self.control_constraints, K, self.model.m, "control")
         if self.disturbance_floor and self.disturbance is None:
             raise ValueError("disturbance_floor needs disturbance bounds")
 
@@ -196,7 +183,7 @@ def build_lp1(model: PolytopicModel, Q_now, bound_now, Q_next, bound_next,
     (nominal problems drop the disturbance columns), and inequality
     rows bound G_i [bound_now; gamma] <= bound_next + defect.
 
-    ``disturbance`` is the (W, gamma) pair for this step;
+    ``disturbance`` is the (W, gamma) arrays of this step's V(k);
     ``control_rows`` is (U, theta, tube_vertices) enforcing
     U F C h <= theta at every tube-section vertex h.
     """
@@ -307,20 +294,20 @@ def build_lp2(multiplier_blocks, bound_now, bound_next, gamma=None,
     bound_now = np.asarray(bound_now, dtype=float).reshape(-1)
     bound_next = np.asarray(bound_next, dtype=float).reshape(-1)
     q0 = bound_now.size
+    width = q0
+    if gamma is not None:
+        gamma = np.asarray(gamma, dtype=float).reshape(-1)
+        width += gamma.size
     in_rows = [np.eye(q0)]
     in_rhs = [bound_now]
     for G in multiplier_blocks:
         G = np.asarray(G, dtype=float)
-        if gamma is not None and gamma.size:
-            rhs = bound_next - G[:, q0:] @ gamma
-            in_rows.append(G[:, :q0])
-        else:
-            if G.shape[1] != q0:
-                raise ValueError("multiplier block has %d columns, expected %d"
-                                 % (G.shape[1], q0))
-            rhs = bound_next
-            in_rows.append(G)
-        in_rhs.append(rhs)
+        if G.shape[1] != width:
+            raise ValueError("multiplier block has %d columns, expected %d"
+                             % (G.shape[1], width))
+        in_rows.append(G[:, :q0])
+        in_rhs.append(bound_next if gamma is None
+                      else bound_next - G[:, q0:] @ gamma)
     if floor_values is not None:
         for v in floor_values:
             v = np.asarray(v, dtype=float).reshape(-1)
@@ -332,11 +319,6 @@ def build_lp2(multiplier_blocks, bound_now, bound_next, gamma=None,
     return lp.LpProblem(c=np.ones(q0), A_in=np.vstack(in_rows),
                         b_in=np.concatenate(in_rhs), free=free,
                         sense=lp.MAXIMIZE)
-
-
-def _disturbance_sets(problem):
-    """PolyhedralSet view of the per-step disturbance bounds (p >= 1)."""
-    return [PolyhedralSet(W, gamma) for W, gamma in problem.disturbance]
 
 
 def synthesize(problem: SynthesisProblem, containment_tol=1e-7,
@@ -363,11 +345,10 @@ def synthesize(problem: SynthesisProblem, containment_tol=1e-7,
     Q = [problem.tube[k].A for k in range(K + 1)]
     phi = [problem.tube[k].b for k in range(K + 1)]
 
-    disturbed = problem.disturbance is not None and model.p > 0
-    v_sets = _disturbance_sets(problem) if disturbed else None
+    disturbed = problem.disturbance is not None
     v_vertices = None
-    if disturbed and problem.disturbance_floor:
-        v_vertices = [vertices(v) for v in v_sets]
+    if problem.disturbance_floor:
+        v_vertices = [vertices(V) for V in problem.disturbance]
         # input requirement: the disturbance image fits in the next tube
         # section at every step
         for k in range(K):
@@ -394,19 +375,20 @@ def synthesize(problem: SynthesisProblem, containment_tol=1e-7,
     certificates = [None] * K
 
     for k in range(K - 1, -1, -1):
-        dist_k = problem.disturbance[k] if disturbed else None
+        V = problem.disturbance[k] if disturbed else None
         ctrl_k = None
         if problem.control_constraints is not None:
-            U, theta = problem.control_constraints[k]
-            ctrl_k = (U, theta, section_vertices[k])
+            U = problem.control_constraints[k]
+            ctrl_k = (U.A, U.b, section_vertices[k])
         lp1 = build_lp1(model, Q[k], phi[k], Q[k + 1], bounds[k + 1],
-                        disturbance=dist_k, control_rows=ctrl_k)
+                        disturbance=None if V is None else (V.A, V.b),
+                        control_rows=ctrl_k)
         sol1 = lp.solve(lp1, solver)
         if sol1.status != lp.OPTIMAL:
             raise SynthesisError(k, "stage 1", "LP is %s" % sol1.status)
-        qv = dist_k[0].shape[0] if dist_k is not None else 0
         eps, F, blocks = split_lp1_solution(
-            sol1.x, Q[k].shape[0], Q[k + 1].shape[0], model.s, model.m, model.r, qv)
+            sol1.x, Q[k].shape[0], Q[k + 1].shape[0], model.s, model.m, model.r,
+            0 if V is None else V.nrows)
         gains[k] = F
         residuals[k] = eps
         certificates[k] = blocks
@@ -414,11 +396,11 @@ def synthesize(problem: SynthesisProblem, containment_tol=1e-7,
             bounds[k] = phi[k].copy()
             provenance[k] = TUBE_EXACT
         else:
-            gamma = dist_k[1] if dist_k is not None else None
             floors = None
             if problem.disturbance_floor and k <= K - 2:
                 floors = [Q[k] @ model.D @ v for v in v_vertices[k]]
-            lp2 = build_lp2(blocks, phi[k], bounds[k + 1], gamma=gamma,
+            lp2 = build_lp2(blocks, phi[k], bounds[k + 1],
+                            gamma=None if V is None else V.b,
                             nonneg=problem.nonneg_bounds, floor_values=floors)
             sol2 = lp.solve(lp2, solver)
             if sol2.status != lp.OPTIMAL:
@@ -435,7 +417,8 @@ def synthesize(problem: SynthesisProblem, containment_tol=1e-7,
     step_reports = []
     for k in range(K):
         if disturbed:
-            source, maps = disturbed_step(model, gains[k], sets[k], v_sets[k])
+            source, maps = disturbed_step(model, gains[k], sets[k],
+                                           problem.disturbance[k])
         else:
             source, maps = sets[k], model.closed_loop(gains[k])
         rpt = verify_certificates(certificates[k], source, sets[k + 1], maps,
@@ -443,7 +426,7 @@ def synthesize(problem: SynthesisProblem, containment_tol=1e-7,
         if not rpt.contained:
             if disturbed:
                 rpt = check_containment_disturbance(
-                    model, gains[k], sets[k], v_sets[k], sets[k + 1],
+                    model, gains[k], sets[k], problem.disturbance[k], sets[k + 1],
                     tol=containment_tol)
             else:
                 rpt = check_containment(model, gains[k], sets[k], sets[k + 1],

@@ -179,7 +179,7 @@ def test_criterion_6_tanks_reproduction():
     # control rows hold at every tube-section vertex
     ctrl_resid = -np.inf
     for k in range(res.horizon):
-        U, theta = problem.control_constraints[k]
+        U, theta = problem.control_constraints[k].A, problem.control_constraints[k].b
         for h in vertices(problem.tube[k]):
             r = U @ res.gains[k] @ model.C @ h - theta
             ctrl_resid = max(ctrl_resid, float(r.max()))
@@ -255,7 +255,7 @@ def test_criterion_8_robust_invariance_and_dual_mode():
     V = box([-0.005] * 2, [0.005] * 2)
     K = 6
     res = synth.synthesize(synth.SynthesisProblem(
-        model=plant, tube=t, disturbance=[(V.A, V.b)] * K,
+        model=plant, tube=t, disturbance=[V] * K,
         disturbance_floor=True))
     F_hold = -0.2 * np.eye(2)
     S_hold = box([-0.02] * 2, [0.02] * 2)

@@ -96,7 +96,8 @@ def test_lp1_assembly_matches_kron_reference_bitwise(monkeypatch):
                                        (0.6 * np.eye(2), -np.eye(2))],
                              C=np.eye(2), D=np.array([[1.0], [-0.5]])),
         tube=TargetTube([box([-w] * 2, [w] * 2) for w in (1.0, 0.5, 0.25, 0.12)]),
-        disturbance=[(np.array([[1.0], [-1.0]]), np.array([0.005, 0.003]))] * 3)
+        disturbance=[PolyhedralSet(np.array([[1.0], [-1.0]]),
+                                   np.array([0.005, 0.003]))] * 3)
     U = np.array([[1.0, 0.5], [-1.0, 0.0], [0.0, -1.0]])
     controlled = synth.SynthesisProblem(
         model=PolytopicModel(
@@ -106,7 +107,7 @@ def test_lp1_assembly_matches_kron_reference_bitwise(monkeypatch):
                        np.array([[0.0, -0.2], [0.9, 1.0]]))],
             C=np.array([[1.0, -1.0]])),
         tube=TargetTube([box([-w] * 2, [w] * 2) for w in (1.0, 1.0, 0.8, 0.6)]),
-        control_constraints=[(U, np.array([2.0, 1.5, 1.0]))] * 3)
+        control_constraints=[PolyhedralSet(U, np.array([2.0, 1.5, 1.0]))] * 3)
     seen = set()
     for problem in (tanks_problem(horizon=15)[0], disturbed, controlled):
         for args, kwargs in _lp1_calls(monkeypatch, problem):
@@ -155,13 +156,24 @@ def test_lp2_infeasible_without_safeguards():
     assert lp.solve(p).status == lp.INFEASIBLE
 
 
+def test_lp2_rejects_blocks_of_the_wrong_width():
+    # a block spans the section rows, plus the V(k) rows when gamma is given
+    gamma = np.array([0.005, 0.003])
+    for G, g in ((np.ones((2, 3)), gamma), (np.ones((2, 2)), gamma),
+                 (np.ones((2, 4)), None)):
+        with pytest.raises(ValueError, match="multiplier block has"):
+            synth.build_lp2([G], np.ones(2), np.ones(2), gamma=g)
+    p = synth.build_lp2([np.ones((2, 4))], np.ones(2), np.ones(2), gamma=gamma)
+    assert p.A_in.shape == (4, 2)
+    assert np.array_equal(p.b_in, [1.0, 1.0, 0.992, 0.992])
+
+
 def support_check(prob, res, k, tol=1e-7):
     """The support-LP containment check of step k."""
     model = prob.model
     if prob.disturbance is not None:
-        W, gamma = prob.disturbance[k]
         return check_containment_disturbance(model, res.gains[k], res.sets[k],
-                                             PolyhedralSet(W, gamma),
+                                             prob.disturbance[k],
                                              res.sets[k + 1], tol=tol)
     return check_containment(model, res.gains[k], res.sets[k], res.sets[k + 1],
                              tol=tol)
@@ -178,7 +190,7 @@ def assert_certificates_sound(prob, res, tol=1e-7):
         X, Y = res.sets[k], res.sets[k + 1]
         A_src, b_src = X.A, X.b
         if prob.disturbance is not None:
-            W, gamma = prob.disturbance[k]
+            W, gamma = prob.disturbance[k].A, prob.disturbance[k].b
             A_src = np.block([[X.A, np.zeros((X.nrows, model.p))],
                               [np.zeros((W.shape[0], model.n)), W]])
             b_src = np.concatenate([X.b, gamma])
@@ -297,7 +309,7 @@ def test_disturbed_synthesis_certifies():
     t = TargetTube([box([-w] * 2, [w] * 2) for w in widths])
     V = box([-0.005] * 2, [0.005] * 2)
     prob = synth.SynthesisProblem(model=model, tube=t,
-                                  disturbance=[(V.A, V.b)] * 6,
+                                  disturbance=[V] * 6,
                                   disturbance_floor=True)
     res = synth.synthesize(prob)
     assert res.certified
@@ -327,7 +339,7 @@ def test_disturbed_recursion_aborts_cleanly_or_certifies():
                         for _ in range(K + 1)])
         V = box([-0.002], [0.002])
         prob = synth.SynthesisProblem(model=model, tube=t,
-                                      disturbance=[(V.A, V.b)] * K,
+                                      disturbance=[V] * K,
                                       disturbance_floor=True)
         try:
             res = synth.synthesize(prob)
@@ -347,7 +359,7 @@ def test_disturbance_image_outside_tube_is_rejected():
     t = TargetTube([box([-1] * 2, [1] * 2), box([-0.01] * 2, [0.01] * 2)])
     V = box([-0.5] * 2, [0.5] * 2)   # image misses the terminal box
     prob = synth.SynthesisProblem(model=model, tube=t,
-                                  disturbance=[(V.A, V.b)],
+                                  disturbance=[V],
                                   disturbance_floor=True)
     with pytest.raises(ValueError):
         synth.synthesize(prob)
@@ -360,7 +372,7 @@ def test_contradictory_control_rows_abort_with_step_index():
     U = np.array([[1.0], [-1.0]])
     theta = np.array([-1.0, -1.0])
     prob = synth.SynthesisProblem(model=model, tube=t,
-                                  control_constraints=[(U, theta)] * 2)
+                                  control_constraints=[PolyhedralSet(U, theta)] * 2)
     with pytest.raises(synth.SynthesisError) as err:
         synth.synthesize(prob)
     assert err.value.k == 1
@@ -373,7 +385,7 @@ def test_control_rows_are_respected():
     U = np.array([[1.0], [-1.0]])
     theta = np.array([0.2, 0.2])     # |u| <= 0.2 over the section
     res = synth.synthesize(synth.SynthesisProblem(
-        model=model, tube=t, control_constraints=[(U, theta)] * 2))
+        model=model, tube=t, control_constraints=[PolyhedralSet(U, theta)] * 2))
     for k, F in enumerate(res.gains):
         for h in (t[k].b[0], -t[k].b[1]):
             assert abs(F[0, 0] * h) <= 0.2 + 1e-8
@@ -382,18 +394,30 @@ def test_control_rows_are_respected():
 def test_problem_validation():
     model = scalar_model(0.5, 1.0)
     t = interval_tube(1.0, 1.0, 0.1)
+    unit = PolyhedralSet(np.eye(1), np.ones(1))
     with pytest.raises(ValueError):
-        synth.SynthesisProblem(model=model, tube=t,
-                               disturbance=[(np.eye(1), np.ones(1))] * 2)
+        synth.SynthesisProblem(model=model, tube=t, disturbance=[unit] * 2)
     with pytest.raises(ValueError):
         synth.SynthesisProblem(model=model, tube=t, disturbance_floor=True)
     with pytest.raises(ValueError):
-        synth.SynthesisProblem(model=model, tube=t,
-                               control_constraints=[(np.eye(1), np.ones(1))])
+        synth.SynthesisProblem(model=model, tube=t, control_constraints=[unit])
     model2 = PolytopicModel(vertices=[(np.eye(2), np.ones((2, 1)))],
                             C=np.ones((1, 2)))
     with pytest.raises(ValueError):
         synth.SynthesisProblem(model=model2, tube=t)
+    # V(k) must be a PolyhedralSet in R^p and U(k) one in R^m
+    disturbed = PolytopicModel(vertices=model.vertices, C=model.C,
+                               D=np.ones((1, 1)))
+    square = box([-1.0] * 2, [1.0] * 2)
+    synth.SynthesisProblem(model=disturbed, tube=t, disturbance=[unit] * 2,
+                           control_constraints=[unit] * 2)
+    for field in ("disturbance", "control_constraints"):
+        with pytest.raises(ValueError, match="dimension 2, expected 1"):
+            synth.SynthesisProblem(model=disturbed, tube=t,
+                                   **{field: [unit, square]})
+        with pytest.raises(ValueError, match="not a PolyhedralSet"):
+            synth.SynthesisProblem(model=disturbed, tube=t,
+                                   **{field: [(unit.A, unit.b)] * 2})
 
 
 # -- certificates taken from the first-stage LP -------------------------------
