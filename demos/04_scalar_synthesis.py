@@ -18,8 +18,8 @@ print("controllable case")
 for k in range(res.horizon):
     print("  k=%d: %-9s F=%+.3f offsets=%s" % (k, res.provenance[k],
                                                res.gains[k][0, 0],
-                                               res.bounds[k].tolist()))
-print("  terminal offsets:", res.bounds[-1].tolist())
+                                               res.sets[k].b.tolist()))
+print("  terminal offsets:", res.sets[-1].b.tolist())
 print("  every step certified by its LP multipliers:", res.certified)
 
 # Autonomous and expanding: x+ = 2 x.  No gain can help, so the sets
@@ -31,7 +31,7 @@ print("\nautonomous case")
 for k in range(res.horizon):
     print("  k=%d: %-7s defect=%s offsets=%s" % (k, res.provenance[k],
                                                  res.residuals[k].tolist(),
-                                                 res.bounds[k].tolist()))
+                                                 res.sets[k].b.tolist()))
 print("  every step certified by its LP multipliers:", res.certified)
 print("\nany start inside +-%.3f stays in the tube and ends inside +-0.1"
-      % res.bounds[0][0])
+      % res.sets[0].b[0])

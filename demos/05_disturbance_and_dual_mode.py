@@ -6,9 +6,8 @@
 import numpy as np
 
 from tubesynth import (PolytopicModel, RandomVertex, SynthesisProblem,
-                       TargetTube, box, check_robust_invariant, hull_sampler,
-                       sample_states, simulate_closed_loop, synthesize,
-                       verify_membership)
+                       TargetTube, box, check_robust_invariant, sample_states,
+                       simulate_closed_loop, synthesize, verify_membership)
 
 plant = PolytopicModel(vertices=[(0.4 * np.eye(2), np.eye(2))],
                        C=np.eye(2), D=np.eye(2))
@@ -23,7 +22,7 @@ problem = SynthesisProblem(model=plant, tube=tube,
                            disturbance_floor=True)
 res = synthesize(problem)
 print("disturbed synthesis over %d steps: certified=%s" % (K, res.certified))
-print("first traversed set offsets:", res.bounds[0].tolist())
+print("first traversed set offsets:", res.sets[0].b.tolist())
 
 # A static gain for k >= K.  Its closed loop contracts by 0.2 per step,
 # so the 0.02 box is robust invariant for disturbances up to 0.005, and
@@ -37,14 +36,13 @@ print("\nstatic gain invariant set certified:", hold.contained,
 # Compose: horizon gains first, the static gain afterwards, disturbances
 # sampled from V at every step.
 gains = list(res.gains) + [F_hold] * K
-sampler = hull_sampler(V)
 terminal = tube[K]
 
 rng = np.random.default_rng(1)
 worst = -np.inf
 for i, x0 in enumerate(sample_states(res.sets[0], 10, rng)):
     traj = simulate_closed_loop(plant, gains, x0, RandomVertex(seed=i),
-                                disturbance_sampler=sampler)
+                                disturbance=[V] * len(gains))
     tail = traj.states[K:]
     report = verify_membership(tail, [terminal] * len(tail), tol=1e-7)
     worst = max(worst, report.worst)

@@ -21,7 +21,7 @@ for (A, B), area in zip(model.vertices, (3, 4, 5)):
 
 res = synthesize(problem)
 print("\nsynthesis:", res.provenance)
-print("traversed set at k=0:", res.bounds[0].tolist())
+print("traversed set at k=0:", res.sets[0].b.tolist())
 print("every step certified by its LP multipliers:", res.certified)
 
 # Linear validation: random vertex realizations from random starts in

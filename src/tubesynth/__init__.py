@@ -22,8 +22,8 @@ from .reach import (CertificateError, ContainmentReport, PolytopicModel,
                     verify_certificates)
 from .sim import (FixedVertex, MembershipReport, RandomConvex, RandomVertex,
                   Runs, SimulationError, Trajectory, discretize_zoh,
-                  hull_sampler, sample_states, simulate_closed_loop,
-                  simulate_runs, tanks_linearize, tanks_nonlinear_simulate,
+                  sample_states, simulate_closed_loop, simulate_runs,
+                  tanks_linearize, tanks_nonlinear_simulate,
                   verify_membership, verify_runs)
 from .synth import (SHRUNK, TUBE_EXACT, SynthesisError, SynthesisProblem,
                     SynthesisResult, build_lp1, build_lp2, split_lp1_solution,
@@ -42,8 +42,8 @@ __all__ = [
     "check_containment", "check_containment_disturbance",
     "check_robust_invariant", "contractivity_factor", "verify_certificates",
     "FixedVertex", "MembershipReport", "RandomConvex", "RandomVertex", "Runs",
-    "SimulationError", "Trajectory", "discretize_zoh", "hull_sampler",
-    "sample_states", "simulate_closed_loop", "simulate_runs", "tanks_linearize",
+    "SimulationError", "Trajectory", "discretize_zoh", "sample_states",
+    "simulate_closed_loop", "simulate_runs", "tanks_linearize",
     "tanks_nonlinear_simulate", "verify_membership", "verify_runs",
     "SHRUNK", "TUBE_EXACT", "SynthesisError", "SynthesisProblem",
     "SynthesisResult", "build_lp1", "build_lp2", "split_lp1_solution",

@@ -11,7 +11,8 @@ which raise ConfigError and nothing else.  ``main`` is the one place
 where exceptions become exit codes: 0 success, 2 input/validation error
 ("config error: ..." on stderr), 3 synthesis failure ("synthesis
 failed: ..."), 4 audit failure (a membership or containment check came
-back false).
+back false, or a nonlinear tanks run left the model's domain: "audit
+failed: ...").
 """
 
 from __future__ import annotations
@@ -252,7 +253,7 @@ def write_result_files(out_dir, problem: synth.SynthesisProblem,
         entry = {
             "k": k,
             "tube_bounds": [float(v) for v in problem.tube[k].b],
-            "set_bounds": [float(v) for v in result.bounds[k]],
+            "set_bounds": [float(v) for v in result.sets[k].b],
         }
         if k < K:
             entry["residual"] = [float(v) for v in result.residuals[k]]
@@ -324,13 +325,13 @@ def audit_runs(reports, tol):
             "worst_violation": float(worst), "failures": failures}
 
 
-def linear_audit(out, model, gains, sets, runs, rng, tol, disturbance_sampler=None):
+def linear_audit(out, model, gains, sets, runs, rng, tol, disturbance=None):
     """Simulate ``runs`` closed-loop runs, write trajectories.csv into
     ``out`` and return the audit summary.
 
     ``rng`` draws the initial states from sets[0], then one seed per
     run; run r realizes a uniformly random vertex at every step (and,
-    with a sampler, its disturbance) from its own generator.  sets[k]
+    given the sets V(k), a point of V(k)) from its own generator.  sets[k]
     is the membership set of step k.  ``out`` is created only after the
     initial states are drawn, so an X(0) that cannot be sampled leaves
     no directory behind.
@@ -339,7 +340,7 @@ def linear_audit(out, model, gains, sets, runs, rng, tol, disturbance_sampler=No
     out.mkdir(parents=True, exist_ok=True)
     seeds = rng.integers(2 ** 31, size=runs).tolist()
     policies = [sim.RandomVertex(seed=v) for v in seeds]
-    batch = sim.simulate_runs(model, gains, x0s, policies, disturbance_sampler)
+    batch = sim.simulate_runs(model, gains, x0s, policies, disturbance)
     inside, reports = sim.verify_runs(batch.states, sets, tol)
     write_trajectories_csv(out / "trajectories.csv", batch, inside)
     return audit_runs(reports, tol)
@@ -357,9 +358,9 @@ def run_synth(config_path, out_dir, tol=None):
     problem = cfg.problem
     if problem.nonneg_bounds and not all_bounded(problem.tube):
         raise ConfigError("tube must be bounded for the guaranteed mode")
-    result = synth.synthesize(
-        problem, containment_tol=cfg.containment_tol if tol is None else tol,
-        eps_zero_tol=cfg.defect_zero_tol)
+    tol = cfg.containment_tol if tol is None else _number(tol, "--tol")
+    result = synth.synthesize(problem, containment_tol=tol,
+                              eps_zero_tol=cfg.defect_zero_tol)
     write_result_files(out_dir, problem, result)
     print("synthesized %d steps -> %s" % (result.horizon, out_dir))
     if not result.certified:
@@ -394,17 +395,11 @@ def run_simulate(config_path, gains_path, runs, seed, out_dir, tol=None):
     problem = cfg.problem
     gains = load_gains(gains_path, problem.model, problem.horizon)
     sets = _load_traversed_sets(gains_path, problem.tube)
-    sampler = None
-    if problem.disturbance is not None:
-        step_samplers = [sim.hull_sampler(V) for V in problem.disturbance]
-
-        def sampler(k, rng):
-            return step_samplers[k](k, rng)
-
+    tol = cfg.containment_tol if tol is None else _number(tol, "--tol")
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     out = Path(out_dir)
-    audit = linear_audit(out, problem.model, gains, sets, runs, rng,
-                         cfg.containment_tol if tol is None else tol, sampler)
+    audit = linear_audit(out, problem.model, gains, sets, runs, rng, tol,
+                         problem.disturbance)
     _write_json(out / "audit.json", audit)
     print("%d/%d runs inside the tube (worst violation %g)"
           % (audit["passed"], audit["runs"], audit["worst_violation"]))
@@ -415,7 +410,8 @@ def _load_check(config_path, tol, *set_keys):
     """A check file, its model, its gain F and the tolerance in force;
     ``set_keys`` name the sets the check needs."""
     obj = _object(_load_json(config_path), "config", "model", "F", *set_keys)
-    tol = _number(obj.get("tol", 1e-7), "tol") if tol is None else tol
+    tol = (_number(obj.get("tol", 1e-7), "tol") if tol is None
+           else _number(tol, "--tol"))
     return obj, decode_model(obj["model"]), decode_matrix(obj["F"], "F"), tol
 
 
@@ -511,6 +507,9 @@ def _write_sets_csv(path, tube_sets, traversed_sets):
 
 def run_demo_tanks(out_dir, horizon=15, runs=100, seed=0, r1=None, tol=1e-7):
     _check_runs(runs)
+    tol = _number(tol, "--tol")
+    if r1 is not None and not _number(r1, "--r1") > 0.0:
+        raise ConfigError("--r1 must be positive, got %r" % r1)
     problem, specs = tanks_problem(horizon=horizon)
     result = synth.synthesize(problem, containment_tol=tol)
     out = Path(out_dir)
@@ -606,6 +605,9 @@ def main(argv=None):
     except (ConfigError, ValueError, EmptySetError, UnboundedSetError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
+    except sim.SimulationError as exc:
+        print("audit failed: %s" % exc, file=sys.stderr)
+        return EXIT_AUDIT
 
 
 if __name__ == "__main__":

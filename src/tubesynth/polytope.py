@@ -71,6 +71,18 @@ class PolyhedralSet:
         return self.A.shape[0]
 
 
+def check_step_sets(sets, K, dim, what):
+    """Raise ValueError unless ``sets`` holds K PolyhedralSets in R^dim."""
+    if len(sets) != K:
+        raise ValueError("need one %s set per step (%d)" % (what, K))
+    for k, S in enumerate(sets):
+        if not isinstance(S, PolyhedralSet):
+            raise ValueError("%s set %d is not a PolyhedralSet" % (what, k))
+        if S.dim != dim:
+            raise ValueError("%s set %d has dimension %d, expected %d"
+                             % (what, k, S.dim, dim))
+
+
 def box(lo, hi) -> PolyhedralSet:
     """Axis-aligned box {x : lo <= x <= hi} as 2n inequality rows."""
     lo = np.asarray(lo, dtype=float).reshape(-1)

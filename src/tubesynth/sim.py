@@ -9,9 +9,9 @@ generator seeded by its policy, so a run is the same alone
 (``simulate_closed_loop``) or in a batch, and one seed reproduces it
 bit for bit.  ``verify_runs`` audits every run and step from one
 product A_k x each.  ``sample_states`` draws initial states, and
-``hull_sampler`` disturbances, as Dirichlet(1, ..., 1) combinations of
-the set's vertices, so every draw lies in the set even when it is
-lower-dimensional.
+``simulate_runs`` the disturbances v(k) in V(k), as Dirichlet(1, ...,
+1) combinations of the set's vertices, so every draw lies in the set
+even when it is lower-dimensional.
 
 The tanks plant is the usual pair of coupled water tanks: levels x1,
 x2, inflow into tank 1 and outflow from tank 2, gravity-driven flow
@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .polytope import PolyhedralSet, vertices
+from .polytope import PolyhedralSet, check_step_sets, vertices
 from .reach import PolytopicModel
 
 
@@ -80,24 +80,23 @@ def _weights(policy, rng, s):
     raise TypeError("unknown realization policy %r" % (policy,))
 
 
-def _realize(policy, s, K, disturbance_sampler):
+def _realize(policy, s, K, v_vertices):
     """One run's draws from its own generator, in the order the step
-    recursion consumes them: the realization of step k, then (with a
-    sampler) its disturbance.  Returns (K,) vertex indices or (K, s)
-    hull weights, and the (K, p) disturbances or None."""
+    recursion consumes them: the realization of step k, then (given the
+    vertex arrays of the V(k)) a point of V(k).  Returns (K,) vertex
+    indices or (K, s) hull weights, and the (K, p) disturbances or None."""
     rng = np.random.default_rng(getattr(policy, "seed", 0))
-    if disturbance_sampler is None and isinstance(policy, RandomVertex):
+    if v_vertices is None and isinstance(policy, RandomVertex):
         # one call yields the same stream as K single draws
         return rng.integers(s, size=K), None
     realized = []
     disturbances = []
     for k in range(K):
         realized.append(_weights(policy, rng, s))
-        if disturbance_sampler is not None:
-            disturbances.append(np.asarray(disturbance_sampler(k, rng),
-                                           dtype=float).reshape(-1))
+        if v_vertices is not None:
+            disturbances.append(_hull_draw(v_vertices[k], rng))
     return (np.array(realized),
-            np.array(disturbances) if disturbance_sampler is not None else None)
+            np.array(disturbances) if v_vertices is not None else None)
 
 
 @dataclass
@@ -127,16 +126,17 @@ class Runs:
 
 
 def simulate_runs(model: PolytopicModel, gains: Sequence[np.ndarray], x0s,
-                  policies: Sequence, disturbance_sampler: Optional[Callable] = None
-                  ) -> Runs:
+                  policies: Sequence,
+                  disturbance: Optional[Sequence[PolyhedralSet]] = None) -> Runs:
     """Run the exact closed-loop recursion for len(gains) steps from every
     row of ``x0s``, run r realizing ``policies[r]``.
 
     Each run draws from its own ``default_rng(policy.seed)``, so a run's
-    states do not depend on the other runs.  ``disturbance_sampler(k,
-    rng)`` must return a disturbance vector when the model carries a D
-    map; it shares the run's generator and is called right after the
-    step's realization is drawn.
+    states do not depend on the other runs.  ``disturbance`` holds one
+    set V(k) per step over the model's p disturbance coordinates (it
+    needs a D map); right after step k's realization the run draws v(k)
+    from the same generator as Dirichlet(1, ..., 1) weights over the
+    vertices of V(k), which are enumerated once per call.
 
     All runs are propagated together: the stacked products
     ``np.matmul(A[idx], x[..., None])`` give bit for bit the per-run
@@ -151,13 +151,16 @@ def simulate_runs(model: PolytopicModel, gains: Sequence[np.ndarray], x0s,
     if len(policies) != X0.shape[0]:
         raise ValueError("have %d initial states but %d policies"
                          % (X0.shape[0], len(policies)))
-    if disturbance_sampler is not None and model.D is None:
-        raise ValueError("disturbance sampler given but model has no D")
     K = len(gains)
-    draws = [_realize(policy, model.s, K, disturbance_sampler) for policy in policies]
+    v_vertices = None
+    if disturbance is not None:
+        if model.D is None:
+            raise ValueError("disturbance sets given but model has no D")
+        check_step_sets(disturbance, K, model.p, "disturbance")
+        v_vertices = [np.array(vertices(V)) for V in disturbance]
+    draws = [_realize(policy, model.s, K, v_vertices) for policy in policies]
     realized = np.stack([w for w, _ in draws])
-    disturbances = (np.stack([v for _, v in draws])
-                    if disturbance_sampler is not None else None)
+    disturbances = np.stack([v for _, v in draws]) if v_vertices is not None else None
 
     R = X0.shape[0]
     states = np.empty((R, K + 1, model.n))
@@ -193,20 +196,20 @@ def simulate_runs(model: PolytopicModel, gains: Sequence[np.ndarray], x0s,
 
 
 def simulate_closed_loop(model: PolytopicModel, gains: Sequence[np.ndarray], x0,
-                         policy, disturbance_sampler: Optional[Callable] = None
+                         policy,
+                         disturbance: Optional[Sequence[PolyhedralSet]] = None
                          ) -> Trajectory:
     """Run the exact closed-loop recursion for len(gains) steps.
 
-    ``disturbance_sampler(k, rng)`` must return a disturbance vector
-    when the model carries a D map; it shares the policy's generator so
-    one seed reproduces the whole run.  This is ``simulate_runs`` with
-    a single run.
+    ``disturbance`` is one set V(k) per step, drawn from the policy's
+    generator so one seed reproduces the whole run.  This is
+    ``simulate_runs`` with a single run.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != model.n:
         raise ValueError("x0 has dimension %d, model has %d" % (x0.size, model.n))
     return simulate_runs(model, gains, x0[None], [policy],
-                         disturbance_sampler).trajectory(0)
+                         disturbance).trajectory(0)
 
 
 @dataclass
@@ -264,16 +267,6 @@ def _hull_draw(V, rng, size=None):
     """Dirichlet(1, ..., 1) weights over the rows of V, applied to V: one
     point of their hull, or ``size`` points stacked."""
     return rng.dirichlet(np.ones(V.shape[0]), size) @ V
-
-
-def hull_sampler(P: PolyhedralSet):
-    """Sampler over P drawing random convex combinations of its vertices."""
-    V = np.array(vertices(P))
-
-    def sample(k, rng):
-        return _hull_draw(V, rng)
-
-    return sample
 
 
 def sample_states(P: PolyhedralSet, count, rng):

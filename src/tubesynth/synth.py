@@ -42,7 +42,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import lp
-from .polytope import PolyhedralSet, support_lp, vertices
+from .polytope import PolyhedralSet, check_step_sets, support_lp, vertices
 from .reach import ContainmentReport, PolytopicModel, check_containment, \
     check_containment_disturbance, disturbed_step, verify_certificates
 from .tube import TargetTube
@@ -61,18 +61,6 @@ class SynthesisError(Exception):
         super().__init__("step k=%d (%s): %s" % (k, stage, message))
         self.k = k
         self.stage = stage
-
-
-def _check_step_sets(sets, K, dim, what):
-    """Raise ValueError unless ``sets`` holds K PolyhedralSets in R^dim."""
-    if len(sets) != K:
-        raise ValueError("need one %s set per step (%d)" % (what, K))
-    for k, S in enumerate(sets):
-        if not isinstance(S, PolyhedralSet):
-            raise ValueError("%s set %d is not a PolyhedralSet" % (what, k))
-        if S.dim != dim:
-            raise ValueError("%s set %d has dimension %d, expected %d"
-                             % (what, k, S.dim, dim))
 
 
 @dataclass
@@ -120,9 +108,9 @@ class SynthesisProblem:
         if self.disturbance is not None:
             if self.model.D is None:
                 raise ValueError("disturbance bounds given but model has no D")
-            _check_step_sets(self.disturbance, K, self.model.p, "disturbance")
+            check_step_sets(self.disturbance, K, self.model.p, "disturbance")
         if self.control_constraints is not None:
-            _check_step_sets(self.control_constraints, K, self.model.m, "control")
+            check_step_sets(self.control_constraints, K, self.model.m, "control")
         if self.disturbance_floor and self.disturbance is None:
             raise ValueError("disturbance_floor needs disturbance bounds")
 
@@ -144,18 +132,6 @@ class SynthesisResult:
     @property
     def horizon(self):
         return len(self.gains)
-
-    @property
-    def tube_step_reports(self) -> List[Optional[ContainmentReport]]:
-        """Step reports of the TubeExact steps, which certify the full
-        section H(k) = X(k); None for Shrunk steps."""
-        return [rpt if prov == TUBE_EXACT else None
-                for rpt, prov in zip(self.step_reports, self.provenance)]
-
-    @property
-    def bounds(self):
-        """Offset vectors of the traversed sets."""
-        return [s.b for s in self.sets]
 
     @property
     def certified(self):
@@ -183,7 +159,8 @@ def build_lp1(model: PolytopicModel, Q_now, bound_now, Q_next, bound_next,
     (nominal problems drop the disturbance columns), and inequality
     rows bound G_i [bound_now; gamma] <= bound_next + defect.
 
-    ``disturbance`` is the (W, gamma) arrays of this step's V(k);
+    ``disturbance`` is the (W, gamma) arrays of this step's V(k), which
+    need the model's D map;
     ``control_rows`` is (U, theta, tube_vertices) enforcing
     U F C h <= theta at every tube-section vertex h.
     """
@@ -199,12 +176,20 @@ def build_lp1(model: PolytopicModel, Q_now, bound_now, Q_next, bound_next,
     if bound_now.size != q0 or bound_next.size != q1:
         raise ValueError("section bound lengths do not match their matrices")
 
-    if disturbance is not None and model.D is not None and model.p > 0:
+    if disturbance is not None:
+        if model.D is None:
+            raise ValueError("disturbance bounds given but model has no D")
         W, gamma = disturbance
         W = np.asarray(W, dtype=float)
         gamma = np.asarray(gamma, dtype=float).reshape(-1)
         p = model.p
+        if W.ndim != 2 or W.shape[1] != p:
+            raise ValueError("disturbance matrix W has shape %s, expected %d columns"
+                             % (W.shape, p))
         qv = W.shape[0]
+        if gamma.size != qv:
+            raise ValueError("disturbance offsets have length %d, W has %d rows"
+                             % (gamma.size, qv))
         D = model.D
     else:
         p, qv = 0, 0

@@ -120,13 +120,17 @@ def point_in_convex_polygon(pt, verts, tol=1e-9):
     return True
 
 
-def simulate_reference(model, gains, x0s, seeds, disturbance_sampler=None):
+def simulate_reference(model, gains, x0s, seeds, disturbance=None):
     """Per-run closed loop, one vector at a time: run r draws a vertex
-    (then, with a sampler, a disturbance) per step from default_rng(seeds[r])
-    and steps x+ = A x + B u (+ D v) with u = F(k) C x.
+    (then, given the sets V(k), Dirichlet(1, ..., 1) weights over the
+    vertices of V(k) from enum_vertices) per step from
+    default_rng(seeds[r]) and steps x+ = A x + B u (+ D v) with
+    u = F(k) C x.
 
     Returns stacked states (R, K+1, n), controls (R, K, m) and vertex
     indices (R, K)."""
+    v_vertices = (None if disturbance is None
+                  else [np.array(enum_vertices(V.A, V.b)) for V in disturbance])
     states, controls, realized = [], [], []
     for x0, seed in zip(x0s, seeds):
         rng = np.random.default_rng(seed)
@@ -137,8 +141,9 @@ def simulate_reference(model, gains, x0s, seeds, disturbance_sampler=None):
             A, B = model.vertices[i]
             u = F @ (model.C @ x)
             x = A @ x + B @ u
-            if disturbance_sampler is not None:
-                x = x + model.D @ disturbance_sampler(k, rng)
+            if v_vertices is not None:
+                weights = rng.dirichlet(np.ones(len(v_vertices[k])))
+                x = x + model.D @ (weights @ v_vertices[k])
             xs.append(x)
             us.append(u)
             idx.append(i)

@@ -85,12 +85,12 @@ def test_criterion_3_hand_solved_fixtures():
     auto = synth.synthesize(synth.SynthesisProblem(
         model=PolytopicModel(vertices=[(np.array([[2.0]]), np.zeros((1, 1)))],
                              C=np.array([[1.0]])), tube=t))
-    shrink_ok = (np.max(np.abs(auto.bounds[1] - 0.05)) <= 1e-8
-                 and np.max(np.abs(auto.bounds[0] - 0.025)) <= 1e-8)
+    shrink_ok = (np.max(np.abs(auto.sets[1].b - 0.05)) <= 1e-8
+                 and np.max(np.abs(auto.sets[0].b - 0.025)) <= 1e-8)
     ok = gains_ok and exact_ok and shrink_ok
     _report(3, ok, "controllable: %s with gains %s; autonomous offsets %s / %s"
             % (ctrl.provenance, [round(F[0, 0], 6) for F in ctrl.gains],
-               auto.bounds[1].tolist(), auto.bounds[0].tolist()))
+               auto.sets[1].b.tolist(), auto.sets[0].b.tolist()))
 
 
 def test_criterion_4_existence_under_guarantees():
@@ -265,13 +265,12 @@ def test_criterion_8_robust_invariance_and_dual_mode():
                  for v in vertices(terminal))
 
     rng = np.random.default_rng(88)
-    sampler = sim.hull_sampler(V)
     gains = list(res.gains) + [F_hold] * K
     runs_ok = 0
     for i, x0 in enumerate(sim.sample_states(res.sets[0], 20, rng)):
         traj = sim.simulate_closed_loop(plant, gains, x0,
                                         sim.RandomVertex(seed=500 + i),
-                                        disturbance_sampler=sampler)
+                                        disturbance=[V] * len(gains))
         tail = traj.states[K:2 * K + 1]
         runs_ok += all(np.all(terminal.A @ x <= terminal.b + 1e-7) for x in tail)
 

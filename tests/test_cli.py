@@ -462,6 +462,55 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
     assert len(err) == 1 and err[0].startswith("config error: ")
 
 
+def invariant_config():
+    return {
+        "model": {"vertices": [{"A": mat([[0.5]]), "B": mat([[0.0]])}],
+                  "C": mat([[0.0]]), "D": mat([[1.0]])},
+        "F": mat([[0.0]]), "S": interval(1.0), "V": interval(0.25),
+    }
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["synth", "simulate", "check-contain",
+                                     "check-invariant", "demo-tanks"])
+def test_non_finite_tol_exits_2(tmp_path, capsys, command, tol):
+    scalar = write(tmp_path / "scalar.json", scalar_config())
+    out = str(tmp_path / "o")
+    if command == "simulate":
+        assert cli.main(["synth", "--config", scalar, "--out", str(tmp_path / "s")]) == 0
+        argv = ["simulate", "--config", scalar,
+                "--gains", str(tmp_path / "s" / "gains.json"), "--runs", "5"]
+    elif command == "demo-tanks":
+        argv = ["demo-tanks", "--runs", "5"]
+    else:
+        config = {"synth": scalar_config(), "check-contain": contain_config(),
+                  "check-invariant": invariant_config()}[command]
+        argv = [command, "--config", write(tmp_path / "cfg.json", config)]
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", out, "--tol", tol]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: --tol")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("r1", ["0", "-3", "nan", "inf"])
+def test_demo_tanks_rejects_non_positive_r1(tmp_path, capsys, r1):
+    assert cli.main(["demo-tanks", "--out", str(tmp_path / "o"), "--runs", "1",
+                     "--r1", r1]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: --r1")
+    assert not (tmp_path / "o").exists()
+
+
+def test_demo_tanks_level_inversion_is_an_audit_failure(tmp_path, capsys):
+    # a tank-1 area this small empties tank 1 below tank 2 within a step,
+    # where the nonlinear model is undefined
+    assert cli.main(["demo-tanks", "--out", str(tmp_path / "o"), "--runs", "1",
+                     "--r1", "0.01"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("audit failed: level inversion")
+
+
 def test_scalar_fields_decoded_before_the_tube(tmp_path, capsys, monkeypatch):
     def never(*args):
         raise AssertionError("tube built before the scalar fields were checked")

@@ -112,10 +112,12 @@ def test_membership_length_mismatch():
 
 def test_samplers_stay_inside():
     P = box([-0.3, -0.1], [0.2, 0.4])
-    rng = np.random.default_rng(12)
-    draw = sim.hull_sampler(P)
-    for k in range(50):
-        v = draw(k, rng)
+    model = PolytopicModel(vertices=[(np.eye(2), np.zeros((2, 1)))],
+                           C=np.zeros((1, 2)), D=np.eye(2))
+    runs = sim.simulate_runs(model, [np.zeros((1, 1))] * 50, np.zeros((2, 2)),
+                             [sim.RandomVertex(seed=12), sim.RandomVertex(seed=13)],
+                             disturbance=[P] * 50)
+    for v in runs.disturbances.reshape(-1, 2):
         assert np.all(P.A @ v <= P.b + 1e-12)
     pts = sim.sample_states(P, 50, np.random.default_rng(1))
     for x in pts:
@@ -217,12 +219,25 @@ def test_policy_validation():
                                  sim.FixedVertex(0))
 
 
-def test_disturbance_sampler_needs_map():
+def test_disturbance_sets_need_map():
     model = scalar_model(0.5, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no D"):
         sim.simulate_closed_loop(model, [np.zeros((1, 1))], [0.0],
-                                 sim.FixedVertex(0),
-                                 disturbance_sampler=lambda k, rng: [0.0])
+                                 sim.FixedVertex(0), disturbance=[box([-1], [1])])
+
+
+def test_disturbance_sets_match_steps_and_dimension():
+    model = PolytopicModel(vertices=[(np.array([[0.5]]), np.array([[1.0]]))],
+                           C=np.array([[1.0]]), D=np.array([[1.0]]))
+    gains = [np.zeros((1, 1))] * 3
+    for bad, message in (([box([-1], [1])] * 2, "one disturbance set per step"),
+                         ([box([-1], [1])] * 4, "one disturbance set per step"),
+                         ([box([-1, -1], [1, 1])] * 3, "dimension 2, expected 1"),
+                         ([(np.array([[1.0]]), np.array([1.0]))] * 3,
+                          "not a PolyhedralSet")):
+        with pytest.raises(ValueError, match=message):
+            sim.simulate_runs(model, gains, np.zeros((2, 1)),
+                              [sim.RandomVertex(seed=1)] * 2, disturbance=bad)
 
 
 def test_sampling_degenerate_sets():
@@ -277,12 +292,15 @@ def test_batched_disturbed_runs_match_reference():
     gains = [rng.normal(size=(1, 2)) * 0.3 for _ in range(6)]
     x0s = rng.normal(size=(25, 2))
     seeds = list(range(100, 125))
-    draw = sim.hull_sampler(box([-0.1, -0.2], [0.1, 0.05]))
+    # a different V(k) at every step, one of them a triangle
+    V = [box([-0.1 * (k + 1), -0.2], [0.1, 0.05 * (k + 1)]) for k in range(6)]
+    V[2] = PolyhedralSet(np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]),
+                         np.array([0.1, 0.1, 0.05]))
     runs = sim.simulate_runs(model, gains, x0s,
                              [sim.RandomVertex(seed=s) for s in seeds],
-                             disturbance_sampler=draw)
+                             disturbance=V)
     states, controls, realized = simulate_reference(model, gains, x0s, seeds,
-                                                    disturbance_sampler=draw)
+                                                    disturbance=V)
     assert np.array_equal(runs.states, states)
     assert np.array_equal(runs.controls, controls)
     assert np.array_equal(runs.realized, realized)

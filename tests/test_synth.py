@@ -70,6 +70,19 @@ def test_lp1_zero_width_disturbance_block_matches_nominal():
     assert np.array_equal(p_nom.b_eq, p_dist.b_eq)
 
 
+def test_lp1_rejects_inconsistent_disturbance():
+    sections = (INTERVAL_ROWS, np.ones(2), INTERVAL_ROWS, np.ones(2))
+    W, gamma = INTERVAL_ROWS, np.array([0.1, 0.1])
+    with pytest.raises(ValueError, match="no D"):
+        synth.build_lp1(scalar_model(0.5, 1.0), *sections, disturbance=(W, gamma))
+    model_d = PolytopicModel(vertices=scalar_model(0.5, 1.0).vertices,
+                             C=np.array([[1.0]]), D=np.array([[1.0]]))
+    with pytest.raises(ValueError, match="expected 1 columns"):
+        synth.build_lp1(model_d, *sections, disturbance=(np.ones((2, 2)), gamma))
+    with pytest.raises(ValueError, match="length 3, W has 2 rows"):
+        synth.build_lp1(model_d, *sections, disturbance=(W, np.ones(3)))
+
+
 def _lp1_calls(monkeypatch, problem):
     """Arguments of every build_lp1 call in a synthesis of ``problem``."""
     calls = []
@@ -211,23 +224,23 @@ def test_scalar_controllable_case():
     res = synth.synthesize(synth.SynthesisProblem(
         model=scalar_model(0.5, 1.0), tube=interval_tube(1.0, 1.0, 0.1)))
     assert res.provenance == [synth.TUBE_EXACT, synth.TUBE_EXACT]
-    assert np.allclose(res.bounds[0], 1.0)
-    assert np.allclose(res.bounds[1], 1.0)
-    assert np.allclose(res.bounds[2], 0.1)
+    assert np.allclose(res.sets[0].b, 1.0)
+    assert np.allclose(res.sets[1].b, 1.0)
+    assert np.allclose(res.sets[2].b, 0.1)
     for F in res.gains:
         assert abs(0.5 + F[0, 0]) <= 0.1 + 1e-9
     assert res.certified
-    assert all(r is not None for r in res.tube_step_reports)
+    assert len(res.step_reports) == res.provenance.count(synth.TUBE_EXACT)
 
 
 def test_scalar_autonomous_case():
     res = synth.synthesize(synth.SynthesisProblem(
         model=scalar_model(2.0, 0.0), tube=interval_tube(1.0, 1.0, 0.1)))
     assert res.provenance == [synth.SHRUNK, synth.SHRUNK]
-    assert np.allclose(res.bounds[1], 0.05, atol=1e-8)
-    assert np.allclose(res.bounds[0], 0.025, atol=1e-8)
+    assert np.allclose(res.sets[1].b, 0.05, atol=1e-8)
+    assert np.allclose(res.sets[0].b, 0.025, atol=1e-8)
     assert res.certified
-    assert all(r is None for r in res.tube_step_reports)
+    assert synth.TUBE_EXACT not in res.provenance
 
 
 def test_result_invariants():
@@ -244,10 +257,10 @@ def test_result_invariants():
         t = TargetTube([box([-w] * n, [w] * n) for w in widths])
         prob = synth.SynthesisProblem(model=model, tube=t)
         res = synth.synthesize(prob)
-        assert np.array_equal(res.bounds[K], t[K].b)      # terminal kept
+        assert np.array_equal(res.sets[K].b, t[K].b)      # terminal kept
         for k in range(K + 1):
-            assert np.all(res.bounds[k] <= t[k].b + 1e-12)  # inside the tube
-            assert np.all(res.bounds[k] >= -1e-12)          # nonneg offsets
+            assert np.all(res.sets[k].b <= t[k].b + 1e-12)  # inside the tube
+            assert np.all(res.sets[k].b >= -1e-12)          # nonneg offsets
         for k in range(K):
             exact = np.max(np.abs(res.residuals[k])) <= synth.EPS_ZERO_TOL
             assert (res.provenance[k] == synth.TUBE_EXACT) == exact
@@ -259,11 +272,11 @@ def test_tube_exact_steps_certify_from_full_section():
     model = scalar_model(0.5, 1.0)
     t = interval_tube(1.0, 1.0, 0.1)
     res = synth.synthesize(synth.SynthesisProblem(model=model, tube=t))
-    for k, rpt in enumerate(res.tube_step_reports):
-        if rpt is None:
+    for k, (rpt, prov) in enumerate(zip(res.step_reports, res.provenance)):
+        if prov != synth.TUBE_EXACT:
             continue
         full = check_containment(model, res.gains[k], t[k],
-                                 PolyhedralSet(t[k + 1].A, res.bounds[k + 1]))
+                                 PolyhedralSet(t[k + 1].A, res.sets[k + 1].b))
         assert rpt.contained and full.contained
 
 
@@ -313,7 +326,7 @@ def test_disturbed_synthesis_certifies():
                                   disturbance_floor=True)
     res = synth.synthesize(prob)
     assert res.certified
-    assert np.array_equal(res.bounds[6], t[6].b)
+    assert np.array_equal(res.sets[6].b, t[6].b)
     # the wide LP1 blocks over [X(k) 0; 0 W] are the certificates
     assert all(G.shape == (4, 8) for G in res.step_reports[0].certificates)
     assert_certificates_sound(prob, res)
@@ -480,5 +493,5 @@ def test_negative_offsets_of_a_nonempty_set_are_accepted():
     prob = synth.SynthesisProblem(model=scalar_model(2.0, 0.0), tube=t,
                                   nonneg_bounds=False)
     res = synth.synthesize(prob)
-    assert np.any(res.bounds[0] < 0)
+    assert np.any(res.sets[0].b < 0)
     assert res.certified
