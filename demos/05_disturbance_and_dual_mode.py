@@ -7,7 +7,7 @@ import numpy as np
 
 from tubesynth import (PolytopicModel, RandomVertex, SynthesisProblem,
                        TargetTube, box, check_robust_invariant, sample_states,
-                       simulate_closed_loop, synthesize, verify_membership)
+                       simulate_runs, synthesize, verify_runs)
 
 plant = PolytopicModel(vertices=[(0.4 * np.eye(2), np.eye(2))],
                        C=np.eye(2), D=np.eye(2))
@@ -38,14 +38,11 @@ print("\nstatic gain invariant set certified:", hold.contained,
 gains = list(res.gains) + [F_hold] * K
 terminal = tube[K]
 
-rng = np.random.default_rng(1)
-worst = -np.inf
-for i, x0 in enumerate(sample_states(res.sets[0], 10, rng)):
-    traj = simulate_closed_loop(plant, gains, x0, RandomVertex(seed=i),
-                                disturbance=[V] * len(gains))
-    tail = traj.states[K:]
-    report = verify_membership(tail, [terminal] * len(tail), tol=1e-7)
-    worst = max(worst, report.worst)
-    assert report.ok
+x0s = sample_states(res.sets[0], 10, np.random.default_rng(1))
+runs = simulate_runs(plant, gains, x0s, [RandomVertex(seed=i) for i in range(10)],
+                     disturbance=[V] * len(gains))
+_, reports = verify_runs(runs.states[:, K:], [terminal] * (K + 1), tol=1e-7)
+assert all(report.ok for report in reports)
+worst = max(report.worst for report in reports)
 print("\n10 disturbed runs: state inside the terminal box for k = %d..%d,"
       " worst slack %.4f" % (K, 2 * K, -worst))

@@ -8,8 +8,8 @@
 
 import numpy as np
 
-from tubesynth import (RandomVertex, sample_states, simulate_closed_loop,
-                       synthesize, tanks_nonlinear_simulate, verify_membership)
+from tubesynth import (RandomVertex, sample_states, simulate_runs, synthesize,
+                       tanks_nonlinear_simulate, verify_runs)
 from tubesynth.cli import TANKS_SETPOINT, tanks_problem
 
 problem, specs = tanks_problem(horizon=15)
@@ -26,21 +26,24 @@ print("every step certified by its LP multipliers:", res.certified)
 
 # Linear validation: random vertex realizations from random starts in
 # the first traversed set.
-rng = np.random.default_rng(0)
-ok = 0
-for i, e0 in enumerate(sample_states(res.sets[0], 50, rng)):
-    traj = simulate_closed_loop(model, res.gains, e0, RandomVertex(seed=i))
-    ok += verify_membership(traj, res.sets, tol=1e-7).ok
-print("\nlinear runs inside their traversed sets: %d/50" % ok)
+e0s = sample_states(res.sets[0], 50, np.random.default_rng(0))
+runs = simulate_runs(model, res.gains, e0s, [RandomVertex(seed=i) for i in range(50)])
+_, reports = verify_runs(runs.states, res.sets, tol=1e-7)
+print("\nlinear runs inside their traversed sets: %d/50"
+      % sum(report.ok for report in reports))
 
 # Nonlinear validation: integrate the true tank equations for each
 # candidate area and audit against the tube sections.
 print("\nnonlinear runs (RK4 on the tank equations):")
-for j, R1 in enumerate((3.0, 4.0, 5.0)):
-    e0 = sample_states(res.sets[0], 1, np.random.default_rng(7 + j))[0]
-    x0 = np.asarray(TANKS_SETPOINT) + e0
-    traj = tanks_nonlinear_simulate(R1, 5.0, x0, res.gains, TANKS_SETPOINT)
-    rep = verify_membership(traj, list(problem.tube.sets), tol=1e-3)
+areas = (3.0, 4.0, 5.0)
+starts = [sample_states(res.sets[0], 1, np.random.default_rng(7 + j))[0]
+          for j in range(len(areas))]
+trajs = [tanks_nonlinear_simulate(R1, 5.0, np.asarray(TANKS_SETPOINT) + e0,
+                                  res.gains, TANKS_SETPOINT)
+         for R1, e0 in zip(areas, starts)]
+_, reports = verify_runs(np.stack([t.states for t in trajs]), problem.tube.sets,
+                         tol=1e-3)
+for R1, e0, traj, rep in zip(areas, starts, trajs, reports):
     print("  R1=%g: start error %s, inside envelopes=%s, final error %s"
           % (R1, np.round(e0, 3).tolist(), rep.ok,
              np.round(traj.states[-1], 5).tolist()))

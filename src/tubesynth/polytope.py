@@ -233,3 +233,13 @@ def vertices(P: PolyhedralSet, max_dim=6, max_subsets=500000):
     if not found:
         raise EmptySetError("set is empty")
     return found
+
+
+def step_vertices(sets):
+    """``vertices`` of every set in the per-step list ``sets``; a set
+    object that repeats (as in ``[V] * K``) is enumerated once."""
+    by_id = {}
+    for S in sets:
+        if id(S) not in by_id:
+            by_id[id(S)] = vertices(S)
+    return [by_id[id(S)] for S in sets]

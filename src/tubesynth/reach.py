@@ -142,23 +142,53 @@ def verify_certificates(blocks, source: PolyhedralSet, target: PolyhedralSet,
                              worst_violation=worst)
 
 
+def step_maps(model: PolytopicModel, F, source: PolyhedralSet,
+              disturbance: Optional[PolyhedralSet] = None):
+    """Source set and per-vertex maps of one closed-loop step.
+
+    Without a disturbance these are ``source`` and the maps
+    A_i + B_i F C.  With a set V over the p disturbance coordinates the
+    step x+ = (A_i + B_i F C) x + D v runs over the stacked vector
+    (x, v): the source is the block-diagonal set [A_src 0; 0 A_v] and
+    the maps are [A_i + B_i F C  D], so certificates cover both blocks:
+
+        G_i [A_src 0; 0 A_v] = A_tgt [A_i + B_i F C  D],
+        G_i [b_src; b_v] <= b_tgt,  G_i >= 0.
+    """
+    if source.dim != model.n:
+        raise ValueError("set dimensions do not match the model")
+    if disturbance is None:
+        return source, model.closed_loop(F)
+    if model.D is None:
+        raise ValueError("model has no disturbance map D")
+    if disturbance.dim != model.p:
+        raise ValueError("disturbance set dimension %d, D has %d columns"
+                         % (disturbance.dim, model.p))
+    n, p = model.n, model.p
+    stacked_A = np.zeros((source.nrows + disturbance.nrows, n + p))
+    stacked_A[:source.nrows, :n] = source.A
+    stacked_A[source.nrows:, n:] = disturbance.A
+    stacked_b = np.concatenate([source.b, disturbance.b])
+    maps = [np.hstack([A_cl, model.D]) for A_cl in model.closed_loop(F)]
+    return PolyhedralSet(stacked_A, stacked_b), maps
+
+
 def check_containment(model: PolytopicModel, F, source: PolyhedralSet,
-                      target: PolyhedralSet, tol=DEFAULT_TOL) -> ContainmentReport:
-    """Does every admissible one-step image of ``source`` lie in ``target``?
+                      target: PolyhedralSet, tol=DEFAULT_TOL,
+                      disturbance: Optional[PolyhedralSet] = None) -> ContainmentReport:
+    """Does every admissible one-step image of ``source`` (plus D V when
+    a ``disturbance`` set V is given) lie in ``target``?
 
     It suffices to check the vertex matrices: the reachable set is the
-    convex hull of the per-vertex images and the target is convex.  An
-    unbounded support in any row makes containment in the (finite)
-    target impossible and is reported as worst_violation = +inf.
+    convex hull of the per-vertex images and the target is convex.  For
+    each map of ``step_maps`` and each target row a support LP gives the
+    tightest bound; an unbounded support makes containment in the
+    (finite) target impossible and short-circuits to
+    worst_violation = +inf.
     """
-    if source.dim != model.n or target.dim != model.n:
+    if target.dim != model.n:
         raise ValueError("set dimensions do not match the model")
-    return _containment_over_rows(model.closed_loop(F), source, target, tol)
-
-
-def _containment_over_rows(maps, source, target, tol):
-    """Shared row-LP sweep.  An unbounded support short-circuits: no
-    finite target offset can hold it."""
+    source, maps = step_maps(model, F, source, disturbance)
     worst = -np.inf
     certs = []
     for A_map in maps:
@@ -183,37 +213,8 @@ def _containment_over_rows(maps, source, target, tol):
 def check_containment_disturbance(model: PolytopicModel, F, source: PolyhedralSet,
                                   v_set: PolyhedralSet, target: PolyhedralSet,
                                   tol=DEFAULT_TOL) -> ContainmentReport:
-    """Containment for the disturbed step x+ = (A + B F C) x + D v.
-
-    The check runs over the stacked vector (x, v) constrained by the
-    block-diagonal system [A_src 0; 0 A_v], so the certificates are
-    wider matrices covering both blocks:
-
-        G_i [A_src 0; 0 A_v] = A_tgt [A_i + B_i F C  D],
-        G_i [b_src; b_v] <= b_tgt,  G_i >= 0.
-    """
-    if model.D is None:
-        raise ValueError("model has no disturbance map D")
-    if v_set.dim != model.p:
-        raise ValueError("disturbance set dimension %d, D has %d columns"
-                         % (v_set.dim, model.p))
-    if source.dim != model.n or target.dim != model.n:
-        raise ValueError("set dimensions do not match the model")
-    stacked, maps = disturbed_step(model, F, source, v_set)
-    return _containment_over_rows(maps, stacked, target, tol)
-
-
-def disturbed_step(model: PolytopicModel, F, source: PolyhedralSet,
-                   v_set: PolyhedralSet):
-    """Stacked (x, v) source set [A_src 0; 0 A_v] and the per-vertex maps
-    [A_i + B_i F C  D] of the disturbed step."""
-    n, p = model.n, model.p
-    stacked_A = np.zeros((source.nrows + v_set.nrows, n + p))
-    stacked_A[:source.nrows, :n] = source.A
-    stacked_A[source.nrows:, n:] = v_set.A
-    stacked_b = np.concatenate([source.b, v_set.b])
-    maps = [np.hstack([A_cl, model.D]) for A_cl in model.closed_loop(F)]
-    return PolyhedralSet(stacked_A, stacked_b), maps
+    """``check_containment`` with the disturbance set ``v_set``."""
+    return check_containment(model, F, source, target, tol, disturbance=v_set)
 
 
 def contractivity_factor(A, shape_set: PolyhedralSet) -> float:
@@ -245,4 +246,4 @@ def check_robust_invariant(model: PolytopicModel, F_static, S: PolyhedralSet,
     Plain containment check with source and target both equal to S
     under the static gain.
     """
-    return check_containment_disturbance(model, F_static, S, V, S, tol=tol)
+    return check_containment(model, F_static, S, S, tol=tol, disturbance=V)

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .polytope import PolyhedralSet, check_step_sets, vertices
+from .polytope import PolyhedralSet, check_step_sets, step_vertices, vertices
 from .reach import PolytopicModel
 
 
@@ -136,7 +136,7 @@ def simulate_runs(model: PolytopicModel, gains: Sequence[np.ndarray], x0s,
     set V(k) per step over the model's p disturbance coordinates (it
     needs a D map); right after step k's realization the run draws v(k)
     from the same generator as Dirichlet(1, ..., 1) weights over the
-    vertices of V(k), which are enumerated once per call.
+    vertices of V(k), which are enumerated once per distinct set.
 
     All runs are propagated together: the stacked products
     ``np.matmul(A[idx], x[..., None])`` give bit for bit the per-run
@@ -157,7 +157,7 @@ def simulate_runs(model: PolytopicModel, gains: Sequence[np.ndarray], x0s,
         if model.D is None:
             raise ValueError("disturbance sets given but model has no D")
         check_step_sets(disturbance, K, model.p, "disturbance")
-        v_vertices = [np.array(vertices(V)) for V in disturbance]
+        v_vertices = [np.array(v) for v in step_vertices(disturbance)]
     draws = [_realize(policy, model.s, K, v_vertices) for policy in policies]
     realized = np.stack([w for w, _ in draws])
     disturbances = np.stack([v for _, v in draws]) if v_vertices is not None else None

@@ -21,12 +21,13 @@ offsets are recorded ("Shrunk").
 The first LP's multiplier blocks are the step's certificates: they
 satisfy G_i Q(k) = Q(k+1)(A_i + B_i F C), and the defect-free bound
 rows (the first LP's when the defect is zero, the second LP's
-otherwise) give G_i psi(k) <= psi(k+1).  After the recursion every
-step's blocks are rechecked by matrix arithmetic alone
-(reach.verify_certificates).  A step whose blocks miss a threshold is
-decided by the support-LP containment check instead, so a "not
-contained" verdict always comes from the tight check.  The reports
-ship with the result.
+otherwise) give G_i psi(k) <= psi(k+1).  As soon as X(k) is fixed,
+the step's blocks are rechecked by matrix arithmetic alone
+(reach.verify_certificates) over the step of reach.step_maps, the same
+for nominal and disturbed problems.  A step whose blocks miss a
+threshold is decided by the support-LP containment check instead, so a
+"not contained" verdict always comes from the tight check.  The
+reports ship with the result.
 
 Optional extensions follow the same pattern: a bounded additive
 disturbance widens the multiplier blocks over the stacked (state,
@@ -42,9 +43,10 @@ from typing import List, Optional
 import numpy as np
 
 from . import lp
-from .polytope import PolyhedralSet, check_step_sets, support_lp, vertices
-from .reach import ContainmentReport, PolytopicModel, check_containment, \
-    check_containment_disturbance, disturbed_step, verify_certificates
+from .polytope import PolyhedralSet, check_step_sets, step_vertices, support_lp, \
+    vertices
+from .reach import ContainmentReport, PolytopicModel, check_containment, step_maps, \
+    verify_certificates
 from .tube import TargetTube
 
 TUBE_EXACT = "TubeExact"
@@ -327,17 +329,15 @@ def synthesize(problem: SynthesisProblem, containment_tol=1e-7,
     """
     model = problem.model
     K = problem.horizon
-    Q = [problem.tube[k].A for k in range(K + 1)]
-    phi = [problem.tube[k].b for k in range(K + 1)]
+    tube = problem.tube
 
-    disturbed = problem.disturbance is not None
     v_vertices = None
     if problem.disturbance_floor:
-        v_vertices = [vertices(V) for V in problem.disturbance]
+        v_vertices = step_vertices(problem.disturbance)
         # input requirement: the disturbance image fits in the next tube
         # section at every step
         for k in range(K):
-            H_next = problem.tube[k + 1]
+            H_next = tube[k + 1]
             for v in v_vertices[k]:
                 img = model.D @ v
                 if np.any(H_next.A @ img > H_next.b + containment_tol):
@@ -347,76 +347,55 @@ def synthesize(problem: SynthesisProblem, containment_tol=1e-7,
     section_vertices = None
     if problem.control_constraints is not None:
         try:
-            section_vertices = [vertices(problem.tube[k]) for k in range(K)]
+            section_vertices = [vertices(tube[k]) for k in range(K)]
         except Exception as exc:
             raise SynthesisError(-1, "vertices",
                                  "tube section enumeration failed: %s" % exc)
 
-    bounds = [None] * (K + 1)
-    bounds[K] = phi[K].copy()
+    sets = [None] * K + [tube[K]]
     gains = [None] * K
     residuals = [None] * K
     provenance = [None] * K
-    certificates = [None] * K
+    step_reports = [None] * K
 
     for k in range(K - 1, -1, -1):
-        V = problem.disturbance[k] if disturbed else None
+        H, X_next = tube[k], sets[k + 1]
+        V = None if problem.disturbance is None else problem.disturbance[k]
         ctrl_k = None
         if problem.control_constraints is not None:
             U = problem.control_constraints[k]
             ctrl_k = (U.A, U.b, section_vertices[k])
-        lp1 = build_lp1(model, Q[k], phi[k], Q[k + 1], bounds[k + 1],
+        lp1 = build_lp1(model, H.A, H.b, X_next.A, X_next.b,
                         disturbance=None if V is None else (V.A, V.b),
                         control_rows=ctrl_k)
         sol1 = lp.solve(lp1, solver)
         if sol1.status != lp.OPTIMAL:
             raise SynthesisError(k, "stage 1", "LP is %s" % sol1.status)
         eps, F, blocks = split_lp1_solution(
-            sol1.x, Q[k].shape[0], Q[k + 1].shape[0], model.s, model.m, model.r,
+            sol1.x, H.nrows, X_next.nrows, model.s, model.m, model.r,
             0 if V is None else V.nrows)
-        gains[k] = F
-        residuals[k] = eps
-        certificates[k] = blocks
         if np.max(np.abs(eps), initial=0.0) <= eps_zero_tol:
-            bounds[k] = phi[k].copy()
-            provenance[k] = TUBE_EXACT
+            X, provenance[k], stage = H, TUBE_EXACT, "stage 1"
         else:
             floors = None
             if problem.disturbance_floor and k <= K - 2:
-                floors = [Q[k] @ model.D @ v for v in v_vertices[k]]
-            lp2 = build_lp2(blocks, phi[k], bounds[k + 1],
+                floors = [H.A @ model.D @ v for v in v_vertices[k]]
+            lp2 = build_lp2(blocks, H.b, X_next.b,
                             gamma=None if V is None else V.b,
                             nonneg=problem.nonneg_bounds, floor_values=floors)
             sol2 = lp.solve(lp2, solver)
             if sol2.status != lp.OPTIMAL:
                 raise SynthesisError(k, "stage 2", "LP is %s" % sol2.status)
-            bounds[k] = sol2.x.copy()
-            provenance[k] = SHRUNK
-        if np.any(bounds[k] < 0.0):   # otherwise the origin is in X(k)
-            probe = support_lp(PolyhedralSet(Q[k], bounds[k]), np.zeros(model.n))
-            if probe.status == lp.INFEASIBLE:
-                stage = "stage 1" if provenance[k] == TUBE_EXACT else "stage 2"
+            X, provenance[k], stage = PolyhedralSet(H.A, sol2.x), SHRUNK, "stage 2"
+        if np.any(X.b < 0.0):   # otherwise the origin is in X(k)
+            if support_lp(X, np.zeros(model.n)).status == lp.INFEASIBLE:
                 raise SynthesisError(k, stage, "traversed set is empty")
-
-    sets = [PolyhedralSet(Q[k], bounds[k]) for k in range(K + 1)]
-    step_reports = []
-    for k in range(K):
-        if disturbed:
-            source, maps = disturbed_step(model, gains[k], sets[k],
-                                           problem.disturbance[k])
-        else:
-            source, maps = sets[k], model.closed_loop(gains[k])
-        rpt = verify_certificates(certificates[k], source, sets[k + 1], maps,
-                                  tol=containment_tol)
+        source, maps = step_maps(model, F, X, V)
+        rpt = verify_certificates(blocks, source, X_next, maps, tol=containment_tol)
         if not rpt.contained:
-            if disturbed:
-                rpt = check_containment_disturbance(
-                    model, gains[k], sets[k], problem.disturbance[k], sets[k + 1],
-                    tol=containment_tol)
-            else:
-                rpt = check_containment(model, gains[k], sets[k], sets[k + 1],
-                                        tol=containment_tol)
-        step_reports.append(rpt)
+            rpt = check_containment(model, F, X, X_next, tol=containment_tol,
+                                    disturbance=V)
+        sets[k], gains[k], residuals[k], step_reports[k] = X, F, eps, rpt
 
     return SynthesisResult(gains=gains, sets=sets, residuals=residuals,
                            provenance=provenance, step_reports=step_reports)

@@ -509,6 +509,8 @@ def test_demo_tanks_level_inversion_is_an_audit_failure(tmp_path, capsys):
                      "--r1", "0.01"]) == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("audit failed: level inversion")
+    # the nonlinear runs are audited before any file is written
+    assert not (tmp_path / "o").exists()
 
 
 def test_scalar_fields_decoded_before_the_tube(tmp_path, capsys, monkeypatch):

@@ -96,6 +96,49 @@ def test_zero_disturbance_map_matches_nominal():
                                                     abs=1e-9)
 
 
+def test_disturbed_check_containment_matches_the_delegate():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        pairs, C, F, src, tgt = random_containment_instance(rng)
+        n = pairs[0][0].shape[0]
+        p = int(rng.integers(1, 3))
+        model = reach.PolytopicModel(vertices=pairs, C=C,
+                                     D=rng.normal(size=(n, p)) * 0.1)
+        V = box(-rng.uniform(0.0, 1.0, size=p), rng.uniform(0.0, 1.0, size=p))
+        P1, P2 = PolyhedralSet(*src), PolyhedralSet(*tgt)
+        one = reach.check_containment(model, F, P1, P2, disturbance=V)
+        ref = reach.check_containment_disturbance(model, F, P1, V, P2)
+        assert one.contained == ref.contained
+        assert one.worst_violation == ref.worst_violation
+        assert (one.certificates is None) == (ref.certificates is None)
+        for G, G_ref in zip(one.certificates or [], ref.certificates or []):
+            assert G.tobytes() == G_ref.tobytes()
+
+
+def test_step_maps_nominal_and_disturbed():
+    model = _autonomous(0.5 * np.eye(2), D=np.array([[1.0], [2.0]]))
+    src, V = unit_box(), box([-0.1], [0.3])
+    source, maps = reach.step_maps(model, F0, src)
+    assert source is src
+    assert [M.tolist() for M in maps] == [(0.5 * np.eye(2)).tolist()]
+    source, maps = reach.step_maps(model, F0, src, disturbance=V)
+    assert source.A.tolist() == [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+                                 [0, 0, 1], [0, 0, -1]]
+    assert source.b.tolist() == [1, 1, 1, 1, 0.3, 0.1]
+    assert maps[0].tolist() == [[0.5, 0, 1], [0, 0.5, 2]]
+
+
+def test_step_maps_rejects_inconsistent_data():
+    D = np.array([[1.0], [2.0]])
+    with pytest.raises(ValueError, match="no disturbance map"):
+        reach.step_maps(_autonomous(np.eye(2)), F0, unit_box(), box([0], [0]))
+    with pytest.raises(ValueError, match="disturbance set dimension 2"):
+        reach.step_maps(_autonomous(np.eye(2), D=D), F0, unit_box(), unit_box())
+    for V in (None, box([0], [0])):
+        with pytest.raises(ValueError, match="set dimensions"):
+            reach.step_maps(_autonomous(np.eye(2), D=D), F0, box([-1], [1]), V)
+
+
 def test_disturbance_minkowski_margin():
     model = _autonomous(0.5 * np.eye(2), D=np.eye(2))
     r = reach.check_containment_disturbance(

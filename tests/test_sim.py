@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import simulate_reference, tanks_rk4_reference
-from tubesynth import sim
-from tubesynth.polytope import PolyhedralSet, box
+from tubesynth import polytope, sim
+from tubesynth.polytope import PolyhedralSet, box, vertices
 from tubesynth.reach import PolytopicModel
 
 
@@ -238,6 +238,25 @@ def test_disturbance_sets_match_steps_and_dimension():
         with pytest.raises(ValueError, match=message):
             sim.simulate_runs(model, gains, np.zeros((2, 1)),
                               [sim.RandomVertex(seed=1)] * 2, disturbance=bad)
+
+
+def test_repeated_disturbance_set_is_enumerated_once(monkeypatch):
+    model = PolytopicModel(vertices=[(np.array([[0.5]]), np.array([[1.0]]))],
+                           C=np.array([[1.0]]), D=np.array([[1.0]]))
+    V = box([-0.1], [0.2])
+    enumerated = []
+
+    def spy(P, *args, **kwargs):
+        enumerated.append(P)
+        return vertices(P, *args, **kwargs)
+
+    for module in (polytope, sim):
+        monkeypatch.setattr(module, "vertices", spy)
+    runs = sim.simulate_runs(model, [np.zeros((1, 1))] * 5, np.zeros((3, 1)),
+                             [sim.RandomVertex(seed=i) for i in range(3)],
+                             disturbance=[V] * 5)
+    assert len(enumerated) == 1 and enumerated[0] is V
+    assert np.all((runs.disturbances >= -0.1) & (runs.disturbances <= 0.2))
 
 
 def test_sampling_degenerate_sets():

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from tubesynth import lp, synth
+from tubesynth import lp, polytope, synth
 from tubesynth.cli import tanks_problem
-from tubesynth.polytope import PolyhedralSet, box
-from tubesynth.reach import PolytopicModel, check_containment, \
-    check_containment_disturbance
+from tubesynth.polytope import PolyhedralSet, box, vertices
+from tubesynth.reach import PolytopicModel, check_containment
 from tubesynth.sim import RandomVertex, sample_states, simulate_closed_loop, \
     verify_membership
 from tubesynth.tube import TargetTube
@@ -183,13 +182,9 @@ def test_lp2_rejects_blocks_of_the_wrong_width():
 
 def support_check(prob, res, k, tol=1e-7):
     """The support-LP containment check of step k."""
-    model = prob.model
-    if prob.disturbance is not None:
-        return check_containment_disturbance(model, res.gains[k], res.sets[k],
-                                             prob.disturbance[k],
-                                             res.sets[k + 1], tol=tol)
-    return check_containment(model, res.gains[k], res.sets[k], res.sets[k + 1],
-                             tol=tol)
+    return check_containment(prob.model, res.gains[k], res.sets[k], res.sets[k + 1],
+                             tol=tol, disturbance=None if prob.disturbance is None
+                             else prob.disturbance[k])
 
 
 def assert_certificates_sound(prob, res, tol=1e-7):
@@ -366,6 +361,26 @@ def test_disturbed_recursion_aborts_cleanly_or_certifies():
     assert certified > 0 and certified + aborted == 30
 
 
+def test_disturbance_floor_enumerates_a_repeated_set_once(monkeypatch):
+    model = PolytopicModel(vertices=[(0.4 * np.eye(2), np.eye(2))],
+                           C=np.eye(2), D=np.eye(2))
+    widths = (1.0, 0.5, 0.25, 0.12, 0.06, 0.03, 0.01)
+    V = box([-0.005] * 2, [0.005] * 2)
+    enumerated = []
+
+    def spy(P, *args, **kwargs):
+        enumerated.append(P)
+        return vertices(P, *args, **kwargs)
+
+    for module in (polytope, synth):
+        monkeypatch.setattr(module, "vertices", spy)
+    prob = synth.SynthesisProblem(
+        model=model, tube=TargetTube([box([-w] * 2, [w] * 2) for w in widths]),
+        disturbance=[V] * 6, disturbance_floor=True)
+    assert synth.synthesize(prob).certified
+    assert len(enumerated) == 1 and enumerated[0] is V
+
+
 def test_disturbance_image_outside_tube_is_rejected():
     model = PolytopicModel(vertices=[(0.4 * np.eye(2), np.eye(2))],
                            C=np.eye(2), D=np.eye(2))
@@ -452,7 +467,7 @@ def test_certificates_under_control_rows_are_sound():
 def test_rejected_multipliers_fall_back_to_the_support_check(monkeypatch):
     # a defect below eps_zero_tol keeps the full section although it does
     # not map inside: the LP1 blocks miss the bound threshold, and the
-    # verdict comes from the support LP
+    # verdict comes from the support LP, with or without a disturbance
     fallbacks = []
 
     def spy(*args, **kwargs):
@@ -460,16 +475,22 @@ def test_rejected_multipliers_fall_back_to_the_support_check(monkeypatch):
         return check_containment(*args, **kwargs)
 
     monkeypatch.setattr(synth, "check_containment", spy)
-    prob = synth.SynthesisProblem(model=scalar_model(2.0, 0.0),
-                                  tube=interval_tube(1.0, 1.0, 0.1))
-    res = synth.synthesize(prob, eps_zero_tol=10.0)
-    assert res.provenance == [synth.TUBE_EXACT, synth.TUBE_EXACT]
-    assert len(fallbacks) == 2
-    assert not res.certified
-    for k, rpt in enumerate(res.step_reports):
-        ref = support_check(prob, res, k)
-        assert not rpt.contained and rpt.certificates is None
-        assert rpt.worst_violation == ref.worst_violation
+    nominal = synth.SynthesisProblem(model=scalar_model(2.0, 0.0),
+                                     tube=interval_tube(1.0, 1.0, 0.1))
+    disturbed = synth.SynthesisProblem(
+        model=PolytopicModel(vertices=nominal.model.vertices, C=nominal.model.C,
+                             D=np.array([[1.0]])),
+        tube=interval_tube(1.0, 1.0, 0.1), disturbance=[box([-0.01], [0.01])] * 2)
+    for prob in (nominal, disturbed):
+        fallbacks.clear()
+        res = synth.synthesize(prob, eps_zero_tol=10.0)
+        assert res.provenance == [synth.TUBE_EXACT, synth.TUBE_EXACT]
+        assert len(fallbacks) == 2
+        assert not res.certified
+        for k, rpt in enumerate(res.step_reports):
+            ref = support_check(prob, res, k)
+            assert not rpt.contained and rpt.certificates is None
+            assert rpt.worst_violation == ref.worst_violation
 
 
 # -- empty traversed sets ------------------------------------------------------
