@@ -12,10 +12,11 @@ sizes a pivot spends more time in NumPy call overhead than in
 arithmetic, so the pivot loop keeps its calls few: the entering column
 is the first set entry of a mask (``argmax``), the ratio test is one
 masked ``np.divide``, the leaving row is read from an int-array basis,
-and the tableau update is one broadcast rank-1 product.  Each forms the
-same floating-point operations, in the same order, as an element-wise
-loop would, so the pivot sequence and every output bit are fixed by the
-problem alone.
+the tableau update is one broadcast rank-1 product, and each phase
+prices its objective row with one ordered ``np.subtract.reduce`` over
+the stacked rows.  Each forms the same floating-point operations, in
+the same order, as an element-wise loop would, so the pivot sequence
+and every output bit are fixed by the problem alone.
 """
 
 from __future__ import annotations
@@ -248,8 +249,8 @@ class DenseSimplexSolver(LpSolver):
         # phase 1: minimise the sum of artificials
         if art_rows.size:
             T[-1, art_col] = 1.0
-            for i in art_rows:
-                T[-1, :] -= T[i, :]
+            # the artificial rows subtracted one after another, in row order
+            T[-1] = np.subtract.reduce(T[np.concatenate([[m], art_rows])], axis=0)
             allowed = np.ones(ncols, dtype=bool)
             status, it1 = self._iterate(T, basis, allowed, max_iter)
             if status != OPTIMAL:
@@ -272,8 +273,9 @@ class DenseSimplexSolver(LpSolver):
         cb = np.zeros(m)
         structural = basis < nx
         cb[structural] = c_int[basis[structural]]
-        for i in np.flatnonzero(cb):
-            T[-1, :] -= cb[i] * T[i, :]
+        priced = np.flatnonzero(cb)
+        T[-1] = np.subtract.reduce(
+            np.concatenate([T[-1:], cb[priced, None] * T[priced]]), axis=0)
         allowed = np.ones(ncols, dtype=bool)
         allowed[art_start:] = False
         status, it2 = self._iterate(T, basis, allowed, max_iter)

@@ -6,7 +6,8 @@ leans on: membership, support functions, boundedness, and brute-force
 vertex enumeration for the low-dimensional sets this toolkit targets.
 
 Values are immutable after construction (the arrays are marked
-read-only), so sets can be shared freely across threads.
+read-only), so sets can be shared freely across threads, hashed, and
+compared by representation.
 """
 
 from __future__ import annotations
@@ -34,9 +35,16 @@ class UnboundedSetError(Exception):
     """The polyhedron is unbounded in a queried direction."""
 
 
-@dataclass
+@dataclass(eq=False)
 class PolyhedralSet:
-    """{x in R^n : A x <= b} with A of shape (q, n) and b of length q."""
+    """{x in R^n : A x <= b} with A of shape (q, n) and b of length q.
+
+    Two sets are equal when they have the same representation: the same
+    shape and the same bytes of A and b.  Equal sets give bit-identical
+    results in every routine here.  Row order and scaling count, and so
+    does the sign of a zero, so -0.0 and 0.0 differ; a test of the same
+    point set is a containment check, not ``==``.
+    """
 
     A: np.ndarray
     b: np.ndarray
@@ -61,6 +69,17 @@ class PolyhedralSet:
         b.setflags(write=False)
         self.A = A
         self.b = b
+
+    def _key(self):
+        return self.A.shape, self.A.tobytes(), self.b.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, PolyhedralSet):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def dim(self):
@@ -236,10 +255,12 @@ def vertices(P: PolyhedralSet, max_dim=6, max_subsets=500000):
 
 
 def step_vertices(sets):
-    """``vertices`` of every set in the per-step list ``sets``; a set
-    object that repeats (as in ``[V] * K``) is enumerated once."""
-    by_id = {}
+    """``vertices`` of every set in the per-step list ``sets``; equal sets
+    (the same object, as in ``[V] * K``, or the same representation, as
+    in the settled sections of a tube) are enumerated once and share one
+    vertex list."""
+    found = {}
     for S in sets:
-        if id(S) not in by_id:
-            by_id[id(S)] = vertices(S)
-    return [by_id[id(S)] for S in sets]
+        if S not in found:
+            found[S] = vertices(S)
+    return [found[S] for S in sets]

@@ -29,6 +29,17 @@ threshold is decided by the support-LP containment check instead, so a
 "not contained" verdict always comes from the tight check.  The
 reports ship with the result.
 
+A tube built from step-response specs is constant after its settling
+time, so its late steps repeat one another's LP inputs.  A step whose
+inputs (H(k), X(k+1), V(k), U(k) and whether the disturbance floor
+applies) are byte-identical to the next step's reuses that step's LP
+solutions instead of solving the same LPs again: identical inputs give
+bit-identical solutions, so the result is unchanged, and the synthesis
+cost follows the number of distinct steps rather than the horizon.
+Everything after the solves still runs at every step: unpacking the
+gain and multipliers into fresh arrays, fixing X(k), the emptiness
+probe and the certificate recheck.
+
 Optional extensions follow the same pattern: a bounded additive
 disturbance widens the multiplier blocks over the stacked (state,
 disturbance) constraints, and polytopic control constraints add rows
@@ -43,6 +54,8 @@ from typing import List, Optional
 import numpy as np
 
 from . import lp
+# vertices is not called here but stays bound, as it was: the benchmark's
+# tracer (perfbench/tracing.py) expects to wrap it in this module
 from .polytope import PolyhedralSet, check_step_sets, step_vertices, support_lp, \
     vertices
 from .reach import ContainmentReport, PolytopicModel, check_containment, step_maps, \
@@ -326,6 +339,11 @@ def synthesize(problem: SynthesisProblem, containment_tol=1e-7,
     pass reach.verify_certificates; its worst_violation is then their
     bound residual max(G b_src - b_tgt), an upper bound on the tight
     support gap.  Otherwise the report is the support-LP check's.
+
+    A step whose LP inputs are byte-identical to step k+1's takes that
+    step's LP solutions rather than solving again; its certificates are
+    still rechecked against its own sets.  Nothing is kept between
+    calls: each call solves every distinct step.
     """
     model = problem.model
     K = problem.horizon
@@ -347,7 +365,7 @@ def synthesize(problem: SynthesisProblem, containment_tol=1e-7,
     section_vertices = None
     if problem.control_constraints is not None:
         try:
-            section_vertices = [vertices(tube[k]) for k in range(K)]
+            section_vertices = step_vertices(tube.sets[:K])
         except Exception as exc:
             raise SynthesisError(-1, "vertices",
                                  "tube section enumeration failed: %s" % exc)
@@ -358,34 +376,42 @@ def synthesize(problem: SynthesisProblem, containment_tol=1e-7,
     provenance = [None] * K
     step_reports = [None] * K
 
+    # a step whose LP inputs equal step k+1's keeps sol1 and sol2 from
+    # that step: PolyhedralSet equality compares the bytes of A and b,
+    # so equal keys mean bit-identical LPs and bit-identical solutions
+    next_key = None
     for k in range(K - 1, -1, -1):
         H, X_next = tube[k], sets[k + 1]
         V = None if problem.disturbance is None else problem.disturbance[k]
-        ctrl_k = None
-        if problem.control_constraints is not None:
-            U = problem.control_constraints[k]
-            ctrl_k = (U.A, U.b, section_vertices[k])
-        lp1 = build_lp1(model, H.A, H.b, X_next.A, X_next.b,
-                        disturbance=None if V is None else (V.A, V.b),
-                        control_rows=ctrl_k)
-        sol1 = lp.solve(lp1, solver)
-        if sol1.status != lp.OPTIMAL:
-            raise SynthesisError(k, "stage 1", "LP is %s" % sol1.status)
+        U = None if problem.control_constraints is None \
+            else problem.control_constraints[k]
+        floor = problem.disturbance_floor and k <= K - 2
+        key = (H, X_next, V, U, floor)
+        if key != next_key:
+            lp1 = build_lp1(model, H.A, H.b, X_next.A, X_next.b,
+                            disturbance=None if V is None else (V.A, V.b),
+                            control_rows=None if U is None
+                            else (U.A, U.b, section_vertices[k]))
+            sol1, sol2 = lp.solve(lp1, solver), None
+            if sol1.status != lp.OPTIMAL:
+                raise SynthesisError(k, "stage 1", "LP is %s" % sol1.status)
+        next_key = key
         eps, F, blocks = split_lp1_solution(
             sol1.x, H.nrows, X_next.nrows, model.s, model.m, model.r,
             0 if V is None else V.nrows)
         if np.max(np.abs(eps), initial=0.0) <= eps_zero_tol:
             X, provenance[k], stage = H, TUBE_EXACT, "stage 1"
         else:
-            floors = None
-            if problem.disturbance_floor and k <= K - 2:
-                floors = [H.A @ model.D @ v for v in v_vertices[k]]
-            lp2 = build_lp2(blocks, H.b, X_next.b,
-                            gamma=None if V is None else V.b,
-                            nonneg=problem.nonneg_bounds, floor_values=floors)
-            sol2 = lp.solve(lp2, solver)
-            if sol2.status != lp.OPTIMAL:
-                raise SynthesisError(k, "stage 2", "LP is %s" % sol2.status)
+            if sol2 is None:
+                floors = None
+                if floor:
+                    floors = [H.A @ model.D @ v for v in v_vertices[k]]
+                lp2 = build_lp2(blocks, H.b, X_next.b,
+                                gamma=None if V is None else V.b,
+                                nonneg=problem.nonneg_bounds, floor_values=floors)
+                sol2 = lp.solve(lp2, solver)
+                if sol2.status != lp.OPTIMAL:
+                    raise SynthesisError(k, "stage 2", "LP is %s" % sol2.status)
             X, provenance[k], stage = PolyhedralSet(H.A, sol2.x), SHRUNK, "stage 2"
         if np.any(X.b < 0.0):   # otherwise the origin is in X(k)
             if support_lp(X, np.zeros(model.n)).status == lp.INFEASIBLE:

@@ -253,7 +253,7 @@ def test_pivot_loop_matches_reference_bitwise():
     problems += _infeasible_problems() + _unbounded_problems()
     recording = _Recording()
     synth.synthesize(tanks_problem(horizon=15)[0], solver=recording)
-    assert len(recording.problems) == 22
+    assert len(recording.problems) == 18
     problems += recording.problems
     reference = DenseSimplexReference()
     solver = lp.DenseSimplexSolver()

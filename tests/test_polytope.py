@@ -182,6 +182,40 @@ def test_sets_are_immutable():
         B.A[0, 0] = 5.0
 
 
+def test_set_equality_is_by_representation():
+    B = poly.box([0], [1])
+    assert B == poly.box([0], [1]) and not B != poly.box([0], [1])
+    assert hash(B) == hash(poly.box([0], [1]))
+    assert B != poly.box([0], [2])
+    assert B != poly.PolyhedralSet([[-1.0], [1.0]], [0.0, 1.0])   # row order
+    assert B != poly.PolyhedralSet([[2.0], [-2.0]], [2.0, 0.0])   # scaling
+    assert B != poly.box([0, 0], [1, 1])                          # shape
+    assert B != (B.A, B.b) and B != "box"
+    # box stores -lo, so its zero offset is -0.0; a +0.0 offset is a
+    # different representation of the same interval
+    assert np.signbit(B.b[1])
+    assert B == poly.PolyhedralSet([[1.0], [-1.0]], [1.0, -0.0])
+    pos = poly.PolyhedralSet([[1.0], [-1.0]], [1.0, 0.0])
+    assert pos != B and not pos == B
+    assert len({B, poly.box([0], [1]), pos}) == 2
+
+
+def test_step_vertices_enumerates_equal_sets_once(monkeypatch):
+    calls = []
+    vertices = poly.vertices
+
+    def spy(P, *args, **kwargs):
+        calls.append(P)
+        return vertices(P, *args, **kwargs)
+
+    monkeypatch.setattr(poly, "vertices", spy)
+    a, b, c = poly.box([-1], [1]), poly.box([-1], [1]), poly.box([-1], [2])
+    found = poly.step_vertices([a, b, a, c, b])
+    assert calls == [a, c] and calls[0] is a
+    assert found[0] is found[1] is found[2] is found[4]
+    assert [float(v[0]) for v in found[3]] == [2.0, -1.0]
+
+
 def test_vertices_subset_cap():
     P = poly.box([-1, -1], [1, 1])
     with pytest.raises(ValueError):

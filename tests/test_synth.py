@@ -4,7 +4,8 @@ import pytest
 from tubesynth import lp, polytope, synth
 from tubesynth.cli import tanks_problem
 from tubesynth.polytope import PolyhedralSet, box, vertices
-from tubesynth.reach import PolytopicModel, check_containment
+from tubesynth.reach import PolytopicModel, check_containment, step_maps, \
+    verify_certificates
 from tubesynth.sim import RandomVertex, sample_states, simulate_closed_loop, \
     verify_membership
 from tubesynth.tube import TargetTube
@@ -100,18 +101,21 @@ def _lp1_calls(monkeypatch, problem):
     return calls
 
 
-def test_lp1_assembly_matches_kron_reference_bitwise(monkeypatch):
-    # tanks steps, disturbed steps and control-row steps: the same bytes,
-    # signed zeros included, as the per-vertex np.kron/np.vstack assembly
-    disturbed = synth.SynthesisProblem(
+def disturbed_problem():
+    """Two vertex models under one V(k) over a shrinking box tube."""
+    return synth.SynthesisProblem(
         model=PolytopicModel(vertices=[(0.4 * np.eye(2), np.eye(2)),
                                        (0.6 * np.eye(2), -np.eye(2))],
                              C=np.eye(2), D=np.array([[1.0], [-0.5]])),
         tube=TargetTube([box([-w] * 2, [w] * 2) for w in (1.0, 0.5, 0.25, 0.12)]),
         disturbance=[PolyhedralSet(np.array([[1.0], [-1.0]]),
                                    np.array([0.005, 0.003]))] * 3)
+
+
+def controlled_problem():
+    """Two vertex models, one output and three control rows U(k)."""
     U = np.array([[1.0, 0.5], [-1.0, 0.0], [0.0, -1.0]])
-    controlled = synth.SynthesisProblem(
+    return synth.SynthesisProblem(
         model=PolytopicModel(
             vertices=[(np.array([[0.9, 0.4], [-0.2, 0.7]]),
                        np.array([[0.1, 0.0], [1.0, 0.3]])),
@@ -120,8 +124,14 @@ def test_lp1_assembly_matches_kron_reference_bitwise(monkeypatch):
             C=np.array([[1.0, -1.0]])),
         tube=TargetTube([box([-w] * 2, [w] * 2) for w in (1.0, 1.0, 0.8, 0.6)]),
         control_constraints=[PolyhedralSet(U, np.array([2.0, 1.5, 1.0]))] * 3)
+
+
+def test_lp1_assembly_matches_kron_reference_bitwise(monkeypatch):
+    # tanks steps, disturbed steps and control-row steps: the same bytes,
+    # signed zeros included, as the per-vertex np.kron/np.vstack assembly
     seen = set()
-    for problem in (tanks_problem(horizon=15)[0], disturbed, controlled):
+    for problem in (tanks_problem(horizon=15)[0], disturbed_problem(),
+                    controlled_problem()):
         for args, kwargs in _lp1_calls(monkeypatch, problem):
             got = synth.build_lp1(*args, **kwargs)
             want = lp1_kron_reference(*args, **kwargs)
@@ -491,6 +501,153 @@ def test_rejected_multipliers_fall_back_to_the_support_check(monkeypatch):
             ref = support_check(prob, res, k)
             assert not rpt.contained and rpt.certificates is None
             assert rpt.worst_violation == ref.worst_violation
+
+
+# -- steps with the same LP inputs ---------------------------------------------
+
+def stepped_disturbance_problem(halfwidths, floor):
+    """x+ = 0.5 x + v over the constant tube |x| <= 1, with |v| <= halfwidths[k].
+
+    Runs of equal V(k) repeat a step's LP inputs; a step whose V(k)
+    differs from the next one's has the same sections but a different
+    outcome (|v| <= 0.1 keeps the section, 0.55 and 0.6 shrink it).
+    """
+    K = len(halfwidths)
+    return synth.SynthesisProblem(
+        model=PolytopicModel(vertices=[(np.array([[0.5]]), np.array([[0.0]]))],
+                             C=np.array([[1.0]]), D=np.array([[1.0]])),
+        tube=TargetTube([box([-1.0], [1.0]) for _ in range(K + 1)]),
+        disturbance=[box([-h], [h]) for h in halfwidths], disturbance_floor=floor)
+
+
+def stepped_control_problem(bounds):
+    """x+ = 2 x + u over the constant tube |x| <= 1, with |u| <= bounds[k]
+    over the section: a bound of 3 keeps the section, 0.5 shrinks it."""
+    K = len(bounds)
+    return synth.SynthesisProblem(
+        model=scalar_model(2.0, 1.0),
+        tube=TargetTube([box([-1.0], [1.0]) for _ in range(K + 1)]),
+        control_constraints=[box([-t], [t]) for t in bounds])
+
+
+def shrunk_fixed_point_problem():
+    """x+ = x into |x| <= 0.5 from the sections |x| <= 1: every step is
+    Shrunk to |x| <= 0.5, so each one has the next step's LP inputs."""
+    return synth.SynthesisProblem(
+        model=scalar_model(1.0, 0.0),
+        tube=TargetTube([box([-1.0], [1.0])] * 5 + [box([-0.5], [0.5])]))
+
+
+def resolved_step(prob, res, k, tol=1e-7):
+    """Step k of ``res`` solved again from its own inputs with a fresh
+    solver: (gain, defect, offsets of X(k), provenance, report)."""
+    model, H, X_next = prob.model, prob.tube[k], res.sets[k + 1]
+    solver = lp.DenseSimplexSolver()
+    V = None if prob.disturbance is None else prob.disturbance[k]
+    ctrl = None
+    if prob.control_constraints is not None:
+        U = prob.control_constraints[k]
+        ctrl = (U.A, U.b, vertices(H))
+    sol1 = solver.solve(synth.build_lp1(
+        model, H.A, H.b, X_next.A, X_next.b,
+        disturbance=None if V is None else (V.A, V.b), control_rows=ctrl))
+    eps, F, blocks = synth.split_lp1_solution(
+        sol1.x, H.nrows, X_next.nrows, model.s, model.m, model.r,
+        0 if V is None else V.nrows)
+    if np.max(np.abs(eps), initial=0.0) <= synth.EPS_ZERO_TOL:
+        X, prov = H, synth.TUBE_EXACT
+    else:
+        floors = None
+        if prob.disturbance_floor and k <= prob.horizon - 2:
+            floors = [H.A @ model.D @ v for v in vertices(V)]
+        sol2 = solver.solve(synth.build_lp2(
+            blocks, H.b, X_next.b, gamma=None if V is None else V.b,
+            nonneg=prob.nonneg_bounds, floor_values=floors))
+        X, prov = PolyhedralSet(H.A, sol2.x), synth.SHRUNK
+    source, maps = step_maps(model, F, X, V)
+    rpt = verify_certificates(blocks, source, X_next, maps, tol=tol)
+    if not rpt.contained:
+        rpt = check_containment(model, F, X, X_next, tol=tol, disturbance=V)
+    return F, eps, X.b, prov, rpt
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tanks_problem(horizon=15)[0],
+    lambda: tanks_problem(horizon=40)[0],
+    disturbed_problem,
+    controlled_problem,
+    lambda: stepped_disturbance_problem([0.1, 0.6, 0.1, 0.1, 0.6, 0.6, 0.1, 0.1],
+                                        floor=False),
+    lambda: stepped_disturbance_problem([0.1, 0.55, 0.1, 0.1, 0.55, 0.1, 0.1],
+                                        floor=True),
+    lambda: stepped_control_problem([3.0, 0.5, 3.0, 3.0, 0.5, 3.0, 3.0]),
+    shrunk_fixed_point_problem,
+], ids=["tanks15", "tanks40", "disturbed", "controlled", "stepped-V",
+        "disturbance-floor", "stepped-U", "shrunk-fixed-point"])
+def test_every_step_matches_its_own_resolve_bitwise(make):
+    # a step that takes the next step's LP solutions must give the bytes
+    # that solving its own LPs gives, and own its arrays
+    prob = make()
+    res = synth.synthesize(prob)
+    for k in range(prob.horizon):
+        F, eps, b, prov, rpt = resolved_step(prob, res, k)
+        assert same_bytes(res.gains[k], F), k
+        assert same_bytes(res.residuals[k], eps), k
+        assert same_bytes(res.sets[k].b, b), k
+        assert res.provenance[k] == prov, k
+        got = res.step_reports[k]
+        assert got.contained == rpt.contained, k
+        assert got.worst_violation == rpt.worst_violation, k
+        assert (got.certificates is None) == (rpt.certificates is None), k
+        for G, G_ref in zip(got.certificates or [], rpt.certificates or []):
+            assert same_bytes(G, G_ref), k
+    for k in range(prob.horizon - 1):
+        assert not np.shares_memory(res.gains[k], res.gains[k + 1])
+        assert not np.shares_memory(res.residuals[k], res.residuals[k + 1])
+    assert res.certified
+
+
+class CountingSolver(lp.LpSolver):
+    """Dense simplex backend that counts LP1 (with equality rows) and LP2
+    (inequality rows only) solves."""
+
+    def __init__(self):
+        self.lp1 = self.lp2 = 0
+
+    def solve(self, problem):
+        if problem.A_eq.shape[0]:
+            self.lp1 += 1
+        else:
+            self.lp2 += 1
+        return lp.DenseSimplexSolver().solve(problem)
+
+
+def test_synthesis_cost_follows_the_distinct_steps(monkeypatch):
+    # the tanks tube is constant after its settling time: longer horizons
+    # add only steps whose LP inputs repeat, and every call solves anew
+    enumerated = []
+
+    def spy(P, *args, **kwargs):
+        enumerated.append(P)
+        return vertices(P, *args, **kwargs)
+
+    monkeypatch.setattr(polytope, "vertices", spy)
+    for K in (15, 60):
+        prob = tanks_problem(horizon=K)[0]
+        for _ in range(2):
+            enumerated.clear()
+            counter = CountingSolver()
+            assert synth.synthesize(prob, solver=counter).certified
+            assert (counter.lp1, counter.lp2) == (11, 7)
+            assert len(enumerated) == 11
+    counter = CountingSolver()
+    synth.synthesize(shrunk_fixed_point_problem(), solver=counter)
+    assert (counter.lp1, counter.lp2) == (1, 1)
 
 
 # -- empty traversed sets ------------------------------------------------------
