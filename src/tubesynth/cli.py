@@ -27,7 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from . import lp, sim, synth
-from .polytope import EmptySetError, PolyhedralSet, UnboundedSetError, vertices
+# vertices is not called here but stays bound, as it was: the benchmark's
+# tracer (perfbench/tracing.py) expects to wrap it in this module
+from .polytope import EmptySetError, PolyhedralSet, UnboundedSetError, step_vertices, \
+    vertices
 from .reach import PolytopicModel, check_containment, check_robust_invariant
 from .tube import StepSpec, TargetTube, all_bounded, tube_from_step_specs
 
@@ -492,12 +495,15 @@ def _write_envelope_csv(path, spec, Ts, K, runs_by_r1, coord):
 
 
 def _write_sets_csv(path, tube_sets, traversed_sets):
+    # one enumeration per distinct set: X(k) is H(k) on TubeExact steps,
+    # and a settled tube repeats its sections
+    found = step_vertices(tube_sets + traversed_sets)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "set", "vertex", "e1", "e2"])
-        for k, (H, X) in enumerate(zip(tube_sets, traversed_sets)):
-            for name, S in (("H", H), ("X", X)):
-                for j, v in enumerate(vertices(S)):
+        for k, (H, X) in enumerate(zip(found, found[len(tube_sets):])):
+            for name, verts in (("H", H), ("X", X)):
+                for j, v in enumerate(verts):
                     w.writerow([k, name, j, "%.17g" % v[0], "%.17g" % v[1]])
 
 

@@ -142,35 +142,49 @@ def verify_certificates(blocks, source: PolyhedralSet, target: PolyhedralSet,
                              worst_violation=worst)
 
 
-def step_maps(model: PolytopicModel, F, source: PolyhedralSet,
-              disturbance: Optional[PolyhedralSet] = None):
-    """Source set and per-vertex maps of one closed-loop step.
+def step_source(model: PolytopicModel, source: PolyhedralSet,
+                disturbance: Optional[PolyhedralSet] = None) -> PolyhedralSet:
+    """The set one closed-loop step runs over.
 
-    Without a disturbance these are ``source`` and the maps
-    A_i + B_i F C.  With a set V over the p disturbance coordinates the
-    step x+ = (A_i + B_i F C) x + D v runs over the stacked vector
-    (x, v): the source is the block-diagonal set [A_src 0; 0 A_v] and
-    the maps are [A_i + B_i F C  D], so certificates cover both blocks:
-
-        G_i [A_src 0; 0 A_v] = A_tgt [A_i + B_i F C  D],
-        G_i [b_src; b_v] <= b_tgt,  G_i >= 0.
+    Without a disturbance this is ``source`` itself.  With a set V over
+    the p disturbance coordinates the step x+ = (A_i + B_i F C) x + D v
+    runs over the stacked vector (x, v), and the source is the
+    block-diagonal set [A_src 0; 0 A_v] with offsets [b_src; b_v].
+    This is the one place the (state, disturbance) layout is formed:
+    the certificate recheck, the support-LP check and the first
+    synthesis LP all read it from here.
     """
     if source.dim != model.n:
         raise ValueError("set dimensions do not match the model")
     if disturbance is None:
-        return source, model.closed_loop(F)
+        return source
     if model.D is None:
         raise ValueError("model has no disturbance map D")
     if disturbance.dim != model.p:
         raise ValueError("disturbance set dimension %d, D has %d columns"
                          % (disturbance.dim, model.p))
-    n, p = model.n, model.p
-    stacked_A = np.zeros((source.nrows + disturbance.nrows, n + p))
-    stacked_A[:source.nrows, :n] = source.A
-    stacked_A[source.nrows:, n:] = disturbance.A
-    stacked_b = np.concatenate([source.b, disturbance.b])
-    maps = [np.hstack([A_cl, model.D]) for A_cl in model.closed_loop(F)]
-    return PolyhedralSet(stacked_A, stacked_b), maps
+    stacked_A = np.zeros((source.nrows + disturbance.nrows, model.n + model.p))
+    stacked_A[:source.nrows, :model.n] = source.A
+    stacked_A[source.nrows:, model.n:] = disturbance.A
+    return PolyhedralSet(stacked_A, np.concatenate([source.b, disturbance.b]))
+
+
+def step_maps(model: PolytopicModel, F, source: PolyhedralSet,
+              disturbance: Optional[PolyhedralSet] = None):
+    """Source set (``step_source``) and per-vertex maps of one
+    closed-loop step.
+
+    The maps are A_i + B_i F C, widened to [A_i + B_i F C  D] over the
+    stacked (x, v) when a disturbance set is given, so certificates
+    cover both blocks:
+
+        G_i [A_src 0; 0 A_v] = A_tgt [A_i + B_i F C  D],
+        G_i [b_src; b_v] <= b_tgt,  G_i >= 0.
+    """
+    stacked = step_source(model, source, disturbance)
+    if disturbance is None:
+        return stacked, model.closed_loop(F)
+    return stacked, [np.hstack([A_cl, model.D]) for A_cl in model.closed_loop(F)]
 
 
 def check_containment(model: PolytopicModel, F, source: PolyhedralSet,

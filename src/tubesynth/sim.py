@@ -58,7 +58,6 @@ class RandomConvex:
 class Trajectory:
     states: np.ndarray                    # (K+1, n)
     controls: np.ndarray                  # (K, m)
-    outputs: np.ndarray                   # (K+1, r)
     realized: list                        # per step: vertex index or weights
     disturbances: Optional[np.ndarray]    # (K, p) or None
     overflow: bool = False
@@ -104,7 +103,6 @@ class Runs:
     """R closed-loop runs over one horizon, stacked along a leading run axis."""
     states: np.ndarray                    # (R, K+1, n)
     controls: np.ndarray                  # (R, K, m)
-    outputs: np.ndarray                   # (R, K+1, r)
     realized: np.ndarray                  # (R, K) vertex indices or (R, K, s) weights
     disturbances: Optional[np.ndarray]    # (R, K, p) or None
 
@@ -120,7 +118,6 @@ class Runs:
         realized = self.realized[r]
         return Trajectory(
             states=self.states[r], controls=self.controls[r],
-            outputs=self.outputs[r],
             realized=realized.tolist() if realized.ndim == 1 else list(realized),
             disturbances=None if self.disturbances is None else self.disturbances[r])
 
@@ -165,14 +162,11 @@ def simulate_runs(model: PolytopicModel, gains: Sequence[np.ndarray], x0s,
     R = X0.shape[0]
     states = np.empty((R, K + 1, model.n))
     controls = np.empty((R, K, model.m))
-    outputs = np.empty((R, K + 1, model.r))
     if realized.ndim == 2:
         A_stack = np.array([A for A, _ in model.vertices])
         B_stack = np.array([B for _, B in model.vertices])
     x = X0[..., None]                     # (R, n, 1): one column per run
-    y = np.matmul(model.C, x)
     states[:, 0] = X0
-    outputs[:, 0] = y[..., 0]
     for k in range(K):
         if realized.ndim == 2:
             A = A_stack[realized[:, k]]
@@ -183,16 +177,14 @@ def simulate_runs(model: PolytopicModel, gains: Sequence[np.ndarray], x0s,
             B = np.array([sum(wi * Bi for wi, (_, Bi) in zip(w, model.vertices))
                           for w in realized[:, k]])
         F = np.asarray(gains[k], dtype=float).reshape(model.m, model.r)
-        u = np.matmul(F, y)
+        u = np.matmul(F, np.matmul(model.C, x))
         x = np.matmul(A, x) + np.matmul(B, u)
         if disturbances is not None:
             x = x + np.matmul(model.D, disturbances[:, k, :, None])
-        y = np.matmul(model.C, x)
         controls[:, k] = u[..., 0]
         states[:, k + 1] = x[..., 0]
-        outputs[:, k + 1] = y[..., 0]
-    return Runs(states=states, controls=controls, outputs=outputs,
-                realized=realized, disturbances=disturbances)
+    return Runs(states=states, controls=controls, realized=realized,
+                disturbances=disturbances)
 
 
 def simulate_closed_loop(model: PolytopicModel, gains: Sequence[np.ndarray], x0,
@@ -378,12 +370,10 @@ def tanks_nonlinear_simulate(R1, R2, x0, gains, setpoint, step=0.01) -> Trajecto
 
     states = np.zeros((n_steps + 1, 2))
     controls = np.zeros((n_steps, 2))
-    outputs = np.zeros((n_steps + 1, 1))
     overflow = False
 
     x1, x2 = float(x0[0]), float(x0[1])
     states[0] = (x1 - s1, x2 - s2)
-    outputs[0] = states[0][1]
     substeps = max(1, int(round(SAMPLE_TIME / step)))
     h = SAMPLE_TIME / substeps
     half = 0.5 * h
@@ -407,7 +397,5 @@ def tanks_nonlinear_simulate(R1, R2, x0, gains, setpoint, step=0.01) -> Trajecto
         if x1 > TANK_HEIGHT or x2 > TANK_HEIGHT:
             overflow = True
         states[k + 1] = (x1 - s1, x2 - s2)
-        outputs[k + 1] = states[k + 1][1]
-    return Trajectory(states=states, controls=controls, outputs=outputs,
-                      realized=[None] * n_steps, disturbances=None,
-                      overflow=overflow)
+    return Trajectory(states=states, controls=controls, realized=[None] * n_steps,
+                      disturbances=None, overflow=overflow)

@@ -18,32 +18,34 @@ A zero defect means the whole section maps inside the next set, so the
 section is kept unchanged ("TubeExact"); otherwise the shrunken
 offsets are recorded ("Shrunk").
 
-The first LP's multiplier blocks are the step's certificates: they
-satisfy G_i Q(k) = Q(k+1)(A_i + B_i F C), and the defect-free bound
-rows (the first LP's when the defect is zero, the second LP's
-otherwise) give G_i psi(k) <= psi(k+1).  As soon as X(k) is fixed,
-the step's blocks are rechecked by matrix arithmetic alone
-(reach.verify_certificates) over the step of reach.step_maps, the same
-for nominal and disturbed problems.  A step whose blocks miss a
-threshold is decided by the support-LP containment check instead, so a
-"not contained" verdict always comes from the tight check.  The
-reports ship with the result.
+Both LPs take the step's sets as they are: the section H(k), the next
+set X(k+1) and, when given, this step's disturbance set V(k) and
+control set U(k).  A disturbance widens every multiplier block over the
+rows of reach.step_source(model, H(k), V(k)), the block-diagonal set
+over the stacked (state, disturbance) vector; control sets add rows
+U(k) F(k) C h <= theta(k) for every vertex h of the tube section.
+
+The first LP's multiplier blocks are the step's certificates: over the
+step source S they satisfy G_i A_S = Q(k+1) [A_i + B_i F C  D] (no D
+columns without V(k)), and the defect-free bound rows (the first LP's
+when the defect is zero, the second LP's otherwise) give
+G_i b_S <= psi(k+1).  As soon as X(k) is fixed, the step's blocks are
+rechecked by matrix arithmetic alone (reach.verify_certificates) over
+reach.step_maps, which reads the same step source.  A step whose
+blocks miss a threshold is decided by the support-LP containment check
+instead, so a "not contained" verdict always comes from the tight
+check.  The reports ship with the result.
 
 A tube built from step-response specs is constant after its settling
 time, so its late steps repeat one another's LP inputs.  A step whose
-inputs (H(k), X(k+1), V(k), U(k) and whether the disturbance floor
-applies) are byte-identical to the next step's reuses that step's LP
-solutions instead of solving the same LPs again: identical inputs give
-bit-identical solutions, so the result is unchanged, and the synthesis
-cost follows the number of distinct steps rather than the horizon.
-Everything after the solves still runs at every step: unpacking the
-gain and multipliers into fresh arrays, fixing X(k), the emptiness
-probe and the certificate recheck.
-
-Optional extensions follow the same pattern: a bounded additive
-disturbance widens the multiplier blocks over the stacked (state,
-disturbance) constraints, and polytopic control constraints add rows
-U(k) F(k) C h <= theta(k) for every vertex h of the tube section.
+builder arguments (H(k), X(k+1), V(k), U(k) and whether the
+disturbance floor applies) are byte-identical to the next step's
+reuses that step's LP solutions instead of solving the same LPs again:
+identical inputs give bit-identical solutions, so the result is
+unchanged, and the synthesis cost follows the number of distinct steps
+rather than the horizon.  Everything after the solves still runs at
+every step: unpacking the gain and multipliers into fresh arrays,
+fixing X(k), the emptiness probe and the certificate recheck.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from . import lp
 from .polytope import PolyhedralSet, check_step_sets, step_vertices, support_lp, \
     vertices
 from .reach import ContainmentReport, PolytopicModel, check_containment, step_maps, \
-    verify_certificates
+    step_source, verify_certificates
 from .tube import TargetTube
 
 TUBE_EXACT = "TubeExact"
@@ -160,105 +162,67 @@ def _kron(a, b):
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def build_lp1(model: PolytopicModel, Q_now, bound_now, Q_next, bound_next,
-              disturbance=None, control_rows=None) -> lp.LpProblem:
-    """First-stage LP of one backward step.
+def build_lp1(model: PolytopicModel, H: PolyhedralSet, X_next: PolyhedralSet,
+              V: Optional[PolyhedralSet] = None, control=None) -> lp.LpProblem:
+    """First-stage LP of the step from the tube section H into X_next.
 
-    Variables, in order: defect vector (one entry per next-set row,
+    Variables, in order: defect vector (one entry per X_next row,
     nonnegative), gain entries (row-major, free), then one multiplier
-    block per model vertex (row-major, nonnegative).  Equality rows tie
-    each multiplier block to the gain through
+    block per model vertex (row-major, nonnegative) over the rows of
+    the step's source S = reach.step_source(model, H, V): H itself, or
+    [A_H 0; 0 A_V] over (x, v) when this step's disturbance set V is
+    given.  Equality rows tie each block to the gain through
 
-        G_i [Q_now 0; 0 W] = Q_next [A_i + B_i F C  D]
+        G_i A_S = A_next [A_i + B_i F C  D]
 
-    (nominal problems drop the disturbance columns), and inequality
-    rows bound G_i [bound_now; gamma] <= bound_next + defect.
+    (without V the D columns drop out), and inequality rows bound
+    G_i b_S <= b_next + defect.
 
-    ``disturbance`` is the (W, gamma) arrays of this step's V(k), which
-    need the model's D map;
-    ``control_rows`` is (U, theta, tube_vertices) enforcing
-    U F C h <= theta at every tube-section vertex h.
+    ``control`` is (U, section vertices): U F C h <= theta at every
+    vertex h of H, for the set U = {U u <= theta} of this step.
     """
-    Q_now = np.asarray(Q_now, dtype=float)
-    Q_next = np.asarray(Q_next, dtype=float)
-    bound_now = np.asarray(bound_now, dtype=float).reshape(-1)
-    bound_next = np.asarray(bound_next, dtype=float).reshape(-1)
+    if X_next.dim != model.n:
+        raise ValueError("next set has dimension %d, model has %d"
+                         % (X_next.dim, model.n))
+    source = step_source(model, H, V)
     n, m, r, s = model.n, model.m, model.r, model.s
-    q0 = Q_now.shape[0]
-    q1 = Q_next.shape[0]
-    if Q_now.shape[1] != n or Q_next.shape[1] != n:
-        raise ValueError("section matrices must have %d columns" % n)
-    if bound_now.size != q0 or bound_next.size != q1:
-        raise ValueError("section bound lengths do not match their matrices")
-
-    if disturbance is not None:
-        if model.D is None:
-            raise ValueError("disturbance bounds given but model has no D")
-        W, gamma = disturbance
-        W = np.asarray(W, dtype=float)
-        gamma = np.asarray(gamma, dtype=float).reshape(-1)
-        p = model.p
-        if W.ndim != 2 or W.shape[1] != p:
-            raise ValueError("disturbance matrix W has shape %s, expected %d columns"
-                             % (W.shape, p))
-        qv = W.shape[0]
-        if gamma.size != qv:
-            raise ValueError("disturbance offsets have length %d, W has %d rows"
-                             % (gamma.size, qv))
-        D = model.D
-    else:
-        p, qv = 0, 0
-        W = np.zeros((0, 0))
-        gamma = np.zeros(0)
-        D = np.zeros((n, 0))
-
-    q0t = q0 + qv            # columns of each multiplier block
+    q1 = X_next.nrows
+    q0t, w = source.A.shape  # columns of each block; n + p stacked coordinates
     nF = m * r
     nG = q1 * q0t
     nvars = q1 + nF + s * nG
+    C_ext = np.hstack([model.C, np.zeros((r, w - n))])
+    D = np.zeros((n, 0)) if V is None else model.D
 
-    # block-diagonal section matrix and the extended data maps
-    Q_ext = np.zeros((q0t, n + p))
-    Q_ext[:q0, :n] = Q_now
-    if qv:
-        Q_ext[q0:, n:] = W
-    C_ext = np.hstack([model.C, np.zeros((r, p))])
-    bound_ext = np.concatenate([bound_now, gamma])
-
-    ne = q1 * (n + p)        # equality rows per model vertex
-    nc = 0                   # control rows
-    if control_rows is not None:
-        U, theta, section_vertices = control_rows
-        U = np.asarray(U, dtype=float)
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        nc = U.shape[0] * len(section_vertices)
+    ne = q1 * w              # equality rows per model vertex
+    nc = 0 if control is None else control[0].nrows * len(control[1])
     A_eq = np.zeros((s * ne, nvars))
     b_eq = np.empty(s * ne)
     A_in = np.zeros((s * q1 + nc, nvars))
     b_in = np.empty(s * q1 + nc)
 
     # the blocks shared by every model vertex
-    g_cols = _kron(np.eye(q1), Q_ext.T)               # (q1*(n+p)) x nG
-    g_bound = _kron(np.eye(q1), bound_ext[None, :])   # q1 x nG
+    g_cols = _kron(np.eye(q1), source.A.T)            # (q1*w) x nG
+    g_bound = _kron(np.eye(q1), source.b[None, :])    # q1 x nG
     neg_eye = -np.eye(q1)
     for i, (A_i, B_i) in enumerate(model.vertices):
         eq = slice(i * ne, (i + 1) * ne)
         bnd = slice(i * q1, (i + 1) * q1)
         g = slice(q1 + nF + i * nG, q1 + nF + (i + 1) * nG)
-        A_eq[eq, q1:q1 + nF] = -_kron(Q_next @ B_i, C_ext.T)
+        A_eq[eq, q1:q1 + nF] = -_kron(X_next.A @ B_i, C_ext.T)
         A_eq[eq, g] = g_cols
-        b_eq[eq] = (Q_next @ np.hstack([A_i, D])).reshape(-1)
+        b_eq[eq] = (X_next.A @ np.hstack([A_i, D])).reshape(-1)
         A_in[bnd, :q1] = neg_eye
         A_in[bnd, g] = g_bound
-        b_in[bnd] = bound_next
+        b_in[bnd] = X_next.b
 
-    if control_rows is not None:
+    if control is not None:
+        U, section_vertices = control
         row = s * q1
         for h in section_vertices:
-            y = model.C @ np.asarray(h, dtype=float)
-            A_in[row:row + U.shape[0], q1:q1 + nF] = _kron(U, y[None, :])
-            b_in[row:row + U.shape[0]] = theta
-            row += U.shape[0]
+            A_in[row:row + U.nrows, q1:q1 + nF] = _kron(U.A, (model.C @ h)[None, :])
+            b_in[row:row + U.nrows] = U.b
+            row += U.nrows
 
     c = np.zeros(nvars)
     c[:q1] = 1.0
@@ -268,53 +232,43 @@ def build_lp1(model: PolytopicModel, Q_now, bound_now, Q_next, bound_next,
                         free=free, sense=lp.MINIMIZE)
 
 
-def split_lp1_solution(x, q0, q1, s, m, r, qv=0):
-    """Unpack an LP1 primal vector into (defect, gain, multiplier blocks)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    q0t = q0 + qv
-    nF = m * r
-    nG = q1 * q0t
+def split_lp1_solution(x, model: PolytopicModel, q1):
+    """Unpack an LP1 primal vector of a step into X_next's q1 rows into
+    (defect, gain, multiplier blocks); the block width follows from x."""
+    nF = model.m * model.r
+    nG = (x.size - q1 - nF) // model.s
     eps = x[:q1].copy()
-    F = x[q1:q1 + nF].reshape(m, r).copy()
-    blocks = [x[q1 + nF + i * nG:q1 + nF + (i + 1) * nG].reshape(q1, q0t).copy()
-              for i in range(s)]
+    F = x[q1:q1 + nF].reshape(model.m, model.r).copy()
+    blocks = [x[q1 + nF + i * nG:q1 + nF + (i + 1) * nG].reshape(q1, nG // q1).copy()
+              for i in range(model.s)]
     return eps, F, blocks
 
 
-def build_lp2(multiplier_blocks, bound_now, bound_next, gamma=None,
-              nonneg=False, floor_values=None) -> lp.LpProblem:
-    """Second-stage LP: maximise the offset sum of the traversed set.
+def build_lp2(multiplier_blocks, H: PolyhedralSet, X_next: PolyhedralSet,
+              V: Optional[PolyhedralSet] = None, nonneg=False,
+              floor_values=None) -> lp.LpProblem:
+    """Second-stage LP: maximise the offset sum psi of X(k) = {A_H x <= psi}.
 
-    Constraints: each multiplier block maps the new offsets below the
-    next-set offsets (minus the fixed disturbance contribution when
-    ``gamma`` is present), and the offsets stay below the tube section.
-    ``nonneg`` pins the offsets at or above zero; ``floor_values`` adds
-    per-row lower bounds (one vector per disturbance-image vertex).
+    Each block G_i = [G_x G_v] of the first LP (G_v spans the rows of
+    this step's disturbance set V, when given) keeps its bound row:
+    G_x psi <= b_next - G_v b_V; and psi <= b_H keeps X(k) inside the
+    section H.  ``nonneg`` pins the offsets at or above zero;
+    ``floor_values`` adds per-row lower bounds (one vector per
+    disturbance-image vertex).
     """
-    bound_now = np.asarray(bound_now, dtype=float).reshape(-1)
-    bound_next = np.asarray(bound_next, dtype=float).reshape(-1)
-    q0 = bound_now.size
-    width = q0
-    if gamma is not None:
-        gamma = np.asarray(gamma, dtype=float).reshape(-1)
-        width += gamma.size
+    q0 = H.nrows
+    width = q0 if V is None else q0 + V.nrows
     in_rows = [np.eye(q0)]
-    in_rhs = [bound_now]
+    in_rhs = [H.b]
     for G in multiplier_blocks:
-        G = np.asarray(G, dtype=float)
         if G.shape[1] != width:
             raise ValueError("multiplier block has %d columns, expected %d"
                              % (G.shape[1], width))
         in_rows.append(G[:, :q0])
-        in_rhs.append(bound_next if gamma is None
-                      else bound_next - G[:, q0:] @ gamma)
-    if floor_values is not None:
-        for v in floor_values:
-            v = np.asarray(v, dtype=float).reshape(-1)
-            if v.size != q0:
-                raise ValueError("floor vector length mismatch")
-            in_rows.append(-np.eye(q0))
-            in_rhs.append(-v)
+        in_rhs.append(X_next.b if V is None else X_next.b - G[:, q0:] @ V.b)
+    for v in floor_values or ():
+        in_rows.append(-np.eye(q0))
+        in_rhs.append(-v)
     free = np.zeros(q0, dtype=bool) if nonneg else np.ones(q0, dtype=bool)
     return lp.LpProblem(c=np.ones(q0), A_in=np.vstack(in_rows),
                         b_in=np.concatenate(in_rhs), free=free,
@@ -388,17 +342,13 @@ def synthesize(problem: SynthesisProblem, containment_tol=1e-7,
         floor = problem.disturbance_floor and k <= K - 2
         key = (H, X_next, V, U, floor)
         if key != next_key:
-            lp1 = build_lp1(model, H.A, H.b, X_next.A, X_next.b,
-                            disturbance=None if V is None else (V.A, V.b),
-                            control_rows=None if U is None
-                            else (U.A, U.b, section_vertices[k]))
+            lp1 = build_lp1(model, H, X_next, V, control=None if U is None
+                            else (U, section_vertices[k]))
             sol1, sol2 = lp.solve(lp1, solver), None
             if sol1.status != lp.OPTIMAL:
                 raise SynthesisError(k, "stage 1", "LP is %s" % sol1.status)
         next_key = key
-        eps, F, blocks = split_lp1_solution(
-            sol1.x, H.nrows, X_next.nrows, model.s, model.m, model.r,
-            0 if V is None else V.nrows)
+        eps, F, blocks = split_lp1_solution(sol1.x, model, X_next.nrows)
         if np.max(np.abs(eps), initial=0.0) <= eps_zero_tol:
             X, provenance[k], stage = H, TUBE_EXACT, "stage 1"
         else:
@@ -406,9 +356,8 @@ def synthesize(problem: SynthesisProblem, containment_tol=1e-7,
                 floors = None
                 if floor:
                     floors = [H.A @ model.D @ v for v in v_vertices[k]]
-                lp2 = build_lp2(blocks, H.b, X_next.b,
-                                gamma=None if V is None else V.b,
-                                nonneg=problem.nonneg_bounds, floor_values=floors)
+                lp2 = build_lp2(blocks, H, X_next, V, nonneg=problem.nonneg_bounds,
+                                floor_values=floors)
                 sol2 = lp.solve(lp2, solver)
                 if sol2.status != lp.OPTIMAL:
                     raise SynthesisError(k, "stage 2", "LP is %s" % sol2.status)

@@ -128,15 +128,28 @@ def test_step_maps_nominal_and_disturbed():
     assert maps[0].tolist() == [[0.5, 0, 1], [0, 0.5, 2]]
 
 
+def test_step_source_is_the_source_of_step_maps():
+    model = _autonomous(0.5 * np.eye(2), D=np.array([[1.0], [2.0]]))
+    src = unit_box()
+    assert reach.step_source(model, src) is src
+    for V in (box([-0.1], [0.3]), PolyhedralSet(np.array([[1.0], [-2.0], [3.0]]),
+                                                 [0.1, 0.2, 0.5])):
+        stacked = reach.step_source(model, src, V)
+        assert stacked == reach.step_maps(model, F0, src, V)[0]
+        assert stacked.A.shape == (src.nrows + V.nrows, 3)
+
+
 def test_step_maps_rejects_inconsistent_data():
     D = np.array([[1.0], [2.0]])
-    with pytest.raises(ValueError, match="no disturbance map"):
-        reach.step_maps(_autonomous(np.eye(2)), F0, unit_box(), box([0], [0]))
-    with pytest.raises(ValueError, match="disturbance set dimension 2"):
-        reach.step_maps(_autonomous(np.eye(2), D=D), F0, unit_box(), unit_box())
-    for V in (None, box([0], [0])):
-        with pytest.raises(ValueError, match="set dimensions"):
-            reach.step_maps(_autonomous(np.eye(2), D=D), F0, box([-1], [1]), V)
+    for step in (reach.step_source,
+                 lambda model, src, V: reach.step_maps(model, F0, src, V)):
+        with pytest.raises(ValueError, match="no disturbance map"):
+            step(_autonomous(np.eye(2)), unit_box(), box([0], [0]))
+        with pytest.raises(ValueError, match="disturbance set dimension 2"):
+            step(_autonomous(np.eye(2), D=D), unit_box(), unit_box())
+        for V in (None, box([0], [0])):
+            with pytest.raises(ValueError, match="set dimensions"):
+                step(_autonomous(np.eye(2), D=D), box([-1], [1]), V)
 
 
 def test_disturbance_minkowski_margin():

@@ -26,8 +26,8 @@ def test_scalar_deadbeat():
                                     sim.FixedVertex(0))
     assert traj.states.ravel().tolist() == [1.0, 0.0, 0.0, 0.0]
     assert traj.controls[0, 0] == -0.5
-    # outputs and controls follow the exact feedback law
-    assert np.array_equal(traj.outputs, traj.states)    # C = [1]
+    # controls follow the exact feedback law u = F C x
+    assert np.array_equal(traj.controls[:, 0], -0.5 * traj.states[:-1, 0])
 
 
 def test_fixed_vertex_matches_matrix_powers():

@@ -26,14 +26,18 @@ def interval_tube(*halfwidths):
 
 # -- stage-1 LP -------------------------------------------------------------
 
+def interval(w):
+    return PolyhedralSet(INTERVAL_ROWS, [w, w])
+
+
 def test_lp1_variable_and_row_counts():
     # three vertices, four rows on both sections, n=2, m=2, r=1:
     # 3*16 multiplier entries + 2 gain entries + 4 defect entries
     model = PolytopicModel(
         vertices=[(a * np.eye(2), np.ones((2, 2))) for a in (0.3, 0.5, 0.7)],
         C=np.array([[0.0, 1.0]]))
-    Q = np.vstack([np.eye(2), -np.eye(2)])
-    p = synth.build_lp1(model, Q, np.ones(4), Q, np.ones(4))
+    S = box([-1, -1], [1, 1])
+    p = synth.build_lp1(model, S, S)
     assert p.nvars == 54
     assert p.A_eq.shape[0] == 24
     assert p.A_in.shape[0] == 12
@@ -43,44 +47,57 @@ def test_lp1_scalar_hand_solution():
     # A=0.5, B=1, C=1, section +-1 into +-0.1: zero defect with any gain
     # making |0.5 + F| <= 0.1
     model = scalar_model(0.5, 1.0)
-    p = synth.build_lp1(model, INTERVAL_ROWS, np.ones(2), INTERVAL_ROWS,
-                        0.1 * np.ones(2))
-    sol = lp.solve(p)
+    sol = lp.solve(synth.build_lp1(model, interval(1.0), interval(0.1)))
     assert sol.status == lp.OPTIMAL
-    eps, F, blocks = synth.split_lp1_solution(sol.x, 2, 2, 1, 1, 1)
+    eps, F, blocks = synth.split_lp1_solution(sol.x, model, 2)
     assert np.max(np.abs(eps)) <= 1e-9
     assert abs(0.5 + F[0, 0]) <= 0.1 + 1e-9
     G = blocks[0]
-    assert G.min() >= -1e-12
+    assert G.shape == (2, 2) and G.min() >= -1e-12
     assert np.max(np.abs(G @ INTERVAL_ROWS - INTERVAL_ROWS * (0.5 + F[0, 0]))) <= 1e-9
 
 
-def test_lp1_zero_width_disturbance_block_matches_nominal():
+def test_lp1_split_reads_the_block_width_from_the_solution():
+    # with V(k) each block spans the section rows and the V(k) rows
+    model = PolytopicModel(vertices=scalar_model(0.5, 1.0).vertices,
+                           C=np.array([[1.0]]), D=np.array([[1.0]]))
+    V = PolyhedralSet(np.array([[1.0], [-1.0], [2.0]]), [0.1, 0.1, 0.3])
+    sol = lp.solve(synth.build_lp1(model, interval(1.0), interval(1.0), V))
+    assert sol.status == lp.OPTIMAL
+    _, _, blocks = synth.split_lp1_solution(sol.x, model, 2)
+    assert [G.shape for G in blocks] == [(2, 5)]
+
+
+def test_lp1_zero_column_d_without_v_is_the_nominal_lp():
+    # a model whose D has no columns and a step without V(k): the LP is
+    # the nominal one, byte for byte
     model = scalar_model(0.5, 1.0)
     model_d = PolytopicModel(vertices=model.vertices, C=model.C,
                              D=np.zeros((1, 0)))
-    p_nom = synth.build_lp1(model, INTERVAL_ROWS, np.ones(2), INTERVAL_ROWS,
-                            np.ones(2))
-    p_dist = synth.build_lp1(model_d, INTERVAL_ROWS, np.ones(2), INTERVAL_ROWS,
-                             np.ones(2),
-                             disturbance=(np.zeros((0, 0)), np.zeros(0)))
-    assert p_nom.nvars == p_dist.nvars
-    assert np.array_equal(p_nom.A_eq, p_dist.A_eq)
-    assert np.array_equal(p_nom.A_in, p_dist.A_in)
-    assert np.array_equal(p_nom.b_eq, p_dist.b_eq)
+    p_nom = synth.build_lp1(model, interval(1.0), interval(1.0))
+    p_d = synth.build_lp1(model_d, interval(1.0), interval(1.0))
+    for field in ("c", "A_eq", "b_eq", "A_in", "b_in", "free"):
+        a, b = getattr(p_nom, field), getattr(p_d, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
 
 
 def test_lp1_rejects_inconsistent_disturbance():
-    sections = (INTERVAL_ROWS, np.ones(2), INTERVAL_ROWS, np.ones(2))
-    W, gamma = INTERVAL_ROWS, np.array([0.1, 0.1])
-    with pytest.raises(ValueError, match="no D"):
-        synth.build_lp1(scalar_model(0.5, 1.0), *sections, disturbance=(W, gamma))
     model_d = PolytopicModel(vertices=scalar_model(0.5, 1.0).vertices,
                              C=np.array([[1.0]]), D=np.array([[1.0]]))
-    with pytest.raises(ValueError, match="expected 1 columns"):
-        synth.build_lp1(model_d, *sections, disturbance=(np.ones((2, 2)), gamma))
-    with pytest.raises(ValueError, match="length 3, W has 2 rows"):
-        synth.build_lp1(model_d, *sections, disturbance=(W, np.ones(3)))
+    with pytest.raises(ValueError, match="no disturbance map"):
+        synth.build_lp1(scalar_model(0.5, 1.0), interval(1.0), interval(1.0),
+                        interval(0.1))
+    with pytest.raises(ValueError, match="disturbance set dimension 2"):
+        synth.build_lp1(model_d, interval(1.0), interval(1.0),
+                        box([-0.1, -0.1], [0.1, 0.1]))
+
+
+def test_lp1_rejects_sections_of_the_wrong_dimension():
+    model = scalar_model(0.5, 1.0)
+    with pytest.raises(ValueError, match="next set has dimension 2"):
+        synth.build_lp1(model, interval(1.0), box([-1, -1], [1, 1]))
+    with pytest.raises(ValueError, match="set dimensions"):
+        synth.build_lp1(model, box([-1, -1], [1, 1]), interval(1.0))
 
 
 def _lp1_calls(monkeypatch, problem):
@@ -129,25 +146,32 @@ def controlled_problem():
 def test_lp1_assembly_matches_kron_reference_bitwise(monkeypatch):
     # tanks steps, disturbed steps and control-row steps: the same bytes,
     # signed zeros included, as the per-vertex np.kron/np.vstack assembly
+    # over the raw arrays of the step's sets
     seen = set()
     for problem in (tanks_problem(horizon=15)[0], disturbed_problem(),
                     controlled_problem()):
-        for args, kwargs in _lp1_calls(monkeypatch, problem):
-            got = synth.build_lp1(*args, **kwargs)
-            want = lp1_kron_reference(*args, **kwargs)
+        for (model, H, X_next, V), kwargs in _lp1_calls(monkeypatch, problem):
+            got = synth.build_lp1(model, H, X_next, V, **kwargs)
+            control = kwargs["control"]
+            want = lp1_kron_reference(
+                model, H.A, H.b, X_next.A, X_next.b,
+                disturbance=None if V is None else (V.A, V.b),
+                control_rows=None if control is None
+                else (control[0].A, control[0].b, control[1]))
             for field in ("c", "A_eq", "b_eq", "A_in", "b_in", "free"):
                 a, b = getattr(got, field), getattr(want, field)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
-            seen.update(key for key in ("disturbance", "control_rows")
-                        if kwargs[key] is not None)
-    assert seen == {"disturbance", "control_rows"}
+            seen.update(name for name, value in (("disturbance", V),
+                                                 ("control", control))
+                        if value is not None)
+    assert seen == {"disturbance", "control"}
 
 
 # -- stage-2 LP -------------------------------------------------------------
 
 def test_lp2_scalar_hand_solution():
     # multipliers 2I against next offsets 0.1: offsets halve
-    p = synth.build_lp2([2 * np.eye(2)], np.ones(2), 0.1 * np.ones(2))
+    p = synth.build_lp2([2 * np.eye(2)], interval(1.0), interval(0.1))
     sol = lp.solve(p)
     assert sol.status == lp.OPTIMAL
     assert np.allclose(sol.x, 0.05, atol=1e-9)
@@ -156,8 +180,8 @@ def test_lp2_scalar_hand_solution():
 def test_lp2_zero_vector_feasible_with_nonneg():
     # with nonnegative offsets forced and nonnegative next offsets, the
     # zero vector always satisfies every multiplier row
-    p = synth.build_lp2([np.array([[3.0, 1.0], [0.5, 2.0]])], np.ones(2),
-                        np.zeros(2), nonneg=True)
+    p = synth.build_lp2([np.array([[3.0, 1.0], [0.5, 2.0]])], interval(1.0),
+                        interval(0.0), nonneg=True)
     sol = lp.solve(p)
     assert sol.status == lp.OPTIMAL
     assert np.allclose(sol.x, 0.0, atol=1e-9)
@@ -165,27 +189,27 @@ def test_lp2_zero_vector_feasible_with_nonneg():
 
 def test_lp2_floor_rows_with_zero_map_equal_nonneg():
     blocks = [2 * np.eye(2)]
-    with_floor = lp.solve(synth.build_lp2(blocks, np.ones(2), 0.1 * np.ones(2),
+    with_floor = lp.solve(synth.build_lp2(blocks, interval(1.0), interval(0.1),
                                           floor_values=[np.zeros(2)]))
-    with_nonneg = lp.solve(synth.build_lp2(blocks, np.ones(2), 0.1 * np.ones(2),
+    with_nonneg = lp.solve(synth.build_lp2(blocks, interval(1.0), interval(0.1),
                                            nonneg=True))
     assert np.allclose(with_floor.x, with_nonneg.x, atol=1e-9)
 
 
 def test_lp2_infeasible_without_safeguards():
     # multiplier row forces the offset above the section bound
-    p = synth.build_lp2([-np.eye(2)], np.ones(2), -2.0 * np.ones(2))
+    p = synth.build_lp2([-np.eye(2)], interval(1.0), interval(-2.0))
     assert lp.solve(p).status == lp.INFEASIBLE
 
 
 def test_lp2_rejects_blocks_of_the_wrong_width():
-    # a block spans the section rows, plus the V(k) rows when gamma is given
-    gamma = np.array([0.005, 0.003])
-    for G, g in ((np.ones((2, 3)), gamma), (np.ones((2, 2)), gamma),
-                 (np.ones((2, 4)), None)):
+    # a block spans the section rows, plus the V(k) rows when V is given
+    V = PolyhedralSet(INTERVAL_ROWS, [0.005, 0.003])
+    for G, V_k in ((np.ones((2, 3)), V), (np.ones((2, 2)), V),
+                   (np.ones((2, 4)), None)):
         with pytest.raises(ValueError, match="multiplier block has"):
-            synth.build_lp2([G], np.ones(2), np.ones(2), gamma=g)
-    p = synth.build_lp2([np.ones((2, 4))], np.ones(2), np.ones(2), gamma=gamma)
+            synth.build_lp2([G], interval(1.0), interval(1.0), V_k)
+    p = synth.build_lp2([np.ones((2, 4))], interval(1.0), interval(1.0), V)
     assert p.A_in.shape == (4, 2)
     assert np.array_equal(p.b_in, [1.0, 1.0, 0.992, 0.992])
 
@@ -538,22 +562,40 @@ def shrunk_fixed_point_problem():
         tube=TargetTube([box([-1.0], [1.0])] * 5 + [box([-0.5], [0.5])]))
 
 
-def resolved_step(prob, res, k, tol=1e-7):
-    """Step k of ``res`` solved again from its own inputs with a fresh
-    solver: (gain, defect, offsets of X(k), provenance, report)."""
-    model, H, X_next = prob.model, prob.tube[k], res.sets[k + 1]
+def floor_flag_problem():
+    """x+ = 0.5 x + v with v in [-0.5, u/2], u = -2**-24: sections
+    [-2, 1] into the terminal section [-1, u].
+
+    Step K-1 is Shrunk onto [-1, u] byte for byte, so step K-2 has step
+    K-1's LP inputs except the disturbance-floor flag.  The image
+    D v = u/2 lies above u by less than the containment tolerance, so
+    the up-front check admits it, but step K-2's floor row psi_1 >= u/2
+    meets the cap psi_1 <= u of its stage 2: that step fails, which
+    taking step K-1's unfloored solution would hide.
+    """
+    u = -2.0 ** -24
+    return synth.SynthesisProblem(
+        model=PolytopicModel(vertices=[(np.array([[0.5]]), np.array([[0.0]]))],
+                             C=np.array([[1.0]]), D=np.array([[1.0]])),
+        tube=TargetTube([box([-2.0], [1.0])] * 3 + [box([-1.0], [u])]),
+        disturbance=[box([-0.5], [u / 2])] * 3, nonneg_bounds=False,
+        disturbance_floor=True)
+
+
+def resolved_step(prob, X_next, k, tol=1e-7):
+    """Step k into X_next solved again from its own inputs with a fresh
+    solver: (gain, defect, offsets of X(k), provenance, report).  An LP
+    without an optimum raises SynthesisError, as in synthesize."""
+    model, H = prob.model, prob.tube[k]
     solver = lp.DenseSimplexSolver()
     V = None if prob.disturbance is None else prob.disturbance[k]
     ctrl = None
     if prob.control_constraints is not None:
-        U = prob.control_constraints[k]
-        ctrl = (U.A, U.b, vertices(H))
-    sol1 = solver.solve(synth.build_lp1(
-        model, H.A, H.b, X_next.A, X_next.b,
-        disturbance=None if V is None else (V.A, V.b), control_rows=ctrl))
-    eps, F, blocks = synth.split_lp1_solution(
-        sol1.x, H.nrows, X_next.nrows, model.s, model.m, model.r,
-        0 if V is None else V.nrows)
+        ctrl = (prob.control_constraints[k], vertices(H))
+    sol1 = solver.solve(synth.build_lp1(model, H, X_next, V, control=ctrl))
+    if sol1.status != lp.OPTIMAL:
+        raise synth.SynthesisError(k, "stage 1", "LP is %s" % sol1.status)
+    eps, F, blocks = synth.split_lp1_solution(sol1.x, model, X_next.nrows)
     if np.max(np.abs(eps), initial=0.0) <= synth.EPS_ZERO_TOL:
         X, prov = H, synth.TUBE_EXACT
     else:
@@ -561,8 +603,9 @@ def resolved_step(prob, res, k, tol=1e-7):
         if prob.disturbance_floor and k <= prob.horizon - 2:
             floors = [H.A @ model.D @ v for v in vertices(V)]
         sol2 = solver.solve(synth.build_lp2(
-            blocks, H.b, X_next.b, gamma=None if V is None else V.b,
-            nonneg=prob.nonneg_bounds, floor_values=floors))
+            blocks, H, X_next, V, nonneg=prob.nonneg_bounds, floor_values=floors))
+        if sol2.status != lp.OPTIMAL:
+            raise synth.SynthesisError(k, "stage 2", "LP is %s" % sol2.status)
         X, prov = PolyhedralSet(H.A, sol2.x), synth.SHRUNK
     source, maps = step_maps(model, F, X, V)
     rpt = verify_certificates(blocks, source, X_next, maps, tol=tol)
@@ -595,7 +638,7 @@ def test_every_step_matches_its_own_resolve_bitwise(make):
     prob = make()
     res = synth.synthesize(prob)
     for k in range(prob.horizon):
-        F, eps, b, prov, rpt = resolved_step(prob, res, k)
+        F, eps, b, prov, rpt = resolved_step(prob, res.sets[k + 1], k)
         assert same_bytes(res.gains[k], F), k
         assert same_bytes(res.residuals[k], eps), k
         assert same_bytes(res.sets[k].b, b), k
@@ -610,6 +653,24 @@ def test_every_step_matches_its_own_resolve_bitwise(make):
         assert not np.shares_memory(res.gains[k], res.gains[k + 1])
         assert not np.shares_memory(res.residuals[k], res.residuals[k + 1])
     assert res.certified
+
+
+def test_floor_flag_keeps_a_step_from_taking_an_unfloored_solution():
+    # the steps K-1 and K-2 of floor_flag_problem differ in the floor
+    # flag alone: step K-1 is Shrunk onto H(K) byte for byte, and step
+    # K-2's own stage 2 has no solution
+    prob = floor_flag_problem()
+    K = prob.horizon
+    _, _, b, prov, _ = resolved_step(prob, prob.tube[K], K - 1)
+    assert prov == synth.SHRUNK and same_bytes(b, prob.tube[K].b)
+    with pytest.raises(synth.SynthesisError, match="stage 2"):
+        resolved_step(prob, prob.tube[K], K - 2)
+    with pytest.raises(synth.SynthesisError) as err:
+        synth.synthesize(prob)
+    assert (err.value.k, err.value.stage) == (K - 2, "stage 2")
+    # without the floor every step is Shrunk onto H(K)
+    prob.disturbance_floor = False
+    assert synth.synthesize(prob).provenance == [synth.SHRUNK] * K
 
 
 class CountingSolver(lp.LpSolver):
