@@ -18,7 +18,6 @@ failed: ...").
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import lp, sim, synth
+from . import csvfmt, lp, sim, synth
 # vertices is not called here but stays bound, as it was: the benchmark's
 # tracer (perfbench/tracing.py) expects to wrap it in this module
 from .polytope import EmptySetError, PolyhedralSet, UnboundedSetError, step_vertices, \
@@ -38,6 +37,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SYNTH = 3
 EXIT_AUDIT = 4
+
+# runs per block of trajectories.csv: one formatting pass and one write each
+TRAJECTORY_CHUNK = 64
 
 
 class ConfigError(Exception):
@@ -285,32 +287,50 @@ def load_gains(path, model: PolytopicModel, K):
     return out
 
 
-def write_trajectories_csv(path, runs: sim.Runs, inside):
-    """One row per run and step of ``runs``, whose realizations are vertex
-    indices; ``inside`` holds the (R, K+1) membership flags.  Rows are
-    formatted and written one run at a time.
+def _write_csv(path, header, blocks):
+    """Write a CSV file: the ``header`` names, then the rows of each block
+    of columns in ``blocks`` (see csvfmt.write_rows)."""
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        csvfmt.write_rows(fh, blocks)
 
-    No field can contain a comma, quote or line break, so every row is
-    formatted with one template; the bytes are those csv.writer would
-    write (CRLF line ends, nothing quoted).
-    """
-    K = runs.horizon
+
+def _trajectory_blocks(runs: sim.Runs, inside):
+    """The trajectories.csv columns of TRAJECTORY_CHUNK runs at a time."""
+    R, K1, n = runs.states.shape
+    m = runs.controls.shape[2]
+    for r0 in range(0, R, TRAJECTORY_CHUNK):
+        r1 = min(R, r0 + TRAJECTORY_CHUNK)
+        rows = (r1 - r0) * K1
+        x = runs.states[r0:r1].reshape(rows, n)
+        # the terminal row of a run has no control and no realization
+        u = np.zeros((r1 - r0, K1, m))
+        u[:, :-1] = runs.controls[r0:r1]
+        u = u.reshape(rows, m)
+        realized = np.zeros((r1 - r0, K1), dtype=runs.realized.dtype)
+        realized[:, :-1] = runs.realized[r0:r1]
+        last = np.zeros((r1 - r0, K1), dtype=bool)
+        last[:, -1] = True
+        last = last.reshape(rows)
+        yield ([np.repeat(np.arange(r0, r1), K1), np.tile(np.arange(K1), r1 - r0)]
+               + [x[:, i] for i in range(n)]
+               + [(u[:, i], last) for i in range(m)]
+               + [(realized.reshape(rows), last), inside[r0:r1].reshape(rows)])
+
+
+def write_trajectories_csv(path, runs: sim.Runs, inside):
+    """One row per run and step of ``runs``, whose realizations must be
+    vertex indices; ``inside`` holds the (R, K+1) membership flags.  A
+    run's K step rows are followed by its terminal row, whose control
+    and realization fields are empty.  Rows are formatted and written
+    TRAJECTORY_CHUNK runs at a time (CRLF line ends, nothing quoted)."""
+    if runs.realized.ndim != 2 or runs.realized.dtype.kind not in "iu":
+        raise ValueError("trajectories.csv needs vertex indices, not hull weights")
     n = runs.states.shape[2]
     m = runs.controls.shape[2]
     header = (["run_id", "k"] + ["x_%d" % (i + 1) for i in range(n)]
               + ["u_%d" % (i + 1) for i in range(m)] + ["realized", "membership_ok"])
-    step_row = ",".join(["%d", "%d"] + ["%.17g"] * (n + m) + ["%d", "%d"]) + "\r\n"
-    last_row = ",".join(["%d", "%d"] + ["%.17g"] * n + [""] * (m + 1) + ["%d"]) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for rid in range(len(runs)):
-            xs = runs.states[rid].tolist()
-            us = runs.controls[rid].tolist()
-            realized = runs.realized[rid].tolist()
-            ok = inside[rid].tolist()
-            fh.write("".join([step_row % (rid, k, *xs[k], *us[k], realized[k], ok[k])
-                              for k in range(K)]
-                             + [last_row % (rid, K, *xs[K], ok[K])]))
+    _write_csv(path, header, _trajectory_blocks(runs, inside))
 
 
 def audit_runs(reports, tol):
@@ -482,29 +502,27 @@ def tanks_problem(horizon=15):
 
 
 def _write_envelope_csv(path, spec, Ts, K, runs_by_r1, coord):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        labels = sorted(runs_by_r1)
-        w.writerow(["k", "lower", "upper"] + ["e%d_r1_%g" % (coord + 1, r) for r in labels])
-        for k in range(K + 1):
-            t = k * Ts
-            row = [k, "%.17g" % spec.lower_envelope(t), "%.17g" % spec.upper_envelope(t)]
-            for r in labels:
-                row.append("%.17g" % runs_by_r1[r].states[k][coord])
-            w.writerow(row)
+    labels = sorted(runs_by_r1)
+    _write_csv(path, ["k", "lower", "upper"] + ["e%d_r1_%g" % (coord + 1, r) for r in labels],
+               [[np.arange(K + 1),
+                 np.array([spec.lower_envelope(k * Ts) for k in range(K + 1)]),
+                 np.array([spec.upper_envelope(k * Ts) for k in range(K + 1)])]
+                + [runs_by_r1[r].states[:K + 1, coord] for r in labels]])
 
 
 def _write_sets_csv(path, tube_sets, traversed_sets):
     # one enumeration per distinct set: X(k) is H(k) on TubeExact steps,
     # and a settled tube repeats its sections
     found = step_vertices(tube_sets + traversed_sets)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "set", "vertex", "e1", "e2"])
-        for k, (H, X) in enumerate(zip(found, found[len(tube_sets):])):
-            for name, verts in (("H", H), ("X", X)):
-                for j, v in enumerate(verts):
-                    w.writerow([k, name, j, "%.17g" % v[0], "%.17g" % v[1]])
+    lists = [(k, name, verts)
+             for k, (H, X) in enumerate(zip(found, found[len(tube_sets):]))
+             for name, verts in ((b"H", H), (b"X", X))]
+    points = np.concatenate([verts for _, _, verts in lists])
+    _write_csv(path, ["k", "set", "vertex", "e1", "e2"],
+               [[np.concatenate([np.full(len(v), k) for k, _, v in lists]),
+                 np.concatenate([np.full(len(v), name) for _, name, v in lists]),
+                 np.concatenate([np.arange(len(v)) for _, _, v in lists]),
+                 points[:, 0], points[:, 1]]])
 
 
 def run_demo_tanks(out_dir, horizon=15, runs=100, seed=0, r1=None, tol=1e-7):

@@ -7,10 +7,11 @@ stay meaningful when the code under test is wrong.
 The exceptions are the reference versions at the end (the names ending
 in ``reference``, and ``DenseSimplexReference``): earlier, slower forms
 of package routines (LP1 assembly, vertex enumeration, the simplex
-pivot loop) that keep the package's checks and exit tests, so the
-faster forms can be held to bitwise-equal output.
+pivot loop, the CSV writers) that keep the package's checks and exit
+tests, so the faster forms can be held to bitwise-equal output.
 """
 
+import csv
 from itertools import combinations
 from math import comb
 
@@ -273,6 +274,53 @@ def vertices_loop_reference(P, max_dim=6, max_subsets=500000):
     if not found:
         raise polytope.EmptySetError("set is empty")
     return found
+
+
+def trajectories_csv_reference(path, runs, inside):
+    """cli.write_trajectories_csv with one %-template per row, formatted
+    and written one run at a time."""
+    K = runs.horizon
+    n = runs.states.shape[2]
+    m = runs.controls.shape[2]
+    header = (["run_id", "k"] + ["x_%d" % (i + 1) for i in range(n)]
+              + ["u_%d" % (i + 1) for i in range(m)] + ["realized", "membership_ok"])
+    step_row = ",".join(["%d", "%d"] + ["%.17g"] * (n + m) + ["%d", "%d"]) + "\r\n"
+    last_row = ",".join(["%d", "%d"] + ["%.17g"] * n + [""] * (m + 1) + ["%d"]) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for rid in range(len(runs)):
+            xs = runs.states[rid].tolist()
+            us = runs.controls[rid].tolist()
+            realized = runs.realized[rid].tolist()
+            ok = inside[rid].tolist()
+            fh.write("".join([step_row % (rid, k, *xs[k], *us[k], realized[k], ok[k])
+                              for k in range(K)]
+                             + [last_row % (rid, K, *xs[K], ok[K])]))
+
+
+def envelope_csv_reference(path, spec, Ts, K, runs_by_r1, coord):
+    """cli._write_envelope_csv through csv.writer."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        labels = sorted(runs_by_r1)
+        w.writerow(["k", "lower", "upper"] + ["e%d_r1_%g" % (coord + 1, r) for r in labels])
+        for k in range(K + 1):
+            t = k * Ts
+            row = [k, "%.17g" % spec.lower_envelope(t), "%.17g" % spec.upper_envelope(t)]
+            for r in labels:
+                row.append("%.17g" % runs_by_r1[r].states[k][coord])
+            w.writerow(row)
+
+
+def sets_csv_reference(path, tube_sets, traversed_sets):
+    """cli._write_sets_csv through csv.writer, one enumeration per set."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["k", "set", "vertex", "e1", "e2"])
+        for k, (H, X) in enumerate(zip(tube_sets, traversed_sets)):
+            for name, S in (("H", H), ("X", X)):
+                for j, v in enumerate(polytope.vertices(S)):
+                    w.writerow([k, name, j, "%.17g" % v[0], "%.17g" % v[1]])
 
 
 class DenseSimplexReference(lp.DenseSimplexSolver):

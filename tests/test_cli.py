@@ -2,12 +2,14 @@ import csv
 import json
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tubesynth import cli, lp
+from oracles import envelope_csv_reference, sets_csv_reference, trajectories_csv_reference
+from tubesynth import cli, lp, sim, synth
 
 
 def mat(rows):
@@ -298,6 +300,104 @@ def test_demo_tanks_smoke(tmp_path):
     audit = json.loads((out / "audit.json").read_text())
     assert audit["failed"] == 0
     assert audit["nonlinear_worst_violation"] <= 1e-3
+
+
+@pytest.fixture(scope="module")
+def tanks_synthesis():
+    problem, specs = cli.tanks_problem()
+    return problem, specs, synth.synthesize(problem)
+
+
+def tanks_runs(problem, result, runs, seed):
+    """Runs and membership flags drawn as cli.linear_audit draws them."""
+    rng = np.random.default_rng(seed)
+    x0s = sim.sample_states(result.sets[0], runs, rng)
+    policies = [sim.RandomVertex(seed=v) for v in rng.integers(2 ** 31, size=runs).tolist()]
+    batch = sim.simulate_runs(problem.model, result.gains, x0s, policies)
+    inside, _ = sim.verify_runs(batch.states, result.sets, 1e-7)
+    return batch, inside
+
+
+def assert_trajectories_match_reference(tmp_path, runs, inside):
+    cli.write_trajectories_csv(tmp_path / "fast.csv", runs, inside)
+    trajectories_csv_reference(tmp_path / "reference.csv", runs, inside)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+def test_trajectories_csv_matches_reference_on_tanks_runs(tmp_path, tanks_synthesis, seed):
+    problem, _, result = tanks_synthesis
+    runs, inside = tanks_runs(problem, result, 300, seed)
+    assert cli.TRAJECTORY_CHUNK < 300 and inside.all()
+    assert_trajectories_match_reference(tmp_path, runs, inside)
+    inside[::7, 3] = False
+    inside[5] = False
+    assert_trajectories_match_reference(tmp_path, runs, inside)
+
+
+def synthetic_runs(rng, R, K, n, m, vertices):
+    """Runs whose fields span the formatter's exact window and beyond:
+    magnitudes from 1e-12 to 1e9, zeros of both signs, whole numbers."""
+    def fields(shape):
+        v = 10.0 ** rng.uniform(-12, 9, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+        pick = rng.random(shape)
+        v[pick < 0.05] = 0.0
+        v[(pick >= 0.05) & (pick < 0.1)] = -0.0
+        whole = (pick >= 0.1) & (pick < 0.2)
+        v[whole] = np.round(v[whole])
+        return v
+
+    return sim.Runs(states=fields((R, K + 1, n)), controls=fields((R, K, m)),
+                    realized=rng.integers(vertices, size=(R, K)), disturbances=None)
+
+
+def test_trajectories_csv_matches_reference_on_edge_runs(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    # 12 vertex models: two-digit realizations; some runs fail membership
+    runs = synthetic_runs(rng, 40, 6, 3, 2, 12)
+    assert runs.realized.max() >= 10
+    assert_trajectories_match_reference(tmp_path, runs, rng.random((40, 7)) < 0.8)
+    # a diverged run: inf and nan states and controls
+    runs.states[0, 3:] = np.inf
+    runs.states[1, 2:, 0] = -np.inf
+    runs.states[2, 4:, 1] = np.nan
+    runs.controls[2, 4:] = np.nan
+    assert_trajectories_match_reference(tmp_path, runs, np.isfinite(runs.states).all(axis=2))
+    # one run, one step, one state and one input
+    one = synthetic_runs(rng, 1, 1, 1, 1, 2)
+    assert_trajectories_match_reference(tmp_path, one, np.array([[True, False]]))
+    # run counts across the chunk boundary
+    monkeypatch.setattr(cli, "TRAJECTORY_CHUNK", 3)
+    for R in (1, 3, 4, 10):
+        runs = synthetic_runs(rng, R, 4, 2, 2, 3)
+        assert_trajectories_match_reference(tmp_path, runs, rng.random((R, 5)) < 0.9)
+
+
+def test_trajectories_csv_rejects_hull_weights(tmp_path):
+    runs = synthetic_runs(np.random.default_rng(0), 2, 3, 2, 1, 2)
+    runs.realized = np.full((2, 3, 2), 0.5)
+    with pytest.raises(ValueError, match="vertex indices"):
+        cli.write_trajectories_csv(tmp_path / "t.csv", runs, np.ones((2, 4), dtype=bool))
+
+
+def test_set_and_envelope_csvs_match_reference(tmp_path, tanks_synthesis):
+    problem, specs, result = tanks_synthesis
+    tube = list(problem.tube.sets)
+    cli._write_sets_csv(tmp_path / "fast.csv", tube, result.sets)
+    sets_csv_reference(tmp_path / "reference.csv", tube, result.sets)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    K = problem.horizon
+    rng = np.random.default_rng(3)
+    runs_by_r1 = {area: SimpleNamespace(states=synthetic_runs(rng, 1, K, 2, 1, 1).states[0])
+                  for area in cli.TANKS_R1}
+    runs_by_r1[3.0].states[:3] = [[0.0, -0.0], [1e-10, -2e-12], [np.nan, 0.5]]
+    for coord, spec in enumerate(specs):
+        cli._write_envelope_csv(tmp_path / "fast.csv", spec, spec.sample_time, K,
+                                runs_by_r1, coord)
+        envelope_csv_reference(tmp_path / "reference.csv", spec, spec.sample_time, K,
+                               runs_by_r1, coord)
+        assert (tmp_path / "fast.csv").read_bytes() == \
+            (tmp_path / "reference.csv").read_bytes()
 
 
 def test_demo_tanks_short_horizon_rejected(tmp_path):
