@@ -38,8 +38,9 @@ EXIT_INPUT = 2
 EXIT_SYNTH = 3
 EXIT_AUDIT = 4
 
-# runs per block of trajectories.csv: one formatting pass and one write each
-TRAJECTORY_CHUNK = 64
+# runs per block of trajectories.csv, each formatted in one pass and written
+# in one call; the working memory grows with it (about 1.3 MB at 96 tanks runs)
+TRAJECTORY_CHUNK = 96
 
 
 class ConfigError(Exception):

@@ -111,8 +111,9 @@ _DECPT_BOUND, _CEIL_POW10 = _decpt_tables()
 
 
 def _float_table():
-    """Bytes of the five float words by (sign, decpt, significant digits):
-    a kept character, 0xFF for a kept digit, NUL for a dropped byte."""
+    """Each of the five float words (rows) by (sign, decpt, significant
+    digits): in each byte a kept character, 0xFF for a kept digit, NUL
+    for a dropped byte."""
     d = _DECPT[:, None, None]
     n = _NSIG[None, :, None]
     sci = d <= -4
@@ -133,7 +134,7 @@ def _float_table():
     put(slice(16, 32), ~(fixed & (i < d)) & (i < n), 0xFF)
     exp = np.stack(np.broadcast_arrays(ord("e"), ord("-"), ord("0"), 49 - d[..., 0]), axis=-1)
     put(slice(32, 36), sci, exp)
-    return byte.reshape(-1, 8 * _FLOAT_WORDS).view(_WORD).astype(np.uint64)
+    return byte.reshape(-1, 8 * _FLOAT_WORDS).view(_WORD).T.astype(np.uint64, order="C")
 
 
 _FLOAT_TABLE = _float_table()
@@ -248,11 +249,10 @@ def _float_words(x, negative, cells, tmp):
     rows = n // len(cells)
     for j, cell in enumerate(cells):
         column = slice(j * rows, (j + 1) * rows)
-        _FLOAT_TABLE.take(decpt[column], axis=0, out=cell)
-        cell[:, 0] &= lead[column]
-        cell[:, 1] &= w[column]
-        cell[:, 2] &= p[column]
-        cell[:, 3] &= t[column]
+        key = decpt[column]
+        for k, digits in enumerate((lead, w, p, t)):
+            np.bitwise_and(_FLOAT_TABLE[k].take(key), digits[column], out=cell[:, k])
+        _FLOAT_TABLE[4].take(key, out=cell[:, 4])
 
 
 def _float_cells(columns, shown, cells, tmp):
@@ -317,7 +317,7 @@ def _layout(d):
 def _block_bytes(columns, tmp):
     """The CSV bytes of one block of rows, as a view of a scratch array."""
     data = [col[0] if isinstance(col, tuple) else col for col in columns]
-    absent = [col[1] if isinstance(col, tuple) else None for col in columns]
+    empty = [col[1] if isinstance(col, tuple) else None for col in columns]
     layout = [_layout(d) for d in data]
     ends = np.cumsum([nw for nw, _, _ in layout])
     count = len(data[0])
@@ -328,9 +328,12 @@ def _block_bytes(columns, tmp):
     if floats:
         shown = tmp("shown", (len(floats), count), bool)
         for i, j in enumerate(floats):
-            shown[i] = True if absent[j] is None else ~absent[j]
+            if empty[j] is None:
+                shown[i] = True
+            else:
+                np.logical_not(empty[j], out=shown[i])
         _float_cells([data[j] for j in floats], shown, [cells[j] for j in floats], tmp)
-    for d, cell, gone, (nw, sep, one_by_one) in zip(data, cells, absent, layout):
+    for d, cell, gone, (nw, sep, one_by_one) in zip(data, cells, empty, layout):
         if one_by_one:
             for r in range(count) if gone is None else np.flatnonzero(~gone):
                 text = ("%d" % d[r]).encode().ljust(8 * nw, b"\0")
