@@ -37,9 +37,9 @@ digits, as ``"%.17g"`` rounds it; a carry to 10**17 becomes 10**16 with
 decpt + 1.  T comes from |x| * 10**q in floating point, which is within
 24 of it, less 32; the remainder of that guess is below 2**63, so it is
 exact modulo 2**64, and its bits above s correct the guess.  Every
-other float (zero, +-inf, nan, subnormals, |x| < 1e-9 or |x| >= 1e7),
-and every other integer, is formatted by ``"%.17g" % v`` or
-``"%d" % v`` itself, one at a time.
+other float (zero, +-inf, nan, subnormals, |x| < 1e-9 or |x| >= 1e7)
+is formatted by ``"%.17g" % v`` itself, one at a time, and so is every
+integer of a column that holds one outside [0, 10**7), by ``"%d" % v``.
 """
 
 from math import floor, ldexp, log10
