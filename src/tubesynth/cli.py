@@ -38,9 +38,10 @@ EXIT_INPUT = 2
 EXIT_SYNTH = 3
 EXIT_AUDIT = 4
 
-# runs per block of trajectories.csv, each formatted in one pass and written
-# in one call; the working memory grows with it (about 1.3 MB at 96 tanks runs)
-TRAJECTORY_CHUNK = 96
+# rows per block of trajectories.csv, in whole runs and at least one run:
+# a block is formatted in one pass and written in one call, and its working
+# memory grows with it (about 1.3 MB at 1536 rows, 96 tanks runs)
+TRAJECTORY_BLOCK_ROWS = 1536
 
 
 class ConfigError(Exception):
@@ -301,11 +302,13 @@ def _write_csv(path, header, blocks):
 
 
 def _trajectory_blocks(runs: sim.Runs, inside):
-    """The trajectories.csv columns of TRAJECTORY_CHUNK runs at a time."""
+    """The trajectories.csv columns of as many whole runs at a time as
+    fill TRAJECTORY_BLOCK_ROWS rows, and of at least one run."""
     R, K1, n = runs.states.shape
     m = runs.controls.shape[2]
-    for r0 in range(0, R, TRAJECTORY_CHUNK):
-        r1 = min(R, r0 + TRAJECTORY_CHUNK)
+    per_block = max(1, TRAJECTORY_BLOCK_ROWS // K1)
+    for r0 in range(0, R, per_block):
+        r1 = min(R, r0 + per_block)
         rows = (r1 - r0) * K1
         x = runs.states[r0:r1].reshape(rows, n)
         # the terminal row of a run has no control and no realization
@@ -327,8 +330,8 @@ def write_trajectories_csv(path, runs: sim.Runs, inside):
     """One row per run and step of ``runs``, whose realizations must be
     vertex indices; ``inside`` holds the (R, K+1) membership flags.  A
     run's K step rows are followed by its terminal row, whose control
-    and realization fields are empty.  Rows are formatted and written
-    TRAJECTORY_CHUNK runs at a time (CRLF line ends, nothing quoted)."""
+    and realization fields are empty.  Rows are formatted and written in
+    blocks of whole runs (CRLF line ends, nothing quoted)."""
     if runs.realized.ndim != 2 or runs.realized.dtype.kind not in "iu":
         raise ValueError("trajectories.csv needs vertex indices, not hull weights")
     n = runs.states.shape[2]

@@ -328,7 +328,7 @@ def assert_trajectories_match_reference(tmp_path, runs, inside):
 def test_trajectories_csv_matches_reference_on_tanks_runs(tmp_path, tanks_synthesis, seed):
     problem, _, result = tanks_synthesis
     runs, inside = tanks_runs(problem, result, 300, seed)
-    assert cli.TRAJECTORY_CHUNK < 300 and inside.all()
+    assert cli.TRAJECTORY_BLOCK_ROWS < 300 * 16 and inside.all()
     assert_trajectories_match_reference(tmp_path, runs, inside)
     inside[::7, 3] = False
     inside[5] = False
@@ -366,11 +366,13 @@ def test_trajectories_csv_matches_reference_on_edge_runs(tmp_path, monkeypatch):
     # one run, one step, one state and one input
     one = synthetic_runs(rng, 1, 1, 1, 1, 2)
     assert_trajectories_match_reference(tmp_path, one, np.array([[True, False]]))
-    # run counts across the chunk boundary
-    monkeypatch.setattr(cli, "TRAJECTORY_CHUNK", 3)
-    for R in (1, 3, 4, 10):
-        runs = synthetic_runs(rng, R, 4, 2, 2, 3)
-        assert_trajectories_match_reference(tmp_path, runs, rng.random((R, 5)) < 0.9)
+    # run counts across a block boundary of 3 runs, and blocks shorter
+    # than one run, which still take one run each
+    for rows in (15, 17, 4):
+        monkeypatch.setattr(cli, "TRAJECTORY_BLOCK_ROWS", rows)
+        for R in (1, 3, 4, 10):
+            runs = synthetic_runs(rng, R, 4, 2, 2, 3)
+            assert_trajectories_match_reference(tmp_path, runs, rng.random((R, 5)) < 0.9)
 
 
 def test_trajectories_csv_rejects_hull_weights(tmp_path):
