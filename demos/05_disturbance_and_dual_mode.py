@@ -5,9 +5,9 @@
 
 import numpy as np
 
-from tubesynth import (PolytopicModel, RandomVertex, SynthesisProblem,
-                       TargetTube, box, check_robust_invariant, sample_states,
-                       simulate_runs, synthesize, verify_runs)
+from tubesynth import (PolytopicModel, SynthesisProblem, TargetTube, box,
+                       check_robust_invariant, sample_states, simulate_runs,
+                       synthesize, verify_runs)
 
 plant = PolytopicModel(vertices=[(0.4 * np.eye(2), np.eye(2))],
                        C=np.eye(2), D=np.eye(2))
@@ -34,13 +34,14 @@ print("\nstatic gain invariant set certified:", hold.contained,
       " margin:", -hold.worst_violation)
 
 # Compose: horizon gains first, the static gain afterwards, disturbances
-# sampled from V at every step.
+# sampled from V at every step.  One generator draws the initial states,
+# then the vertex models, then the disturbances step by step.
 gains = list(res.gains) + [F_hold] * K
 terminal = tube[K]
 
-x0s = sample_states(res.sets[0], 10, np.random.default_rng(1))
-runs = simulate_runs(plant, gains, x0s, [RandomVertex(seed=i) for i in range(10)],
-                     disturbance=[V] * len(gains))
+rng = np.random.default_rng(1)
+x0s = sample_states(res.sets[0], 10, rng)
+runs = simulate_runs(plant, gains, x0s, rng, disturbance=[V] * len(gains))
 _, reports = verify_runs(runs.states[:, K:], [terminal] * (K + 1), tol=1e-7)
 assert all(report.ok for report in reports)
 worst = max(report.worst for report in reports)

@@ -8,7 +8,7 @@
 
 import numpy as np
 
-from tubesynth import (RandomVertex, sample_states, simulate_runs, synthesize,
+from tubesynth import (sample_states, simulate_runs, synthesize,
                        tanks_nonlinear_simulate, verify_runs)
 from tubesynth.cli import TANKS_SETPOINT, tanks_problem
 
@@ -25,9 +25,10 @@ print("traversed set at k=0:", res.sets[0].b.tolist())
 print("every step certified by its LP multipliers:", res.certified)
 
 # Linear validation: random vertex realizations from random starts in
-# the first traversed set.
-e0s = sample_states(res.sets[0], 50, np.random.default_rng(0))
-runs = simulate_runs(model, res.gains, e0s, [RandomVertex(seed=i) for i in range(50)])
+# the first traversed set, all drawn from one generator (starts first).
+rng = np.random.default_rng(0)
+e0s = sample_states(res.sets[0], 50, rng)
+runs = simulate_runs(model, res.gains, e0s, rng)
 _, reports = verify_runs(runs.states, res.sets, tol=1e-7)
 print("\nlinear runs inside their traversed sets: %d/50"
       % sum(report.ok for report in reports))

@@ -20,10 +20,9 @@ from .reach import (CertificateError, ContainmentReport, PolytopicModel,
                     check_containment, check_containment_disturbance,
                     check_robust_invariant, contractivity_factor,
                     verify_certificates)
-from .sim import (FixedVertex, MembershipReport, RandomConvex, RandomVertex,
-                  Runs, SimulationError, Trajectory, discretize_zoh,
-                  sample_states, simulate_closed_loop, simulate_runs,
-                  tanks_linearize, tanks_nonlinear_simulate,
+from .sim import (MembershipReport, Runs, SimulationError, Trajectory,
+                  discretize_zoh, sample_states, simulate_closed_loop,
+                  simulate_runs, tanks_linearize, tanks_nonlinear_simulate,
                   verify_membership, verify_runs)
 from .synth import (SHRUNK, TUBE_EXACT, SynthesisError, SynthesisProblem,
                     SynthesisResult, build_lp1, build_lp2, split_lp1_solution,
@@ -41,10 +40,10 @@ __all__ = [
     "CertificateError", "ContainmentReport", "PolytopicModel",
     "check_containment", "check_containment_disturbance",
     "check_robust_invariant", "contractivity_factor", "verify_certificates",
-    "FixedVertex", "MembershipReport", "RandomConvex", "RandomVertex", "Runs",
-    "SimulationError", "Trajectory", "discretize_zoh", "sample_states",
-    "simulate_closed_loop", "simulate_runs", "tanks_linearize",
-    "tanks_nonlinear_simulate", "verify_membership", "verify_runs",
+    "MembershipReport", "Runs", "SimulationError", "Trajectory",
+    "discretize_zoh", "sample_states", "simulate_closed_loop",
+    "simulate_runs", "tanks_linearize", "tanks_nonlinear_simulate",
+    "verify_membership", "verify_runs",
     "SHRUNK", "TUBE_EXACT", "SynthesisError", "SynthesisProblem",
     "SynthesisResult", "build_lp1", "build_lp2", "split_lp1_solution",
     "synthesize",

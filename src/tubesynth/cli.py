@@ -228,6 +228,8 @@ def load_config(path) -> ProblemConfig:
                               "tolerances.defect_zero")
     seeds = _object(obj.get("seeds", {}), "seeds")
     seed = _integer(seeds.get("simulate", 0), "seeds.simulate")
+    if seed < 0:
+        raise ConfigError("seeds.simulate must be non-negative, got %d" % seed)
     disturbance = _decode_setlist(obj.get("disturbance"), K, "disturbance")
     control_constraints = _decode_setlist(obj.get("control_constraints"), K,
                                           "control_constraints")
@@ -327,13 +329,11 @@ def _trajectory_blocks(runs: sim.Runs, inside):
 
 
 def write_trajectories_csv(path, runs: sim.Runs, inside):
-    """One row per run and step of ``runs``, whose realizations must be
-    vertex indices; ``inside`` holds the (R, K+1) membership flags.  A
-    run's K step rows are followed by its terminal row, whose control
-    and realization fields are empty.  Rows are formatted and written in
-    blocks of whole runs (CRLF line ends, nothing quoted)."""
-    if runs.realized.ndim != 2 or runs.realized.dtype.kind not in "iu":
-        raise ValueError("trajectories.csv needs vertex indices, not hull weights")
+    """One row per run and step of ``runs``; ``inside`` holds the (R, K+1)
+    membership flags.  A run's K step rows are followed by its terminal
+    row, whose control and realization fields are empty.  Rows are
+    formatted and written in blocks of whole runs (CRLF line ends,
+    nothing quoted)."""
     n = runs.states.shape[2]
     m = runs.controls.shape[2]
     header = (["run_id", "k"] + ["x_%d" % (i + 1) for i in range(n)]
@@ -359,18 +359,16 @@ def linear_audit(out, model, gains, sets, runs, rng, tol, disturbance=None):
     """Simulate ``runs`` closed-loop runs, write trajectories.csv into
     ``out`` and return the audit summary.
 
-    ``rng`` draws the initial states from sets[0], then one seed per
-    run; run r realizes a uniformly random vertex at every step (and,
-    given the sets V(k), a point of V(k)) from its own generator.  sets[k]
-    is the membership set of step k.  ``out`` is created only after the
-    initial states are drawn, so an X(0) that cannot be sampled leaves
-    no directory behind.
+    ``rng`` draws, in this order, the initial states from sets[0], then
+    the random vertex model of every run and step, then (given the sets
+    V(k)) the points of V(k) step by step; see ``sim.simulate_runs``.
+    sets[k] is the membership set of step k.  ``out`` is created only
+    after the initial states are drawn, so an X(0) that cannot be
+    sampled leaves no directory behind.
     """
     x0s = sim.sample_states(sets[0], runs, rng)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = rng.integers(2 ** 31, size=runs).tolist()
-    policies = [sim.RandomVertex(seed=v) for v in seeds]
-    batch = sim.simulate_runs(model, gains, x0s, policies, disturbance)
+    batch = sim.simulate_runs(model, gains, x0s, rng, disturbance)
     inside, reports = sim.verify_runs(batch.states, sets, tol)
     write_trajectories_csv(out / "trajectories.csv", batch, inside)
     return audit_runs(reports, tol)
@@ -378,9 +376,12 @@ def linear_audit(out, model, gains, sets, runs, rng, tol, disturbance=None):
 
 # -- subcommand drivers ----------------------------------------------------
 
-def _check_runs(runs):
+def _check_runs(runs, seed):
+    """The --runs and --seed values of simulate and demo-tanks."""
     if runs < 1:
         raise ConfigError("--runs must be at least 1, got %d" % runs)
+    if seed is not None and seed < 0:
+        raise ConfigError("--seed must be non-negative, got %d" % seed)
 
 
 def run_synth(config_path, out_dir, tol=None):
@@ -420,7 +421,7 @@ def _load_traversed_sets(gains_path, tube: TargetTube):
 
 
 def run_simulate(config_path, gains_path, runs, seed, out_dir, tol=None):
-    _check_runs(runs)
+    _check_runs(runs, seed)
     cfg = load_config(config_path)
     problem = cfg.problem
     gains = load_gains(gains_path, problem.model, problem.horizon)
@@ -534,7 +535,7 @@ def _write_sets_csv(path, tube_sets, traversed_sets):
 
 
 def run_demo_tanks(out_dir, horizon=15, runs=100, seed=0, r1=None, tol=1e-7):
-    _check_runs(runs)
+    _check_runs(runs, seed)
     tol = _number(tol, "--tol")
     if r1 is not None and not _number(r1, "--r1") > 0.0:
         raise ConfigError("--r1 must be positive, got %r" % r1)

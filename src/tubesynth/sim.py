@@ -1,17 +1,17 @@
 """Closed-loop simulation, membership auditing, and the coupled-tanks plant.
 
-The linear simulator draws a realization of the inclusion at every
-step according to a policy (a fixed vertex, a random vertex, or a
-random point of the matrix hull) and applies the stored feedback
-sequence exactly: y = C x, u = F(k) y, x+ = A x + B u (+ D v).
-``simulate_runs`` steps many runs at once; each run draws from its own
-generator seeded by its policy, so a run is the same alone
-(``simulate_closed_loop``) or in a batch, and one seed reproduces it
-bit for bit.  ``verify_runs`` audits every run and step from one
-product A_k x each.  ``sample_states`` draws initial states, and
-``simulate_runs`` the disturbances v(k) in V(k), as Dirichlet(1, ...,
-1) combinations of the set's vertices, so every draw lies in the set
-even when it is lower-dimensional.
+The linear simulator realizes a uniformly random vertex model of the
+inclusion at every step and applies the stored feedback sequence
+exactly: y = C x, u = F(k) y, x+ = A x + B u (+ D v).  ``simulate_runs``
+steps many runs at once and draws everything from one caller-supplied
+generator: first the vertex indices of every run and step, then the
+disturbances v(k) in V(k) step by step.  A caller that seeds one
+generator and draws the initial states X(0) from it first
+(``sample_states``) reproduces every run bit for bit.  ``verify_runs``
+audits every run and step from one product A_k x each.  Initial states
+and disturbances are Dirichlet(1, ..., 1) combinations of the set's
+vertices, so every draw lies in the set even when it is
+lower-dimensional.
 
 The tanks plant is the usual pair of coupled water tanks: levels x1,
 x2, inflow into tank 1 and outflow from tank 2, gravity-driven flow
@@ -37,28 +37,10 @@ class SimulationError(Exception):
 
 
 @dataclass
-class FixedVertex:
-    """Always realize vertex ``index`` of the inclusion."""
-    index: int
-
-
-@dataclass
-class RandomVertex:
-    """Pick an independent uniformly random vertex at every step."""
-    seed: int = 0
-
-
-@dataclass
-class RandomConvex:
-    """Pick independent random hull weights at every step."""
-    seed: int = 0
-
-
-@dataclass
 class Trajectory:
     states: np.ndarray                    # (K+1, n)
     controls: np.ndarray                  # (K, m)
-    realized: list                        # per step: vertex index or weights
+    realized: list                        # per step: vertex index (None if nonlinear)
     disturbances: Optional[np.ndarray]    # (K, p) or None
     overflow: bool = False
 
@@ -67,43 +49,12 @@ class Trajectory:
         return self.states.shape[0] - 1
 
 
-def _weights(policy, rng, s):
-    if isinstance(policy, FixedVertex):
-        if not 0 <= policy.index < s:
-            raise ValueError("vertex index %d out of range" % policy.index)
-        return policy.index
-    if isinstance(policy, RandomVertex):
-        return int(rng.integers(s))
-    if isinstance(policy, RandomConvex):
-        return rng.dirichlet(np.ones(s))
-    raise TypeError("unknown realization policy %r" % (policy,))
-
-
-def _realize(policy, s, K, v_vertices):
-    """One run's draws from its own generator, in the order the step
-    recursion consumes them: the realization of step k, then (given the
-    vertex arrays of the V(k)) a point of V(k).  Returns (K,) vertex
-    indices or (K, s) hull weights, and the (K, p) disturbances or None."""
-    rng = np.random.default_rng(getattr(policy, "seed", 0))
-    if v_vertices is None and isinstance(policy, RandomVertex):
-        # one call yields the same stream as K single draws
-        return rng.integers(s, size=K), None
-    realized = []
-    disturbances = []
-    for k in range(K):
-        realized.append(_weights(policy, rng, s))
-        if v_vertices is not None:
-            disturbances.append(_hull_draw(v_vertices[k], rng))
-    return (np.array(realized),
-            np.array(disturbances) if v_vertices is not None else None)
-
-
 @dataclass
 class Runs:
     """R closed-loop runs over one horizon, stacked along a leading run axis."""
     states: np.ndarray                    # (R, K+1, n)
     controls: np.ndarray                  # (R, K, m)
-    realized: np.ndarray                  # (R, K) vertex indices or (R, K, s) weights
+    realized: np.ndarray                  # (R, K) vertex indices
     disturbances: Optional[np.ndarray]    # (R, K, p) or None
 
     def __len__(self):
@@ -115,70 +66,56 @@ class Runs:
 
     def trajectory(self, r) -> Trajectory:
         """Run r as a Trajectory (arrays are views into the stack)."""
-        realized = self.realized[r]
         return Trajectory(
             states=self.states[r], controls=self.controls[r],
-            realized=realized.tolist() if realized.ndim == 1 else list(realized),
+            realized=self.realized[r].tolist(),
             disturbances=None if self.disturbances is None else self.disturbances[r])
 
 
-def simulate_runs(model: PolytopicModel, gains: Sequence[np.ndarray], x0s,
-                  policies: Sequence,
+def simulate_runs(model: PolytopicModel, gains: Sequence[np.ndarray], x0s, rng,
                   disturbance: Optional[Sequence[PolyhedralSet]] = None) -> Runs:
     """Run the exact closed-loop recursion for len(gains) steps from every
-    row of ``x0s``, run r realizing ``policies[r]``.
+    row of ``x0s``, each step realizing a uniformly random vertex model.
 
-    Each run draws from its own ``default_rng(policy.seed)``, so a run's
-    states do not depend on the other runs.  ``disturbance`` holds one
-    set V(k) per step over the model's p disturbance coordinates (it
-    needs a D map); right after step k's realization the run draws v(k)
-    from the same generator as Dirichlet(1, ..., 1) weights over the
-    vertices of V(k), which are enumerated once per distinct set.
+    All draws come from the one generator ``rng``, in this order: the
+    (R, K) vertex indices in one ``integers`` call, then, given the sets
+    V(k), for each step k in turn the R points of V(k), as Dirichlet(1,
+    ..., 1) weights over its vertices.  ``disturbance`` holds one set
+    V(k) per step over the model's p disturbance coordinates (it needs a
+    D map); equal sets are enumerated once.
 
     All runs are propagated together: the stacked products
     ``np.matmul(A[idx], x[..., None])`` give bit for bit the per-run
-    ``A @ x``, which ``X @ A.T`` would not.  The policies must all
-    realize vertices (FixedVertex, RandomVertex) or all hull weights
-    (RandomConvex).
+    ``A @ x``, which ``X @ A.T`` would not.
     """
     X0 = np.asarray(x0s, dtype=float)
     if X0.ndim != 2 or X0.shape[1] != model.n:
         raise ValueError("initial states have shape %s, model has dimension %d"
                          % (X0.shape, model.n))
-    if len(policies) != X0.shape[0]:
-        raise ValueError("have %d initial states but %d policies"
-                         % (X0.shape[0], len(policies)))
+    R = X0.shape[0]
     K = len(gains)
-    v_vertices = None
     if disturbance is not None:
         if model.D is None:
             raise ValueError("disturbance sets given but model has no D")
         check_step_sets(disturbance, K, model.p, "disturbance")
-        v_vertices = [np.array(v) for v in step_vertices(disturbance)]
-    draws = [_realize(policy, model.s, K, v_vertices) for policy in policies]
-    realized = np.stack([w for w, _ in draws])
-    disturbances = np.stack([v for _, v in draws]) if v_vertices is not None else None
+    realized = rng.integers(model.s, size=(R, K))
+    disturbances = None
+    if disturbance is not None:
+        disturbances = np.empty((R, K, model.p))
+        for k, verts in enumerate(step_vertices(disturbance)):
+            disturbances[:, k] = _hull_draw(np.array(verts), rng, R)
 
-    R = X0.shape[0]
     states = np.empty((R, K + 1, model.n))
     controls = np.empty((R, K, model.m))
-    if realized.ndim == 2:
-        A_stack = np.array([A for A, _ in model.vertices])
-        B_stack = np.array([B for _, B in model.vertices])
+    A_stack = np.array([A for A, _ in model.vertices])
+    B_stack = np.array([B for _, B in model.vertices])
     x = X0[..., None]                     # (R, n, 1): one column per run
     states[:, 0] = X0
     for k in range(K):
-        if realized.ndim == 2:
-            A = A_stack[realized[:, k]]
-            B = B_stack[realized[:, k]]
-        else:
-            A = np.array([sum(wi * Ai for wi, (Ai, _) in zip(w, model.vertices))
-                          for w in realized[:, k]])
-            B = np.array([sum(wi * Bi for wi, (_, Bi) in zip(w, model.vertices))
-                          for w in realized[:, k]])
         F = np.asarray(gains[k], dtype=float).reshape(model.m, model.r)
         u = np.matmul(F, np.matmul(model.C, x))
-        x = np.matmul(A, x) + np.matmul(B, u)
+        x = (np.matmul(A_stack[realized[:, k]], x)
+             + np.matmul(B_stack[realized[:, k]], u))
         if disturbances is not None:
             x = x + np.matmul(model.D, disturbances[:, k, :, None])
         controls[:, k] = u[..., 0]
@@ -188,20 +125,14 @@ def simulate_runs(model: PolytopicModel, gains: Sequence[np.ndarray], x0s,
 
 
 def simulate_closed_loop(model: PolytopicModel, gains: Sequence[np.ndarray], x0,
-                         policy,
+                         rng,
                          disturbance: Optional[Sequence[PolyhedralSet]] = None
                          ) -> Trajectory:
-    """Run the exact closed-loop recursion for len(gains) steps.
-
-    ``disturbance`` is one set V(k) per step, drawn from the policy's
-    generator so one seed reproduces the whole run.  This is
-    ``simulate_runs`` with a single run.
-    """
+    """``simulate_runs`` with the single run from ``x0``."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.size != model.n:
         raise ValueError("x0 has dimension %d, model has %d" % (x0.size, model.n))
-    return simulate_runs(model, gains, x0[None], [policy],
-                         disturbance).trajectory(0)
+    return simulate_runs(model, gains, x0[None], rng, disturbance).trajectory(0)
 
 
 @dataclass
@@ -255,9 +186,9 @@ def verify_membership(traj: Trajectory, sets: Sequence[PolyhedralSet],
     return verify_runs(np.asarray(states)[None], sets, tol)[1][0]
 
 
-def _hull_draw(V, rng, size=None):
-    """Dirichlet(1, ..., 1) weights over the rows of V, applied to V: one
-    point of their hull, or ``size`` points stacked."""
+def _hull_draw(V, rng, size):
+    """``size`` points of the hull of the rows of V, stacked: Dirichlet(1,
+    ..., 1) weights over the rows, applied to V."""
     return rng.dirichlet(np.ones(V.shape[0]), size) @ V
 
 

@@ -121,37 +121,41 @@ def point_in_convex_polygon(pt, verts, tol=1e-9):
     return True
 
 
-def simulate_reference(model, gains, x0s, seeds, disturbance=None):
-    """Per-run closed loop, one vector at a time: run r draws a vertex
-    (then, given the sets V(k), Dirichlet(1, ..., 1) weights over the
-    vertices of V(k) from enum_vertices) per step from
-    default_rng(seeds[r]) and steps x+ = A x + B u (+ D v) with
-    u = F(k) C x.
+def simulate_reference(model, gains, x0s, seed, disturbance=None):
+    """Per-run closed loop, one vector at a time, drawing from one
+    default_rng(seed) in the simulator's documented order: the (R, K)
+    vertex indices first, then for each step k the R points of V(k), as
+    Dirichlet(1, ..., 1) weights over the vertices of V(k) from
+    enum_vertices, one run after the other.  Steps x+ = A x + B u (+ D v)
+    with u = F(k) C x.
 
     Returns stacked states (R, K+1, n), controls (R, K, m) and vertex
     indices (R, K)."""
-    v_vertices = (None if disturbance is None
-                  else [np.array(enum_vertices(V.A, V.b)) for V in disturbance])
-    states, controls, realized = [], [], []
-    for x0, seed in zip(x0s, seeds):
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    R, K = len(x0s), len(gains)
+    realized = rng.integers(len(model.vertices), size=(R, K))
+    points = []                           # per step k, the (R, p) points of V(k)
+    for V in disturbance or []:
+        verts = np.array(enum_vertices(V.A, V.b))
+        weights = [rng.dirichlet(np.ones(len(verts))) for _ in range(R)]
+        # one (R, nv) @ (nv, p) product, as the simulator forms it: a row
+        # at a time can differ from it in the last bit
+        points.append(np.array(weights) @ verts)
+    states, controls = [], []
+    for r, x0 in enumerate(x0s):
         x = np.asarray(x0, dtype=float).copy()
-        xs, us, idx = [x], [], []
+        xs, us = [x], []
         for k, F in enumerate(gains):
-            i = int(rng.integers(len(model.vertices)))
-            A, B = model.vertices[i]
+            A, B = model.vertices[realized[r, k]]
             u = F @ (model.C @ x)
             x = A @ x + B @ u
-            if v_vertices is not None:
-                weights = rng.dirichlet(np.ones(len(v_vertices[k])))
-                x = x + model.D @ (weights @ v_vertices[k])
+            if points:
+                x = x + model.D @ points[k][r]
             xs.append(x)
             us.append(u)
-            idx.append(i)
         states.append(xs)
         controls.append(us)
-        realized.append(idx)
-    return np.array(states), np.array(controls), np.array(realized)
+    return np.array(states), np.array(controls), realized
 
 
 def tanks_rk4_reference(R1, R2, x0, gains, setpoint, Ts=1.0, step=0.01,

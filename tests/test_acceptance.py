@@ -157,9 +157,8 @@ def test_criterion_6_tanks_reproduction():
     rng = np.random.default_rng(2601)
     terminal = box([-0.01, -0.01], [0.01, 0.01])
     run_ok = 0
-    for i, x0 in enumerate(sim.sample_states(res.sets[0], 100, rng)):
-        traj = sim.simulate_closed_loop(model, res.gains, x0,
-                                        sim.RandomVertex(seed=3000 + i))
+    for x0 in sim.sample_states(res.sets[0], 100, rng):
+        traj = sim.simulate_closed_loop(model, res.gains, x0, rng)
         inside = sim.verify_membership(traj, res.sets, tol=1e-7).ok
         at_target = np.all(terminal.A @ traj.states[-1] <= terminal.b + 1e-7)
         run_ok += inside and at_target
@@ -267,9 +266,8 @@ def test_criterion_8_robust_invariance_and_dual_mode():
     rng = np.random.default_rng(88)
     gains = list(res.gains) + [F_hold] * K
     runs_ok = 0
-    for i, x0 in enumerate(sim.sample_states(res.sets[0], 20, rng)):
-        traj = sim.simulate_closed_loop(plant, gains, x0,
-                                        sim.RandomVertex(seed=500 + i),
+    for x0 in sim.sample_states(res.sets[0], 20, rng):
+        traj = sim.simulate_closed_loop(plant, gains, x0, rng,
                                         disturbance=[V] * len(gains))
         tail = traj.states[K:2 * K + 1]
         runs_ok += all(np.all(terminal.A @ x <= terminal.b + 1e-7) for x in tail)

@@ -312,8 +312,7 @@ def tanks_runs(problem, result, runs, seed):
     """Runs and membership flags drawn as cli.linear_audit draws them."""
     rng = np.random.default_rng(seed)
     x0s = sim.sample_states(result.sets[0], runs, rng)
-    policies = [sim.RandomVertex(seed=v) for v in rng.integers(2 ** 31, size=runs).tolist()]
-    batch = sim.simulate_runs(problem.model, result.gains, x0s, policies)
+    batch = sim.simulate_runs(problem.model, result.gains, x0s, rng)
     inside, _ = sim.verify_runs(batch.states, result.sets, 1e-7)
     return batch, inside
 
@@ -373,13 +372,6 @@ def test_trajectories_csv_matches_reference_on_edge_runs(tmp_path, monkeypatch):
         for R in (1, 3, 4, 10):
             runs = synthetic_runs(rng, R, 4, 2, 2, 3)
             assert_trajectories_match_reference(tmp_path, runs, rng.random((R, 5)) < 0.9)
-
-
-def test_trajectories_csv_rejects_hull_weights(tmp_path):
-    runs = synthetic_runs(np.random.default_rng(0), 2, 3, 2, 1, 2)
-    runs.realized = np.full((2, 3, 2), 0.5)
-    with pytest.raises(ValueError, match="vertex indices"):
-        cli.write_trajectories_csv(tmp_path / "t.csv", runs, np.ones((2, 4), dtype=bool))
 
 
 def test_set_and_envelope_csvs_match_reference(tmp_path, tanks_synthesis):
@@ -549,6 +541,7 @@ def contain_config():
     ("check-contain", dict(contain_config(), tol="x")),
     ("check-contain", [1]),
     ("check-invariant", [1]),
+    ("synth", _patched(seeds={"simulate": -3})),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, command, payload):
     good = write(tmp_path / "good.json", scalar_config())
@@ -593,6 +586,24 @@ def test_non_finite_tol_exits_2(tmp_path, capsys, command, tol):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: --tol")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+@pytest.mark.parametrize("command", ["simulate", "demo-tanks"])
+def test_negative_seed_exits_2(tmp_path, capsys, command, seed):
+    out = tmp_path / "o"
+    if command == "simulate":
+        scalar = write(tmp_path / "scalar.json", scalar_config())
+        assert cli.main(["synth", "--config", scalar, "--out", str(tmp_path / "s")]) == 0
+        argv = ["simulate", "--config", scalar,
+                "--gains", str(tmp_path / "s" / "gains.json")]
+    else:
+        argv = ["demo-tanks"]
+    capsys.readouterr()
+    assert cli.main(argv + ["--runs", "5", "--seed", seed, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: --seed")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("r1", ["0", "-3", "nan", "inf"])

@@ -12,10 +12,15 @@ def scalar_model(a, b):
                           C=np.array([[1.0]]))
 
 
+def vertex_model(model, i):
+    """The one-vertex model that always realizes vertex i of ``model``."""
+    return PolytopicModel([model.vertices[i]], model.C)
+
+
 def test_zero_dynamics():
     model = scalar_model(0.0, 0.0)
     traj = sim.simulate_closed_loop(model, [np.zeros((1, 1))] * 4, [3.0],
-                                    sim.FixedVertex(0))
+                                    np.random.default_rng(0))
     assert traj.states[0, 0] == 3.0
     assert np.all(traj.states[1:] == 0.0)
 
@@ -23,7 +28,7 @@ def test_zero_dynamics():
 def test_scalar_deadbeat():
     model = scalar_model(0.5, 1.0)
     traj = sim.simulate_closed_loop(model, [np.array([[-0.5]])] * 3, [1.0],
-                                    sim.FixedVertex(0))
+                                    np.random.default_rng(0))
     assert traj.states.ravel().tolist() == [1.0, 0.0, 0.0, 0.0]
     assert traj.controls[0, 0] == -0.5
     # controls follow the exact feedback law u = F C x
@@ -39,31 +44,14 @@ def test_fixed_vertex_matches_matrix_powers():
     gains = [rng.normal(size=(2, 2)) * 0.2 for _ in range(8)]
     x0 = rng.normal(size=3)
     for i in range(2):
-        traj = sim.simulate_closed_loop(model, gains, x0, sim.FixedVertex(i))
+        traj = sim.simulate_closed_loop(vertex_model(model, i), gains, x0,
+                                        np.random.default_rng(i))
+        assert traj.realized == [0] * 8
         A, B = model.vertices[i]
         x = x0.copy()
         for k in range(8):
             x = (A + B @ gains[k] @ model.C) @ x
             assert np.max(np.abs(traj.states[k + 1] - x)) <= 1e-12
-
-
-def test_random_convex_steps_match_recorded_weights():
-    rng = np.random.default_rng(9)
-    model = PolytopicModel(
-        vertices=[(rng.normal(size=(2, 2)) * 0.5, rng.normal(size=(2, 1)))
-                  for _ in range(3)],
-        C=rng.normal(size=(1, 2)))
-    gains = [rng.normal(size=(1, 1)) for _ in range(6)]
-    traj = sim.simulate_closed_loop(model, gains, [0.3, -0.7],
-                                    sim.RandomConvex(seed=11))
-    for k, w in enumerate(traj.realized):
-        assert w.min() >= 0.0 and w.sum() == pytest.approx(1.0, abs=1e-12)
-        A = sum(wi * Ai for wi, (Ai, _) in zip(w, model.vertices))
-        B = sum(wi * Bi for wi, (_, Bi) in zip(w, model.vertices))
-        F = np.asarray(gains[k], dtype=float).reshape(1, 1)
-        y = model.C @ traj.states[k]
-        x_next = A @ traj.states[k] + B @ (F @ y)
-        assert np.array_equal(traj.states[k + 1], x_next)   # bitwise
 
 
 def test_seeded_runs_are_reproducible():
@@ -72,8 +60,8 @@ def test_seeded_runs_are_reproducible():
                   (0.8 * np.eye(2), np.zeros((2, 1)))],
         C=np.zeros((1, 2)))
     gains = [np.zeros((1, 1))] * 5
-    a = sim.simulate_closed_loop(model, gains, [1, 1], sim.RandomVertex(seed=3))
-    b = sim.simulate_closed_loop(model, gains, [1, 1], sim.RandomVertex(seed=3))
+    a = sim.simulate_closed_loop(model, gains, [1, 1], np.random.default_rng(3))
+    b = sim.simulate_closed_loop(model, gains, [1, 1], np.random.default_rng(3))
     assert np.array_equal(a.states, b.states)
     assert a.realized == b.realized
 
@@ -81,7 +69,7 @@ def test_seeded_runs_are_reproducible():
 def test_verify_membership_reports_first_violation():
     model = scalar_model(2.0, 0.0)
     traj = sim.simulate_closed_loop(model, [np.zeros((1, 1))] * 4, [0.2],
-                                    sim.FixedVertex(0))
+                                    np.random.default_rng(0))
     sets = [box([-1], [1])] * 5
     rep = sim.verify_membership(traj, sets, tol=1e-7)
     assert not rep.ok
@@ -105,7 +93,7 @@ def test_verify_membership_flags_non_finite_state():
 def test_membership_length_mismatch():
     model = scalar_model(1.0, 0.0)
     traj = sim.simulate_closed_loop(model, [np.zeros((1, 1))] * 2, [0.0],
-                                    sim.FixedVertex(0))
+                                    np.random.default_rng(0))
     with pytest.raises(ValueError):
         sim.verify_membership(traj, [box([-1], [1])] * 2)
 
@@ -115,8 +103,7 @@ def test_samplers_stay_inside():
     model = PolytopicModel(vertices=[(np.eye(2), np.zeros((2, 1)))],
                            C=np.zeros((1, 2)), D=np.eye(2))
     runs = sim.simulate_runs(model, [np.zeros((1, 1))] * 50, np.zeros((2, 2)),
-                             [sim.RandomVertex(seed=12), sim.RandomVertex(seed=13)],
-                             disturbance=[P] * 50)
+                             np.random.default_rng(12), disturbance=[P] * 50)
     for v in runs.disturbances.reshape(-1, 2):
         assert np.all(P.A @ v <= P.b + 1e-12)
     pts = sim.sample_states(P, 50, np.random.default_rng(1))
@@ -210,20 +197,15 @@ def test_overflow_sets_flag():
 def test_policy_validation():
     model = scalar_model(1.0, 0.0)
     with pytest.raises(ValueError):
-        sim.simulate_closed_loop(model, [np.zeros((1, 1))], [0.0],
-                                 sim.FixedVertex(3))
-    with pytest.raises(TypeError):
-        sim.simulate_closed_loop(model, [np.zeros((1, 1))], [0.0], "random")
-    with pytest.raises(ValueError):
         sim.simulate_closed_loop(model, [np.zeros((1, 1))], [0.0, 1.0],
-                                 sim.FixedVertex(0))
+                                 np.random.default_rng(0))
 
 
 def test_disturbance_sets_need_map():
     model = scalar_model(0.5, 1.0)
     with pytest.raises(ValueError, match="no D"):
         sim.simulate_closed_loop(model, [np.zeros((1, 1))], [0.0],
-                                 sim.FixedVertex(0), disturbance=[box([-1], [1])])
+                                 np.random.default_rng(0), disturbance=[box([-1], [1])])
 
 
 def test_disturbance_sets_match_steps_and_dimension():
@@ -237,7 +219,7 @@ def test_disturbance_sets_match_steps_and_dimension():
                           "not a PolyhedralSet")):
         with pytest.raises(ValueError, match=message):
             sim.simulate_runs(model, gains, np.zeros((2, 1)),
-                              [sim.RandomVertex(seed=1)] * 2, disturbance=bad)
+                              np.random.default_rng(1), disturbance=bad)
 
 
 def test_repeated_disturbance_set_is_enumerated_once(monkeypatch):
@@ -253,8 +235,7 @@ def test_repeated_disturbance_set_is_enumerated_once(monkeypatch):
     for module in (polytope, sim):
         monkeypatch.setattr(module, "vertices", spy)
     runs = sim.simulate_runs(model, [np.zeros((1, 1))] * 5, np.zeros((3, 1)),
-                             [sim.RandomVertex(seed=i) for i in range(3)],
-                             disturbance=[V] * 5)
+                             np.random.default_rng(0), disturbance=[V] * 5)
     assert len(enumerated) == 1 and enumerated[0] is V
     assert np.all((runs.disturbances >= -0.1) & (runs.disturbances <= 0.2))
 
@@ -290,16 +271,15 @@ def test_batched_runs_match_reference():
     model = _three_vertex_model(rng)
     gains = [rng.normal(size=(2, 2)) * 0.3 for _ in range(9)]
     x0s = rng.normal(size=(40, 3))
-    seeds = rng.integers(2 ** 31, size=40).tolist()
-    runs = sim.simulate_runs(model, gains, x0s,
-                             [sim.RandomVertex(seed=s) for s in seeds])
-    states, controls, realized = simulate_reference(model, gains, x0s, seeds)
+    runs = sim.simulate_runs(model, gains, x0s, np.random.default_rng(31))
+    states, controls, realized = simulate_reference(model, gains, x0s, 31)
     assert np.array_equal(runs.states, states)
     assert np.array_equal(runs.controls, controls)
     assert np.array_equal(runs.realized, realized)
-    one = sim.simulate_closed_loop(model, gains, x0s[7], sim.RandomVertex(seed=seeds[7]))
-    assert np.array_equal(one.states, states[7])
-    assert one.realized == realized[7].tolist()
+    one = sim.simulate_closed_loop(model, gains, x0s[7], np.random.default_rng(32))
+    states, _, realized = simulate_reference(model, gains, x0s[7:8], 32)
+    assert np.array_equal(one.states, states[0])
+    assert one.realized == realized[0].tolist()
 
 
 def test_batched_disturbed_runs_match_reference():
@@ -310,15 +290,13 @@ def test_batched_disturbed_runs_match_reference():
         C=np.eye(2), D=rng.normal(size=(2, 2)))
     gains = [rng.normal(size=(1, 2)) * 0.3 for _ in range(6)]
     x0s = rng.normal(size=(25, 2))
-    seeds = list(range(100, 125))
     # a different V(k) at every step, one of them a triangle
     V = [box([-0.1 * (k + 1), -0.2], [0.1, 0.05 * (k + 1)]) for k in range(6)]
     V[2] = PolyhedralSet(np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]),
                          np.array([0.1, 0.1, 0.05]))
-    runs = sim.simulate_runs(model, gains, x0s,
-                             [sim.RandomVertex(seed=s) for s in seeds],
+    runs = sim.simulate_runs(model, gains, x0s, np.random.default_rng(100),
                              disturbance=V)
-    states, controls, realized = simulate_reference(model, gains, x0s, seeds,
+    states, controls, realized = simulate_reference(model, gains, x0s, 100,
                                                     disturbance=V)
     assert np.array_equal(runs.states, states)
     assert np.array_equal(runs.controls, controls)

@@ -6,8 +6,7 @@ from tubesynth.cli import tanks_problem
 from tubesynth.polytope import PolyhedralSet, box, vertices
 from tubesynth.reach import PolytopicModel, check_containment, step_maps, \
     verify_certificates
-from tubesynth.sim import RandomVertex, sample_states, simulate_closed_loop, \
-    verify_membership
+from tubesynth.sim import sample_states, simulate_closed_loop, verify_membership
 from tubesynth.tube import TargetTube
 
 from oracles import lp1_kron_reference
@@ -339,8 +338,8 @@ def test_closed_loop_stays_in_traversed_sets():
     t = TargetTube([box([-w] * 2, [w] * 2) for w in (1.0, 1.0, 0.8, 0.6, 0.5)])
     res = synth.synthesize(synth.SynthesisProblem(model=model, tube=t))
     assert res.certified
-    for i, x0 in enumerate(sample_states(res.sets[0], 100, rng)):
-        traj = simulate_closed_loop(model, res.gains, x0, RandomVertex(seed=i))
+    for x0 in sample_states(res.sets[0], 100, rng):
+        traj = simulate_closed_loop(model, res.gains, x0, rng)
         assert verify_membership(traj, res.sets, tol=1e-7).ok
 
 
