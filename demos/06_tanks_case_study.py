@@ -34,11 +34,11 @@ print("\nlinear runs inside their traversed sets: %d/50"
       % sum(report.ok for report in reports))
 
 # Nonlinear validation: integrate the true tank equations for each
-# candidate area and audit against the tube sections.
+# candidate area and audit against the tube sections; the starts come
+# from the same generator, after the linear runs.
 print("\nnonlinear runs (RK4 on the tank equations):")
 areas = (3.0, 4.0, 5.0)
-starts = [sample_states(res.sets[0], 1, np.random.default_rng(7 + j))[0]
-          for j in range(len(areas))]
+starts = sample_states(res.sets[0], len(areas), rng)
 trajs = [tanks_nonlinear_simulate(R1, 5.0, np.asarray(TANKS_SETPOINT) + e0,
                                   res.gains, TANKS_SETPOINT)
          for R1, e0 in zip(areas, starts)]

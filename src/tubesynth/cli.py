@@ -9,10 +9,11 @@ RFC-4180 CSV with a header row.
 Every value read from a user file goes through the typed readers below,
 which raise ConfigError and nothing else.  ``main`` is the one place
 where exceptions become exit codes: 0 success, 2 input/validation error
-("config error: ..." on stderr), 3 synthesis failure ("synthesis
-failed: ..."), 4 audit failure (a membership or containment check came
-back false, or a nonlinear tanks run left the model's domain: "audit
-failed: ...").
+or an output path that cannot be written ("config error: ..." on
+stderr), 3 synthesis failure ("synthesis failed: ..."), 4 audit failure
+(a membership or containment check came back false, or a nonlinear
+tanks run left the model's domain: "audit failed: ...").  The drivers
+compute every result first and then write every file.
 """
 
 from __future__ import annotations
@@ -110,10 +111,6 @@ def decode_matrix(obj, name="matrix"):
         raise ConfigError("%s: %d data values for a %dx%d matrix"
                           % (name, data.size, rows, cols))
     return data.reshape(rows, cols)
-
-
-def encode_set(P: PolyhedralSet):
-    return {"A": encode_matrix(P.A), "b": [float(v) for v in P.b]}
 
 
 def decode_set(obj, name="set"):
@@ -355,23 +352,20 @@ def audit_runs(reports, tol):
             "worst_violation": float(worst), "failures": failures}
 
 
-def linear_audit(out, model, gains, sets, runs, rng, tol, disturbance=None):
-    """Simulate ``runs`` closed-loop runs, write trajectories.csv into
-    ``out`` and return the audit summary.
+def linear_audit(model, gains, sets, runs, rng, tol, disturbance=None):
+    """Simulate ``runs`` closed-loop runs and audit them against ``sets``,
+    where sets[k] is the membership set of step k.
 
     ``rng`` draws, in this order, the initial states from sets[0], then
     the random vertex model of every run and step, then (given the sets
     V(k)) the points of V(k) step by step; see ``sim.simulate_runs``.
-    sets[k] is the membership set of step k.  ``out`` is created only
-    after the initial states are drawn, so an X(0) that cannot be
-    sampled leaves no directory behind.
+    Returns the runs, their (R, K+1) membership flags and the audit
+    summary; nothing is written.
     """
     x0s = sim.sample_states(sets[0], runs, rng)
-    out.mkdir(parents=True, exist_ok=True)
     batch = sim.simulate_runs(model, gains, x0s, rng, disturbance)
     inside, reports = sim.verify_runs(batch.states, sets, tol)
-    write_trajectories_csv(out / "trajectories.csv", batch, inside)
-    return audit_runs(reports, tol)
+    return batch, inside, audit_runs(reports, tol)
 
 
 # -- subcommand drivers ----------------------------------------------------
@@ -428,9 +422,11 @@ def run_simulate(config_path, gains_path, runs, seed, out_dir, tol=None):
     sets = _load_traversed_sets(gains_path, problem.tube)
     tol = cfg.containment_tol if tol is None else _number(tol, "--tol")
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    batch, inside, audit = linear_audit(problem.model, gains, sets, runs, rng, tol,
+                                        problem.disturbance)
     out = Path(out_dir)
-    audit = linear_audit(out, problem.model, gains, sets, runs, rng, tol,
-                         problem.disturbance)
+    out.mkdir(parents=True, exist_ok=True)
+    write_trajectories_csv(out / "trajectories.csv", batch, inside)
     _write_json(out / "audit.json", audit)
     print("%d/%d runs inside the tube (worst violation %g)"
           % (audit["passed"], audit["runs"], audit["worst_violation"]))
@@ -541,44 +537,36 @@ def run_demo_tanks(out_dir, horizon=15, runs=100, seed=0, r1=None, tol=1e-7):
         raise ConfigError("--r1 must be positive, got %r" % r1)
     problem, specs = tanks_problem(horizon=horizon)
     result = synth.synthesize(problem, containment_tol=tol)
-
-    # the nonlinear runs come first: one that leaves the model's domain
-    # raises SimulationError before any file is written
+    rng = np.random.default_rng(seed)
+    batch, inside, audit = linear_audit(problem.model, result.gains, result.sets,
+                                        runs, rng, tol)
     areas = list(TANKS_R1) if r1 is None else [float(r1)]
-    nl_runs = {}
-    for j, area in enumerate(areas):
-        e0 = sim.sample_states(result.sets[0], 1, np.random.default_rng(seed + 7 + j))[0]
-        nl_runs[area] = sim.tanks_nonlinear_simulate(
-            area, TANKS_R2, np.asarray(TANKS_SETPOINT) + e0, result.gains,
-            TANKS_SETPOINT)
+    starts = np.asarray(TANKS_SETPOINT) + sim.sample_states(result.sets[0], len(areas), rng)
+    nl_runs = {area: sim.tanks_nonlinear_simulate(area, TANKS_R2, x0, result.gains,
+                                                  TANKS_SETPOINT)
+               for area, x0 in zip(areas, starts)}
     _, nl_reports = sim.verify_runs(np.stack([tr.states for tr in nl_runs.values()]),
                                     problem.tube.sets, tol=1e-3)
+    nl_audit = audit_runs(nl_reports, 1e-3)
+    for failure in nl_audit["failures"]:
+        failure["run"] = "nonlinear_r1_%g" % areas[failure["run"]]
+    audit["failures"] += nl_audit["failures"]
+    audit["nonlinear_worst_violation"] = nl_audit["worst_violation"]
 
     out = Path(out_dir)
     write_result_files(out, problem, result)
-    audit = linear_audit(out, problem.model, result.gains, result.sets, runs,
-                         np.random.default_rng(seed), tol)
-    for area, rep in zip(areas, nl_reports):
-        if not rep.ok:
-            audit["failures"].append({"run": "nonlinear_r1_%g" % area,
-                                      "k": rep.first_violation[0],
-                                      "row": rep.first_violation[1],
-                                      "violation": rep.first_violation[2]})
-    nl_worst = max(rep.worst for rep in nl_reports)
-    audit["nonlinear_worst_violation"] = float(nl_worst)
+    write_trajectories_csv(out / "trajectories.csv", batch, inside)
     _write_json(out / "audit.json", audit)
-
     Ts = specs[0].sample_time
     _write_envelope_csv(out / "tank1_envelopes.csv", specs[0], Ts, horizon, nl_runs, 0)
     _write_envelope_csv(out / "tank2_envelopes.csv", specs[1], Ts, horizon, nl_runs, 1)
     _write_sets_csv(out / "tube_sets.csv", list(problem.tube.sets), result.sets)
 
-    ok = (result.certified and audit["failed"] == 0
-          and all(rep.ok for rep in nl_reports))
     print("tanks demo: %d linear runs (%d passed), %d nonlinear runs, "
           "worst envelope slack %g -> %s"
-          % (audit["runs"], audit["passed"], len(nl_runs), nl_worst, out))
-    return EXIT_OK if ok else EXIT_AUDIT
+          % (audit["runs"], audit["passed"], len(nl_runs),
+             audit["nonlinear_worst_violation"], out))
+    return EXIT_OK if result.certified and not audit["failures"] else EXIT_AUDIT
 
 
 # -- argument parsing and the exit-code boundary ------------------------------
@@ -633,7 +621,9 @@ def main(argv=None):
     except (synth.SynthesisError, lp.LpNumericalError) as exc:
         print("synthesis failed: %s" % exc, file=sys.stderr)
         return EXIT_SYNTH
-    except (ConfigError, ValueError, EmptySetError, UnboundedSetError) as exc:
+    # the readers turn their OSErrors into ConfigError, so an OSError here
+    # comes from writing an output file
+    except (ConfigError, ValueError, EmptySetError, UnboundedSetError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except sim.SimulationError as exc:

@@ -44,10 +44,6 @@ class Trajectory:
     disturbances: Optional[np.ndarray]    # (K, p) or None
     overflow: bool = False
 
-    @property
-    def horizon(self):
-        return self.states.shape[0] - 1
-
 
 @dataclass
 class Runs:

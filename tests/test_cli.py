@@ -308,9 +308,9 @@ def tanks_synthesis():
     return problem, specs, synth.synthesize(problem)
 
 
-def tanks_runs(problem, result, runs, seed):
-    """Runs and membership flags drawn as cli.linear_audit draws them."""
-    rng = np.random.default_rng(seed)
+def tanks_runs(problem, result, runs, rng):
+    """Runs and membership flags drawn from ``rng`` as cli.linear_audit
+    draws them."""
     x0s = sim.sample_states(result.sets[0], runs, rng)
     batch = sim.simulate_runs(problem.model, result.gains, x0s, rng)
     inside, _ = sim.verify_runs(batch.states, result.sets, 1e-7)
@@ -326,7 +326,7 @@ def assert_trajectories_match_reference(tmp_path, runs, inside):
 @pytest.mark.parametrize("seed", [0, 1, 12345])
 def test_trajectories_csv_matches_reference_on_tanks_runs(tmp_path, tanks_synthesis, seed):
     problem, _, result = tanks_synthesis
-    runs, inside = tanks_runs(problem, result, 300, seed)
+    runs, inside = tanks_runs(problem, result, 300, np.random.default_rng(seed))
     assert cli.TRAJECTORY_BLOCK_ROWS < 300 * 16 and inside.all()
     assert_trajectories_match_reference(tmp_path, runs, inside)
     inside[::7, 3] = False
@@ -392,6 +392,32 @@ def test_set_and_envelope_csvs_match_reference(tmp_path, tanks_synthesis):
                                runs_by_r1, coord)
         assert (tmp_path / "fast.csv").read_bytes() == \
             (tmp_path / "reference.csv").read_bytes()
+
+
+@pytest.mark.parametrize("r1", [None, 5.0])
+def test_demo_tanks_draws_everything_from_the_seed_generator(tmp_path, tanks_synthesis, r1):
+    # one default_rng(--seed): the linear runs first, then one start in
+    # X(0) per tank-1 area in a single sample_states call
+    out = tmp_path / "demo"
+    argv = ["demo-tanks", "--out", str(out), "--runs", "7", "--seed", "11"]
+    assert cli.main(argv + ([] if r1 is None else ["--r1", "%g" % r1])) == 0
+    problem, specs, result = tanks_synthesis
+    rng = np.random.default_rng(11)
+    runs, inside = tanks_runs(problem, result, 7, rng)
+    areas = cli.TANKS_R1 if r1 is None else (r1,)
+    starts = sim.sample_states(result.sets[0], len(areas), rng)
+    nl_runs = {area: sim.tanks_nonlinear_simulate(area, cli.TANKS_R2,
+                                                  np.asarray(cli.TANKS_SETPOINT) + e0,
+                                                  result.gains, cli.TANKS_SETPOINT)
+               for area, e0 in zip(areas, starts)}
+    trajectories_csv_reference(tmp_path / "trajectories.csv", runs, inside)
+    assert (out / "trajectories.csv").read_bytes() == \
+        (tmp_path / "trajectories.csv").read_bytes()
+    for coord, spec in enumerate(specs):
+        name = "tank%d_envelopes.csv" % (coord + 1)
+        envelope_csv_reference(tmp_path / name, spec, spec.sample_time,
+                               problem.horizon, nl_runs, coord)
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def test_demo_tanks_short_horizon_rejected(tmp_path):
@@ -586,6 +612,30 @@ def test_non_finite_tol_exits_2(tmp_path, capsys, command, tol):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: --tol")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "simulate", "check-contain",
+                                     "check-invariant", "demo-tanks"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    # an output directory that is a regular file, or a report path below one
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    scalar = write(tmp_path / "scalar.json", scalar_config())
+    assert cli.main(["synth", "--config", scalar, "--out", str(tmp_path / "s")]) == 0
+    argv = {
+        "synth": ["synth", "--config", scalar, "--out", str(blocker)],
+        "simulate": ["simulate", "--config", scalar, "--runs", "3",
+                     "--gains", str(tmp_path / "s" / "gains.json"), "--out", str(blocker)],
+        "check-contain": ["check-contain", "--out", str(blocker / "r.json"),
+                          "--config", write(tmp_path / "c.json", contain_config())],
+        "check-invariant": ["check-invariant", "--out", str(blocker / "r.json"),
+                            "--config", write(tmp_path / "i.json", invariant_config())],
+        "demo-tanks": ["demo-tanks", "--runs", "2", "--out", str(blocker)],
+    }[command]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
 
 
 @pytest.mark.parametrize("seed", ["-1", "-7"])
