@@ -42,8 +42,8 @@ terminal = tube[K]
 rng = np.random.default_rng(1)
 x0s = sample_states(res.sets[0], 10, rng)
 runs = simulate_runs(plant, gains, x0s, rng, disturbance=[V] * len(gains))
-_, reports = verify_runs(runs.states[:, K:], [terminal] * (K + 1), tol=1e-7)
-assert all(report.ok for report in reports)
-worst = max(report.worst for report in reports)
+_, report = verify_runs(runs.states[:, K:], [terminal] * (K + 1), tol=1e-7)
+assert report.ok.all()
+worst = report.worst.max()
 print("\n10 disturbed runs: state inside the terminal box for k = %d..%d,"
       " worst slack %.4f" % (K, 2 * K, -worst))

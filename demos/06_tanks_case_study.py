@@ -29,9 +29,8 @@ print("every step certified by its LP multipliers:", res.certified)
 rng = np.random.default_rng(0)
 e0s = sample_states(res.sets[0], 50, rng)
 runs = simulate_runs(model, res.gains, e0s, rng)
-_, reports = verify_runs(runs.states, res.sets, tol=1e-7)
-print("\nlinear runs inside their traversed sets: %d/50"
-      % sum(report.ok for report in reports))
+_, report = verify_runs(runs.states, res.sets, tol=1e-7)
+print("\nlinear runs inside their traversed sets: %d/50" % report.ok.sum())
 
 # Nonlinear validation: integrate the true tank equations for each
 # candidate area and audit against the tube sections; the starts come
@@ -42,9 +41,9 @@ starts = sample_states(res.sets[0], len(areas), rng)
 trajs = [tanks_nonlinear_simulate(R1, 5.0, np.asarray(TANKS_SETPOINT) + e0,
                                   res.gains, TANKS_SETPOINT)
          for R1, e0 in zip(areas, starts)]
-_, reports = verify_runs(np.stack([t.states for t in trajs]), problem.tube.sets,
-                         tol=1e-3)
-for R1, e0, traj, rep in zip(areas, starts, trajs, reports):
+_, report = verify_runs(np.stack([t.states for t in trajs]), problem.tube.sets,
+                        tol=1e-3)
+for R1, e0, traj, ok in zip(areas, starts, trajs, report.ok):
     print("  R1=%g: start error %s, inside envelopes=%s, final error %s"
-          % (R1, np.round(e0, 3).tolist(), rep.ok,
+          % (R1, np.round(e0, 3).tolist(), ok,
              np.round(traj.states[-1], 5).tolist()))

@@ -20,7 +20,7 @@ from .reach import (CertificateError, ContainmentReport, PolytopicModel,
                     check_containment, check_containment_disturbance,
                     check_robust_invariant, contractivity_factor,
                     verify_certificates)
-from .sim import (MembershipReport, Runs, SimulationError, Trajectory,
+from .sim import (MembershipReport, Runs, RunsReport, SimulationError, Trajectory,
                   discretize_zoh, sample_states, simulate_closed_loop,
                   simulate_runs, tanks_linearize, tanks_nonlinear_simulate,
                   verify_membership, verify_runs)
@@ -40,7 +40,7 @@ __all__ = [
     "CertificateError", "ContainmentReport", "PolytopicModel",
     "check_containment", "check_containment_disturbance",
     "check_robust_invariant", "contractivity_factor", "verify_certificates",
-    "MembershipReport", "Runs", "SimulationError", "Trajectory",
+    "MembershipReport", "Runs", "RunsReport", "SimulationError", "Trajectory",
     "discretize_zoh", "sample_states", "simulate_closed_loop",
     "simulate_runs", "tanks_linearize", "tanks_nonlinear_simulate",
     "verify_membership", "verify_runs",

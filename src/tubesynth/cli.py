@@ -338,18 +338,29 @@ def write_trajectories_csv(path, runs: sim.Runs, inside):
     _write_csv(path, header, _trajectory_blocks(runs, inside))
 
 
-def audit_runs(reports, tol):
-    """The audit.json summary of per-run membership reports."""
-    failures = []
-    worst = -np.inf
-    for rid, rep in enumerate(reports):
-        worst = max(worst, rep.worst)
-        if not rep.ok:
-            k, row, amount = rep.first_violation
-            failures.append({"run": rid, "k": k, "row": row, "violation": amount})
-    return {"runs": len(reports), "passed": len(reports) - len(failures),
-            "failed": len(failures), "tolerance": tol,
-            "worst_violation": float(worst), "failures": failures}
+def _amount(value):
+    """An audit amount as a JSON value: a float, or null when infinite
+    (a diverged or non-finite state), which JSON cannot hold."""
+    value = float(value)
+    return value if np.isfinite(value) else None
+
+
+def _format_amount(value):
+    """An audit.json amount for a message: "%g", or "inf" for null."""
+    return "inf" if value is None else "%g" % value
+
+
+def audit_runs(report: sim.RunsReport, tol):
+    """The audit.json summary of the membership report of R runs: the
+    counts, the worst amount and the first violation of each failed run."""
+    failed = np.flatnonzero(~report.ok)
+    failures = [{"run": int(r), "k": int(report.first_k[r]),
+                 "row": int(report.first_row[r]),
+                 "violation": _amount(report.first_amount[r])} for r in failed]
+    runs = len(report.worst)
+    return {"runs": runs, "passed": runs - len(failures), "failed": len(failures),
+            "tolerance": tol, "worst_violation": _amount(report.worst.max()),
+            "failures": failures}
 
 
 def linear_audit(model, gains, sets, runs, rng, tol, disturbance=None):
@@ -364,8 +375,8 @@ def linear_audit(model, gains, sets, runs, rng, tol, disturbance=None):
     """
     x0s = sim.sample_states(sets[0], runs, rng)
     batch = sim.simulate_runs(model, gains, x0s, rng, disturbance)
-    inside, reports = sim.verify_runs(batch.states, sets, tol)
-    return batch, inside, audit_runs(reports, tol)
+    inside, report = sim.verify_runs(batch.states, sets, tol)
+    return batch, inside, audit_runs(report, tol)
 
 
 # -- subcommand drivers ----------------------------------------------------
@@ -428,8 +439,8 @@ def run_simulate(config_path, gains_path, runs, seed, out_dir, tol=None):
     out.mkdir(parents=True, exist_ok=True)
     write_trajectories_csv(out / "trajectories.csv", batch, inside)
     _write_json(out / "audit.json", audit)
-    print("%d/%d runs inside the tube (worst violation %g)"
-          % (audit["passed"], audit["runs"], audit["worst_violation"]))
+    print("%d/%d runs inside the tube (worst violation %s)"
+          % (audit["passed"], audit["runs"], _format_amount(audit["worst_violation"])))
     return EXIT_OK if audit["failed"] == 0 else EXIT_AUDIT
 
 
@@ -545,9 +556,9 @@ def run_demo_tanks(out_dir, horizon=15, runs=100, seed=0, r1=None, tol=1e-7):
     nl_runs = {area: sim.tanks_nonlinear_simulate(area, TANKS_R2, x0, result.gains,
                                                   TANKS_SETPOINT)
                for area, x0 in zip(areas, starts)}
-    _, nl_reports = sim.verify_runs(np.stack([tr.states for tr in nl_runs.values()]),
-                                    problem.tube.sets, tol=1e-3)
-    nl_audit = audit_runs(nl_reports, 1e-3)
+    _, nl_report = sim.verify_runs(np.stack([tr.states for tr in nl_runs.values()]),
+                                   problem.tube.sets, tol=1e-3)
+    nl_audit = audit_runs(nl_report, 1e-3)
     for failure in nl_audit["failures"]:
         failure["run"] = "nonlinear_r1_%g" % areas[failure["run"]]
     audit["failures"] += nl_audit["failures"]
@@ -563,9 +574,9 @@ def run_demo_tanks(out_dir, horizon=15, runs=100, seed=0, r1=None, tol=1e-7):
     _write_sets_csv(out / "tube_sets.csv", list(problem.tube.sets), result.sets)
 
     print("tanks demo: %d linear runs (%d passed), %d nonlinear runs, "
-          "worst envelope slack %g -> %s"
+          "worst envelope slack %s -> %s"
           % (audit["runs"], audit["passed"], len(nl_runs),
-             audit["nonlinear_worst_violation"], out))
+             _format_amount(audit["nonlinear_worst_violation"]), out))
     return EXIT_OK if result.certified and not audit["failures"] else EXIT_AUDIT
 
 

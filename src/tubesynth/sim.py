@@ -2,16 +2,24 @@
 
 The linear simulator realizes a uniformly random vertex model of the
 inclusion at every step and applies the stored feedback sequence
-exactly: y = C x, u = F(k) y, x+ = A x + B u (+ D v).  ``simulate_runs``
-steps many runs at once and draws everything from one caller-supplied
-generator: first the vertex indices of every run and step, then the
-disturbances v(k) in V(k) step by step.  A caller that seeds one
-generator and draws the initial states X(0) from it first
-(``sample_states``) reproduces every run bit for bit.  ``verify_runs``
-audits every run and step from one product A_k x each.  Initial states
+exactly: y = C x, u = F(k) y, x+ = (A x) + (B u) (+ D v).
+``simulate_runs`` steps many runs at once and draws everything from one
+caller-supplied generator: first the vertex indices of every run and
+step, then the disturbances v(k) in V(k) step by step.  A caller that
+seeds one generator and draws the initial states X(0) from it first
+(``sample_states``) reproduces every run bit for bit.  Initial states
 and disturbances are Dirichlet(1, ..., 1) combinations of the set's
-vertices, so every draw lies in the set even when it is
-lower-dimensional.
+vertices, w_0 v_0 + w_1 v_1 + ..., so every draw lies in the set even
+when it is lower-dimensional.
+
+Every matrix-vector product on this path, in the draws, the
+propagation and the audit (``verify_runs``), is a sum in column order,
+M x = (M[:, 0] x_0 + M[:, 1] x_1) + ..., formed by one elementwise
+multiply and one add per column over the whole row of R runs.  No BLAS
+kernel is involved, so the bytes of a batch depend only on the inputs,
+not on the machine's kernel or its use of fused multiply-adds; and each
+run gets the bits of the same sums on Python floats.  The arrays are
+held runs-last, (..., R); ``Runs`` exposes them as (R, ...) views.
 
 The tanks plant is the usual pair of coupled water tanks: levels x1,
 x2, inflow into tank 1 and outflow from tank 2, gravity-driven flow
@@ -47,7 +55,8 @@ class Trajectory:
 
 @dataclass
 class Runs:
-    """R closed-loop runs over one horizon, stacked along a leading run axis."""
+    """R closed-loop runs over one horizon, indexed by a leading run axis
+    (views of runs-last arrays when ``simulate_runs`` made them)."""
     states: np.ndarray                    # (R, K+1, n)
     controls: np.ndarray                  # (R, K, m)
     realized: np.ndarray                  # (R, K) vertex indices
@@ -68,6 +77,26 @@ class Runs:
             disturbances=None if self.disturbances is None else self.disturbances[r])
 
 
+def _products(M, x, out=None):
+    """The rows of M x for every run, into ``out`` (a new (a, R) array by
+    default).  x is (b, R), one row per coordinate, and M is (a, b), one
+    matrix for every run, or (a, b, R), one per run.  Row i is
+    (M[i, 0] x_0 + M[i, 1] x_1) + ..., one elementwise multiply and add
+    over the R runs per column; an empty sum is 0."""
+    a, b = M.shape[:2]
+    if out is None:
+        out = np.empty((a, x.shape[1]))
+    if b == 0:
+        out[...] = 0.0
+        return out
+    term = np.empty(x.shape[1])
+    for i in range(a):
+        np.multiply(M[i, 0], x[0], out=out[i])
+        for j in range(1, b):
+            out[i] += np.multiply(M[i, j], x[j], out=term)
+    return out
+
+
 def simulate_runs(model: PolytopicModel, gains: Sequence[np.ndarray], x0s, rng,
                   disturbance: Optional[Sequence[PolyhedralSet]] = None) -> Runs:
     """Run the exact closed-loop recursion for len(gains) steps from every
@@ -80,9 +109,10 @@ def simulate_runs(model: PolytopicModel, gains: Sequence[np.ndarray], x0s, rng,
     V(k) per step over the model's p disturbance coordinates (it needs a
     D map); equal sets are enumerated once.
 
-    All runs are propagated together: the stacked products
-    ``np.matmul(A[idx], x[..., None])`` give bit for bit the per-run
-    ``A @ x``, which ``X @ A.T`` would not.
+    All runs are propagated together, each product as a column-order
+    sum (see the module docstring): y = C x, u = F(k) y, then
+    x+ = (A x) + (B u), then + D v.  A run that diverges is propagated
+    to inf or NaN without a warning; the audit reports it.
     """
     X0 = np.asarray(x0s, dtype=float)
     if X0.ndim != 2 or X0.shape[1] != model.n:
@@ -95,29 +125,30 @@ def simulate_runs(model: PolytopicModel, gains: Sequence[np.ndarray], x0s, rng,
             raise ValueError("disturbance sets given but model has no D")
         check_step_sets(disturbance, K, model.p, "disturbance")
     realized = rng.integers(model.s, size=(R, K))
-    disturbances = None
+    V = None
     if disturbance is not None:
-        disturbances = np.empty((R, K, model.p))
+        V = np.empty((K, model.p, R))
         for k, verts in enumerate(step_vertices(disturbance)):
-            disturbances[:, k] = _hull_draw(np.array(verts), rng, R)
+            V[k] = _hull_draw(np.array(verts), rng, R)
 
-    states = np.empty((R, K + 1, model.n))
-    controls = np.empty((R, K, model.m))
-    A_stack = np.array([A for A, _ in model.vertices])
-    B_stack = np.array([B for _, B in model.vertices])
-    x = X0[..., None]                     # (R, n, 1): one column per run
-    states[:, 0] = X0
-    for k in range(K):
-        F = np.asarray(gains[k], dtype=float).reshape(model.m, model.r)
-        u = np.matmul(F, np.matmul(model.C, x))
-        x = (np.matmul(A_stack[realized[:, k]], x)
-             + np.matmul(B_stack[realized[:, k]], u))
-        if disturbances is not None:
-            x = x + np.matmul(model.D, disturbances[:, k, :, None])
-        controls[:, k] = u[..., 0]
-        states[:, k + 1] = x[..., 0]
-    return Runs(states=states, controls=controls, realized=realized,
-                disturbances=disturbances)
+    # runs-last buffers: row i of X[k] is coordinate i of every run
+    X = np.empty((K + 1, model.n, R))
+    U = np.empty((K, model.m, R))
+    X[0] = X0.T
+    A_all = np.stack([A for A, _ in model.vertices], axis=-1)   # (n, n, s)
+    B_all = np.stack([B for _, B in model.vertices], axis=-1)   # (n, m, s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            F = np.asarray(gains[k], dtype=float).reshape(model.m, model.r)
+            _products(F, _products(model.C, X[k]), out=U[k])
+            idx = realized[:, k]
+            _products(np.take(A_all, idx, axis=2), X[k], out=X[k + 1])
+            X[k + 1] += _products(np.take(B_all, idx, axis=2), U[k])
+            if V is not None:
+                X[k + 1] += _products(model.D, V[k])
+    return Runs(states=X.transpose(2, 0, 1), controls=U.transpose(2, 0, 1),
+                realized=realized,
+                disturbances=None if V is None else V.transpose(2, 0, 1))
 
 
 def simulate_closed_loop(model: PolytopicModel, gains: Sequence[np.ndarray], x0,
@@ -138,54 +169,93 @@ class MembershipReport:
     worst: float                          # max over steps of max row residual
 
 
+@dataclass
+class RunsReport:
+    """The membership audit of R runs, one entry per run in each array.
+
+    The amount of a step is its largest row residual max(A x - b); a
+    non-finite amount (a diverged or NaN state) counts as +inf.  A step
+    passes when its amount is at most the tolerance.
+    """
+    worst: np.ndarray                     # (R,) largest amount over the steps
+    first_k: np.ndarray                   # (R,) first failing step, -1 if none
+    first_row: np.ndarray                 # (R,) its residual's row, -1 if none
+    first_amount: np.ndarray              # (R,) its amount, NaN if none
+
+    @property
+    def ok(self):
+        return self.first_k < 0
+
+    def run(self, r) -> MembershipReport:
+        """Run r as a MembershipReport."""
+        first = None
+        if self.first_k[r] >= 0:
+            first = (int(self.first_k[r]), int(self.first_row[r]),
+                     float(self.first_amount[r]))
+        return MembershipReport(ok=first is None, first_violation=first,
+                                worst=float(self.worst[r]))
+
+
+def _residuals(P: PolyhedralSet, x):
+    """The (q, R) residuals A x - b of the (n, R) points ``x``."""
+    res = _products(P.A, x)
+    for row, b in zip(res, P.b):
+        row -= b
+    return res
+
+
 def verify_runs(states, sets: Sequence[PolyhedralSet], tol=1e-7):
     """Check states[r, k] against sets[k] for every run r and step k.
 
-    The products A_k x are formed once per (run, step).  Returns the
-    (R, K+1) flags ``A x <= b + tol`` and one MembershipReport per run,
-    whose first violation is the first step with max(A x - b) > tol.
-    A step with a non-finite residual (a diverged or NaN state) is a
-    violation of amount +inf.
+    Each set's residuals A x - b are formed for all runs at once as
+    column-order sums (see the module docstring).  Returns the (R, K+1)
+    flags "step k of run r passes" and the RunsReport of the runs.  The
+    first violation of a run is its first step with an amount above
+    ``tol``, at the first row that attains that amount (the first NaN
+    row, if any).
     """
     states = np.asarray(states, dtype=float)
     if len(sets) != states.shape[1]:
         raise ValueError("have %d states but %d sets" % (states.shape[1], len(sets)))
-    R, steps = states.shape[:2]
-    inside = np.empty((R, steps), dtype=bool)
-    row_max = np.empty((R, steps))
-    row_arg = np.empty((R, steps), dtype=int)
-    for k, S in enumerate(sets):
-        products = np.matmul(S.A, states[:, k, :, None])[..., 0]
-        inside[:, k] = np.all(products <= S.b + tol, axis=1)
-        resid = products - S.b
-        row_max[:, k] = resid.max(axis=1)
-        row_arg[:, k] = resid.argmax(axis=1)
-    row_max[~np.isfinite(row_max)] = np.inf
-    worst = np.fmax.reduce(row_max, axis=1, initial=-np.inf)
-    violated = row_max > tol
-    first_k = violated.argmax(axis=1)
-    reports = []
-    for r in range(R):
-        first = None
-        if violated[r, first_k[r]]:
-            k = int(first_k[r])
-            first = (k, int(row_arg[r, k]), float(row_max[r, k]))
-        reports.append(MembershipReport(ok=first is None, first_violation=first,
-                                        worst=float(worst[r])))
-    return inside, reports
+    X = np.moveaxis(states, 0, -1)        # (K+1, n, R)
+    R = X.shape[2]
+    amount = np.empty((len(sets), R))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, S in enumerate(sets):
+            np.maximum.reduce(_residuals(S, X[k]), axis=0, out=amount[k])
+        # adding 0.0 turns a -0.0 amount into 0.0: the sign of a zero from
+        # a tie in np.maximum depends on its code path
+        amount += 0.0
+        amount[~np.isfinite(amount)] = np.inf
+        inside = amount <= tol
+        first_k = np.argmin(inside, axis=0)
+        failed = np.flatnonzero(~inside[first_k, np.arange(R)])
+        report = RunsReport(worst=np.maximum.reduce(amount, axis=0),
+                            first_k=np.full(R, -1), first_row=np.full(R, -1),
+                            first_amount=np.full(R, np.nan))
+        report.first_k[failed] = first_k[failed]
+        report.first_amount[failed] = amount[first_k[failed], failed]
+        # the row of a failing step: its residuals again, for those runs
+        # only (steps gathered in a set: np.unique imports numpy.ma, 1.3 MB)
+        for k in set(first_k[failed].tolist()):
+            runs = failed[first_k[failed] == k]
+            report.first_row[runs] = np.argmax(_residuals(sets[k], X[k][:, runs]), axis=0)
+    return inside.T, report
 
 
 def verify_membership(traj: Trajectory, sets: Sequence[PolyhedralSet],
                       tol=1e-7) -> MembershipReport:
     """Check states[k] against sets[k] for every k; report the first miss."""
     states = traj.states if isinstance(traj, Trajectory) else traj
-    return verify_runs(np.asarray(states)[None], sets, tol)[1][0]
+    return verify_runs(np.asarray(states)[None], sets, tol)[1].run(0)
 
 
 def _hull_draw(V, rng, size):
-    """``size`` points of the hull of the rows of V, stacked: Dirichlet(1,
-    ..., 1) weights over the rows, applied to V."""
-    return rng.dirichlet(np.ones(V.shape[0]), size) @ V
+    """``size`` points of the hull of the rows of V, runs-last (d, size):
+    Dirichlet(1, ..., 1) weights w over the rows, each point
+    w_0 V[0] + w_1 V[1] + ... summed in that order."""
+    W = rng.dirichlet(np.ones(V.shape[0]), size)
+    return _products(V.T, W.T)
 
 
 def sample_states(P: PolyhedralSet, count, rng):
@@ -197,7 +267,7 @@ def sample_states(P: PolyhedralSet, count, rng):
     zero).  P must be bounded, nonempty and within the caps of
     ``vertices``, which raises ValueError past them.
     """
-    return _hull_draw(np.array(vertices(P)), rng, count)
+    return _hull_draw(np.array(vertices(P)), rng, count).T
 
 
 # -- coupled tanks -------------------------------------------------------
@@ -281,19 +351,15 @@ def tanks_nonlinear_simulate(R1, R2, x0, gains, setpoint, step=0.01) -> Trajecto
     if setpoint[0] <= setpoint[1]:
         raise ValueError("setpoint must have level1 > level2")
     n_steps = len(gains)
-    # the integration runs on Python floats: the same operations in the
-    # same order as on 2-vectors, without an array per stage
+    # the integration runs on Python floats, with the stage derivatives
+    # (-L1 sqrt(x1 - x2) + u1, L2 sqrt(x1 - x2) + u2) written out: the
+    # same operations in the same order as on 2-vectors, without an array
+    # or a call per stage
     L1 = float(np.sqrt(2.0 * GRAVITY) / R1)
+    nL1 = -L1
     L2 = float(np.sqrt(2.0 * GRAVITY) / R2)
     shift = float(np.sqrt(setpoint[0] - setpoint[1]))
     s1, s2 = float(setpoint[0]), float(setpoint[1])
-
-    def deriv(x1, x2, u1, u2):
-        d = x1 - x2
-        if d < 0.0:
-            raise SimulationError("level inversion at x = %s" % np.array([x1, x2]))
-        root = math.sqrt(d)
-        return -L1 * root + u1, L2 * root + u2
 
     states = np.zeros((n_steps + 1, 2))
     controls = np.zeros((n_steps, 2))
@@ -305,6 +371,7 @@ def tanks_nonlinear_simulate(R1, R2, x0, gains, setpoint, step=0.01) -> Trajecto
     h = SAMPLE_TIME / substeps
     half = 0.5 * h
     sixth = h / 6.0
+    sqrt = math.sqrt
     for k in range(n_steps):
         e2 = x2 - s2
         F = np.asarray(gains[k], dtype=float).reshape(2, 1)
@@ -314,13 +381,22 @@ def tanks_nonlinear_simulate(R1, R2, x0, gains, setpoint, step=0.01) -> Trajecto
         # inflow stays nonnegative and outflow nonpositive
         u1 = max(float(u_shift[0]) + L1 * shift, 0.0)
         u2 = min(float(u_shift[1]) - L2 * shift, 0.0)
-        for _ in range(substeps):
-            a1, a2 = deriv(x1, x2, u1, u2)
-            b1, b2 = deriv(x1 + half * a1, x2 + half * a2, u1, u2)
-            c1, c2 = deriv(x1 + half * b1, x2 + half * b2, u1, u2)
-            d1, d2 = deriv(x1 + h * c1, x2 + h * c2, u1, u2)
-            x1 = x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-            x2 = x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+        try:
+            for _ in range(substeps):
+                root = sqrt(x1 - x2)
+                a1, a2 = nL1 * root + u1, L2 * root + u2
+                root = sqrt((x1 + half * a1) - (x2 + half * a2))
+                b1, b2 = nL1 * root + u1, L2 * root + u2
+                root = sqrt((x1 + half * b1) - (x2 + half * b2))
+                c1, c2 = nL1 * root + u1, L2 * root + u2
+                root = sqrt((x1 + h * c1) - (x2 + h * c2))
+                d1, d2 = nL1 * root + u1, L2 * root + u2
+                x1 = x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+                x2 = x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+        except ValueError:
+            # math.sqrt of a negative level difference
+            raise SimulationError("level inversion at x = %s, within step %d"
+                                  % (np.array([x1, x2]), k)) from None
         if x1 > TANK_HEIGHT or x2 > TANK_HEIGHT:
             overflow = True
         states[k + 1] = (x1 - s1, x2 - s2)

@@ -13,7 +13,7 @@ tests, so the faster forms can be held to bitwise-equal output.
 
 import csv
 from itertools import combinations
-from math import comb
+from math import comb, inf, isfinite
 
 import numpy as np
 
@@ -121,41 +121,79 @@ def point_in_convex_polygon(pt, verts, tol=1e-9):
     return True
 
 
+def _column_sums(M, x):
+    """The rows of M x on Python floats, each summed in column order:
+    (M[i][0] x[0] + M[i][1] x[1]) + ...; an empty sum is 0.0."""
+    out = []
+    for row in np.asarray(M, dtype=float).tolist():
+        acc = row[0] * x[0] if row else 0.0
+        for a, v in zip(row[1:], x[1:]):
+            acc = acc + a * v
+        out.append(acc)
+    return out
+
+
 def simulate_reference(model, gains, x0s, seed, disturbance=None):
-    """Per-run closed loop, one vector at a time, drawing from one
+    """Per-run closed loop on Python floats, drawing from one
     default_rng(seed) in the simulator's documented order: the (R, K)
     vertex indices first, then for each step k the R points of V(k), as
-    Dirichlet(1, ..., 1) weights over the vertices of V(k) from
-    enum_vertices, one run after the other.  Steps x+ = A x + B u (+ D v)
-    with u = F(k) C x.
+    Dirichlet(1, ..., 1) weights w over the vertices v_j of V(k) from
+    enum_vertices, one run after the other, each point w_0 v_0 + w_1 v_1
+    + ....  Steps x+ = (A x) + (B u) (+ D v) with u = F(k) (C x), every
+    product a column-order sum.
 
     Returns stacked states (R, K+1, n), controls (R, K, m) and vertex
     indices (R, K)."""
     rng = np.random.default_rng(seed)
     R, K = len(x0s), len(gains)
     realized = rng.integers(len(model.vertices), size=(R, K))
-    points = []                           # per step k, the (R, p) points of V(k)
+    points = []                           # per step k, the R points of V(k)
     for V in disturbance or []:
         verts = np.array(enum_vertices(V.A, V.b))
-        weights = [rng.dirichlet(np.ones(len(verts))) for _ in range(R)]
-        # one (R, nv) @ (nv, p) product, as the simulator forms it: a row
-        # at a time can differ from it in the last bit
-        points.append(np.array(weights) @ verts)
+        points.append([_column_sums(verts.T, rng.dirichlet(np.ones(len(verts))).tolist())
+                       for _ in range(R)])
     states, controls = [], []
     for r, x0 in enumerate(x0s):
-        x = np.asarray(x0, dtype=float).copy()
+        x = np.asarray(x0, dtype=float).tolist()
         xs, us = [x], []
         for k, F in enumerate(gains):
             A, B = model.vertices[realized[r, k]]
-            u = F @ (model.C @ x)
-            x = A @ x + B @ u
+            u = _column_sums(F, _column_sums(model.C, x))
+            x = [ax + bu for ax, bu in zip(_column_sums(A, x), _column_sums(B, u))]
             if points:
-                x = x + model.D @ points[k][r]
+                x = [xi + dv for xi, dv in zip(x, _column_sums(model.D, points[k][r]))]
             xs.append(x)
             us.append(u)
         states.append(xs)
         controls.append(us)
     return np.array(states), np.array(controls), realized
+
+
+def verify_runs_reference(states, sets, tol):
+    """Per-run membership audit on Python floats.  The amount of step k
+    is the largest residual (A x - b)_i, each a column-order sum, or NaN
+    when a residual is NaN; 0.0 is added to it, and a non-finite amount
+    counts as +inf.  A step passes when its amount is at most ``tol``.
+
+    Returns the (R, K+1) flags, the (R,) worst amounts and, per run, the
+    first failing step as (k, row, amount) or None, where row is the
+    first NaN residual's, else the first to attain the amount."""
+    flags, worst, first = [], [], []
+    for run in np.asarray(states, dtype=float):
+        amounts, rows = [], []
+        for x, S in zip(run.tolist(), sets):
+            res = [p - b for p, b in zip(_column_sums(S.A, x), S.b.tolist())]
+            nan = [i for i, v in enumerate(res) if v != v]
+            amount = res[nan[0]] if nan else max(res)
+            rows.append(nan[0] if nan else res.index(amount))
+            amount = amount + 0.0
+            amounts.append(amount if isfinite(amount) else inf)
+        flags.append([a <= tol for a in amounts])
+        worst.append(max(amounts))
+        failing = [k for k, a in enumerate(amounts) if not a <= tol]
+        first.append((failing[0], rows[failing[0]], amounts[failing[0]])
+                     if failing else None)
+    return np.array(flags, dtype=bool), np.array(worst), first
 
 
 def tanks_rk4_reference(R1, R2, x0, gains, setpoint, Ts=1.0, step=0.01,

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -187,6 +190,67 @@ def test_simulate_audit_failure_exit_code(tmp_path):
     audit = json.loads((tmp_path / "a" / "audit.json").read_text())
     assert audit["failed"] > 0
     assert audit["failures"][0]["k"] == 1
+
+
+def run_cli(argv, **env):
+    """The command line in a fresh process, with ``env`` added to its
+    environment; returns the CompletedProcess, output as bytes."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    environ = dict(os.environ, **env)
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c",
+                           "import sys; from tubesynth.cli import main; sys.exit(main())"]
+                          + argv, capture_output=True, env=environ)
+
+
+def strict_json(path):
+    """The JSON file at ``path``; NaN and Infinity, which RFC 8259 does
+    not allow, raise."""
+    def reject(name):
+        raise ValueError("%s in %s" % (name, path))
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+def test_simulate_diverging_runs_write_strict_json(tmp_path):
+    # B u = 1e308 (1e308 x) overflows at the first step: every run is at
+    # inf from k = 1 on
+    cfg = write(tmp_path / "cfg.json", scalar_config(b=1e308))
+    gains = write(tmp_path / "gains.json", {"gains": [mat([[1e308]])] * 2})
+    done = run_cli(["simulate", "--config", cfg, "--gains", gains, "--runs", "5",
+                    "--out", str(tmp_path / "out")])
+    assert done.returncode == 4
+    assert done.stderr == b""
+    audit = strict_json(tmp_path / "out" / "audit.json")
+    assert audit["failed"] == 5 and audit["worst_violation"] is None
+    assert [(f["k"], f["violation"]) for f in audit["failures"]] == [(1, None)] * 5
+    assert b"inf" in (tmp_path / "out" / "trajectories.csv").read_bytes()
+
+
+def test_simulate_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # dense vertex matrices, a dense output map and a 1x2 gain: products
+    # whose BLAS forms differ between kernels with and without FMA
+    rng = np.random.default_rng(4)
+    boxset = lambda w: {"A": mat([[1, 0], [-1, 0], [0, 1], [0, -1]]), "b": [w] * 4}
+    cfg = write(tmp_path / "cfg.json", {
+        "horizon": 6,
+        "model": {"vertices": [{"A": mat(rng.normal(size=(2, 2)) * 0.5),
+                                "B": mat(rng.normal(size=(2, 1)))} for _ in range(2)],
+                  "C": mat(rng.normal(size=(2, 2)))},
+        "tube": {"explicit": [boxset(1.0)] + [boxset(1.5)] * 6}})
+    gains = write(tmp_path / "gains.json",
+                  {"gains": [mat(rng.normal(size=(1, 2)) * 0.3) for _ in range(6)]})
+    outs = []
+    for kernel in ("Nehalem", None):
+        out = tmp_path / ("out-%s" % kernel)
+        env = {} if kernel is None else {"OPENBLAS_CORETYPE": kernel}
+        done = run_cli(["simulate", "--config", cfg, "--gains", gains, "--runs", "200",
+                        "--seed", "1", "--out", str(out)], **env)
+        assert done.returncode in (0, 4), done.stderr
+        outs.append(out)
+    for name in ("trajectories.csv", "audit.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_gains_dimension_check(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import simulate_reference, tanks_rk4_reference
+from oracles import simulate_reference, tanks_rk4_reference, verify_runs_reference
 from tubesynth import polytope, sim
 from tubesynth.polytope import PolyhedralSet, box, vertices
 from tubesynth.reach import PolytopicModel
@@ -308,16 +308,68 @@ def test_verify_runs_flags_and_reports():
                        [[0.2], [1.5], [0.1]],
                        [[3.0], [0.0], [2.0]]])
     sets = [box([-1], [1]), box([-1], [1]), box([-0.5], [0.5])]
-    inside, reports = sim.verify_runs(states, sets, tol=1e-7)
+    inside, report = sim.verify_runs(states, sets, tol=1e-7)
     assert inside.tolist() == [[True, True, False], [True, False, True],
                                [False, True, False]]
-    assert [rep.first_violation[:2] for rep in reports] == [(2, 0), (1, 0), (0, 0)]
-    assert [rep.first_violation[2] for rep in reports] == \
-        pytest.approx([0.3, 0.5, 2.0], abs=1e-15)
-    assert [rep.worst for rep in reports] == pytest.approx([0.3, 0.5, 2.0], abs=1e-15)
-    assert not any(rep.ok for rep in reports)
-    _, reports = sim.verify_runs(states, [box([-4], [4])] * 3, tol=1e-7)
-    assert all(rep.ok and rep.first_violation is None for rep in reports)
+    assert report.first_k.tolist() == [2, 1, 0]
+    assert report.first_row.tolist() == [0, 0, 0]
+    assert report.first_amount.tolist() == pytest.approx([0.3, 0.5, 2.0], abs=1e-15)
+    assert report.worst.tolist() == pytest.approx([0.3, 0.5, 2.0], abs=1e-15)
+    assert not report.ok.any()
+    _, report = sim.verify_runs(states, [box([-4], [4])] * 3, tol=1e-7)
+    assert report.ok.all()
+    assert report.first_k.tolist() == report.first_row.tolist() == [-1] * 3
+    assert np.isnan(report.first_amount).all()
+
+
+def _dense_set(rng, n, q):
+    """q random dense rows about the origin, offsets in [0.2, 1]."""
+    return PolyhedralSet(rng.normal(size=(q, n)), rng.uniform(0.2, 1.0, size=q))
+
+
+def assert_verify_runs_matches_reference(states, sets, tol):
+    inside, report = sim.verify_runs(states, sets, tol)
+    flags, worst, first = verify_runs_reference(states, sets, tol)
+    assert np.array_equal(inside, flags)
+    assert report.worst.tobytes() == worst.tobytes()
+    assert report.ok.tolist() == [f is None for f in first]
+    for r, f in enumerate(first):
+        if f is not None:
+            got = (report.first_k[r], report.first_row[r], report.first_amount[r])
+            assert np.array_equal(got, f) and np.signbit(got[2]) == np.signbit(f[2])
+    return inside
+
+
+def test_verify_runs_matches_reference_on_dense_sets():
+    rng = np.random.default_rng(40)
+    for n, q, R, K in ((1, 2, 1, 0), (2, 5, 1, 4), (3, 7, 60, 5), (4, 4, 33, 2)):
+        sets = [_dense_set(rng, n, q) for _ in range(K + 1)]
+        # some states fall outside their set, some do not
+        states = rng.normal(scale=0.6, size=(R, K + 1, n))
+        inside = assert_verify_runs_matches_reference(states, sets, 1e-7)
+        assert R == 1 or 0 < inside.mean() < 1
+        for tol in (0.0, 0.25, -0.1):
+            assert_verify_runs_matches_reference(states, sets, tol)
+
+
+def test_verify_runs_matches_reference_on_non_finite_and_boundary_states():
+    rng = np.random.default_rng(41)
+    sets = [_dense_set(rng, 2, 5) for _ in range(4)]
+    states = rng.normal(scale=0.3, size=(9, 4, 2))
+    states[0, 1] = [np.inf, 0.0]
+    states[1, 2] = [np.nan, 0.1]
+    states[2, 1:] = [-np.inf, np.inf]
+    states[3, 3] = [1.7e308, -1.7e308]     # finite, but A x overflows to ±inf
+    # run 5 on a boundary at step 2: residuals 0.0 and -0.0 tie for the max
+    states[5, :] = [0.0, -0.0]
+    sets[2] = PolyhedralSet(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]),
+                            np.array([0.0, 0.0, 1.0]))
+    inside = assert_verify_runs_matches_reference(states, sets, 1e-7)
+    assert_verify_runs_matches_reference(states[5:6], sets, -1.0)
+    assert not inside[:4].all(axis=1).any()
+    _, report = sim.verify_runs(states, sets, 1e-7)
+    assert report.first_amount[:3].tolist() == [np.inf] * 3
+    assert report.worst[5] == 0.0 and not np.signbit(report.worst[5])
 
 
 def test_tanks_nonlinear_matches_array_rk4():
