@@ -9,14 +9,24 @@ the synthesized feedback must be reproducible.
 Problems are small and dense (tens to a few hundred rows), so no
 attempt is made at sparse or revised-simplex machinery.  At these
 sizes a pivot spends more time in NumPy call overhead than in
-arithmetic, so the pivot loop keeps its calls few: the entering column
-is the first set entry of a mask (``argmax``), the ratio test is one
-masked ``np.divide``, the leaving row is read from an int-array basis,
-the tableau update is one broadcast rank-1 product, and each phase
-prices its objective row with one ordered ``np.subtract.reduce`` over
-the stacked rows.  Each forms the same floating-point operations, in
-the same order, as an element-wise loop would, so the pivot sequence
-and every output bit are fixed by the problem alone.
+arithmetic, so the pivot loop is written to the call count.  Each solve
+allocates its scratch arrays once, and every per-pivot ufunc writes
+into them with ``out=``.  The entering column is the first set entry of
+a reduced-cost mask (``argmax``) below a column limit; phase 2 stops
+before the artificials.  The ratio test is one masked ``np.divide``;
+its minimum is read through ``argmin``, and an infinite minimum with no
+eligible row means unbounded.  A lone tied row leaves directly, and
+several go to the lowest basis index.  The tableau update is one
+broadcast ``np.multiply`` of the pivot column and row into a buffer,
+then one ``np.subtract``.  Each phase prices its objective row with one
+ordered ``np.subtract.reduce`` over the stacked rows.
+
+Every step forms the same floating-point operations, in the same order,
+as an element-wise loop would, so the pivot sequence and every output
+bit are fixed by the problem alone.  That rules out ``einsum`` and BLAS
+products for the update, and skipping the rows whose pivot-column entry
+is zero: each of those can leave a zero with another sign than the
+dense update gives it.
 """
 
 from __future__ import annotations
@@ -63,6 +73,8 @@ def _matrix(A, ncols, name):
 
 def _vector(b, nrows, name):
     if b is None:
+        if nrows:
+            raise ValueError("%s is missing for the %d rows of its matrix" % (name, nrows))
         return np.zeros(0)
     b = np.asarray(b, dtype=float).reshape(-1)
     if b.size != nrows:
@@ -105,7 +117,7 @@ class LpProblem:
             raise ValueError("sense must be %r or %r" % (MINIMIZE, MAXIMIZE))
         for name, arr in (("c", self.c), ("A_eq", self.A_eq), ("b_eq", self.b_eq),
                           ("A_in", self.A_in), ("b_in", self.b_in)):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError("%s contains non-finite entries" % name)
 
     @property
@@ -141,6 +153,21 @@ class LpSolver(ABC):
         """Solve and classify the problem; never return silently-bad data."""
 
 
+class _Buffers:
+    """Scratch arrays of one solve, sized to its tableau T ((m+1) x (ncols+1))."""
+
+    __slots__ = ("entering", "eligible", "clamped", "ratios", "tie", "product")
+
+    def __init__(self, T):
+        m = T.shape[0] - 1
+        self.entering = np.empty(T.shape[1] - 1, dtype=bool)
+        self.eligible = np.empty(m, dtype=bool)
+        self.clamped = np.empty(m)
+        self.ratios = np.empty(m)
+        self.tie = np.empty(m, dtype=bool)
+        self.product = np.empty_like(T)
+
+
 class DenseSimplexSolver(LpSolver):
     """Reference two-phase dense simplex with Bland's rule."""
 
@@ -150,47 +177,66 @@ class DenseSimplexSolver(LpSolver):
 
     # -- tableau mechanics -------------------------------------------------
 
-    def _pivot(self, T, basis, row, col):
+    def _pivot(self, T, basis, row, col, buf):
+        """Pivot on T[row, col]: divide the row by the pivot, subtract
+        the row times the pivot column's entry from every row (the pivot
+        row itself by a zero multiple) and reset the pivot column to a
+        unit vector.  ``buf`` holds the solve's scratch arrays."""
         piv = T[row, col]
         if abs(piv) < self.pivot_tol:
             raise LpNumericalError("pivot %g below tolerance" % piv)
-        T[row] /= piv
-        colvals = T[:, col].copy()
-        colvals[row] = 0.0
-        T -= colvals[:, None] * T[row]
+        prow = T[row]
+        np.divide(prow, piv, out=prow)
+        # the pivot column is its own multiplier column, with a zero at the
+        # pivot row; what the update writes to that column is overwritten
+        T[row, col] = 0.0
+        np.multiply(T[:, col:col + 1], prow, out=buf.product)
+        np.subtract(T, buf.product, out=T)
         # re-orthogonalise the pivot column exactly
         T[:, col] = 0.0
         T[row, col] = 1.0
         basis[row] = col
 
-    def _iterate(self, T, basis, allowed, max_iter):
+    def _iterate(self, T, basis, limit, max_iter, buf):
         """Run simplex pivots until optimal or unbounded.
 
-        ``allowed`` is a boolean mask of columns permitted to enter the
-        basis and ``basis`` an int array of the basic column per row.
-        Entering column: lowest index with reduced cost below
-        -reduced_cost_tol; leaving row: minimum ratio, ties broken by
-        lowest basis index (Bland).
+        Only the columns below ``limit`` may enter the basis; ``basis``
+        is an int array of the basic column per row.  Entering column:
+        lowest index with reduced cost below -reduced_cost_tol; leaving
+        row: minimum ratio, ties broken by lowest basis index (Bland).
+        The problem is unbounded when no row has a pivot entry above
+        pivot_tol, so that every ratio stays infinite.
         """
         m = T.shape[0] - 1
         neg_tol = -self.reduced_cost_tol
-        no_ratio = np.full(m, np.inf)
+        pivot_tol = self.pivot_tol
+        reduced = T[-1, :limit]
+        rhs = T[:m, -1]
+        entering = buf.entering[:limit]
+        eligible, clamped, ratios, tie = buf.eligible, buf.clamped, buf.ratios, buf.tie
+        less, greater, maximum, divide, less_equal = (
+            np.less, np.greater, np.maximum, np.divide, np.less_equal)
+        inf = np.inf
         it = 0
         while True:
-            entering = allowed & (T[-1, :-1] < neg_tol)
+            less(reduced, neg_tol, out=entering)
             col = int(entering.argmax())
             if not entering[col]:
                 return OPTIMAL, it
             colvals = T[:m, col]
-            eligible = colvals > self.pivot_tol
-            if not eligible.any():
+            greater(colvals, pivot_tol, out=eligible)
+            maximum(rhs, 0.0, out=clamped)
+            ratios.fill(inf)
+            divide(clamped, colvals, out=ratios, where=eligible)
+            # the first smallest ratio, or the first NaN: the minimum
+            rmin = float(ratios[ratios.argmin()]) if m else inf
+            # an infinite minimum is unbounded unless a ratio overflowed
+            if rmin == inf and not eligible.any():
                 return UNBOUNDED, it
-            ratios = np.divide(np.maximum(T[:m, -1], 0.0), colvals,
-                               out=no_ratio.copy(), where=eligible)
-            rmin = ratios.min()
-            rows = (ratios <= rmin + 1e-12 * (1.0 + abs(rmin))).nonzero()[0]
-            row = int(rows[basis[rows].argmin()])
-            self._pivot(T, basis, row, col)
+            less_equal(ratios, rmin + 1e-12 * (1.0 + abs(rmin)), out=tie)
+            rows = tie.nonzero()[0]
+            row = int(rows[0] if rows.size == 1 else rows[basis[rows].argmin()])
+            self._pivot(T, basis, row, col, buf)
             it += 1
             if it > max_iter:
                 raise LpNumericalError("iteration limit %d exceeded" % max_iter)
@@ -198,105 +244,107 @@ class DenseSimplexSolver(LpSolver):
     # -- main entry --------------------------------------------------------
 
     def solve(self, problem: LpProblem) -> LpSolution:
-        n = problem.nvars
-        free = problem.free
+        c, free = problem.c, problem.free
+        A_eq, b_eq, A_in, b_in = problem.A_eq, problem.b_eq, problem.A_in, problem.b_in
+        n = c.size
+        me = A_eq.shape[0]
+        mi = A_in.shape[0]
+        m = me + mi
 
         # Column expansion: every variable gets a nonnegative column; free
         # variables get a negated copy right next to it (the in-place
         # substitution x = x_plus - x_minus), which also fixes Bland's
         # column ordering.
-        nfree = int(free.sum())
-        plus_col = np.arange(n) + np.concatenate([[0], np.cumsum(free[:-1])])
-        minus_col = np.where(free, plus_col + 1, -1)
-        nx = n + nfree
+        free_at = free.nonzero()[0]
+        nx = n + free_at.size
+        plus_col = np.add.accumulate(free, dtype=np.intp)   # free up to j
+        plus_col -= free
+        plus_col += np.arange(n)
+        plus_free = plus_col[free_at]
+        minus_free = plus_free + 1
 
-        sense_sign = 1.0 if problem.sense == MINIMIZE else -1.0
-        c_int = np.zeros(nx)
-        c_int[plus_col] = sense_sign * problem.c
-        c_int[minus_col[free]] = -sense_sign * problem.c[free]
-
-        me = problem.A_eq.shape[0]
-        mi = problem.A_in.shape[0]
-        m = me + mi
-        b = np.concatenate([problem.b_eq, problem.b_in])
-        # flip rows so every right-hand side is nonnegative
-        sigma = np.where(b < 0.0, -1.0, 1.0)
-        b = b * sigma
-
-        # initial basis: slack where it forms an identity column, otherwise
-        # a phase-1 artificial
-        slack_col = nx + np.arange(mi)
+        # rows with a negative right-hand side are flipped; they, and every
+        # equality row, start on a phase-1 artificial, the other rows on
+        # their slack
+        b = np.concatenate([b_eq, b_in])
+        starts_artificial = b < 0.0
+        flipped = starts_artificial.nonzero()[0]
+        starts_artificial[:me] = True
+        art_rows = starts_artificial.nonzero()[0]
         art_start = nx + mi
-        art_rows = np.flatnonzero((np.arange(m) < me) | (sigma < 0.0))
-        art_col = art_start + np.arange(art_rows.size)
         ncols = art_start + art_rows.size
-        basis = np.empty(m, dtype=np.intp)
-        basis[me:] = slack_col
+        art_col = np.arange(art_start, ncols)
+        basis = np.arange(nx - me, art_start)    # slack nx + i - me of row i
         basis[art_rows] = art_col
         initial_basis = basis.copy()
 
         T = np.zeros((m + 1, ncols + 1))
-        for rows, A in ((slice(0, me), problem.A_eq), (slice(me, m), problem.A_in)):
-            T[rows, plus_col] = A
-            T[rows, minus_col[free]] = -A[:, free]
-        T[me + np.arange(mi), slack_col] = 1.0
-        T[:m, :art_start] *= sigma[:, None]
+        T[:me, plus_col] = A_eq
+        T[me:m, plus_col] = A_in
+        T[:m, minus_free] = -T[:m, plus_free]
+        # the slack identity: entries (me + i, nx + i) of the flat tableau
+        width = ncols + 1
+        T.reshape(-1)[me * width + nx:m * width:width + 1] = 1.0
+        T[flipped, :art_start] *= -1.0
+        b[flipped] *= -1.0
         T[:m, -1] = b
         T[art_rows, art_col] = 1.0
 
         max_iter = 500 * (m + ncols + 10)
+        buf = _Buffers(T)
 
         # phase 1: minimise the sum of artificials
         if art_rows.size:
-            T[-1, art_col] = 1.0
+            T[-1, art_start:ncols] = 1.0
             # the artificial rows subtracted one after another, in row order
             T[-1] = np.subtract.reduce(T[np.concatenate([[m], art_rows])], axis=0)
-            allowed = np.ones(ncols, dtype=bool)
-            status, it1 = self._iterate(T, basis, allowed, max_iter)
+            status, it1 = self._iterate(T, basis, ncols, max_iter, buf)
             if status != OPTIMAL:
                 raise LpNumericalError("phase 1 cannot be unbounded")
             if -T[-1, -1] > self.feasibility_tol:
                 return LpSolution(status=INFEASIBLE, iterations=it1)
             # pivot out any artificial stuck in the basis at zero level;
             # rows with no structural entry are redundant and stay inert
-            for i in np.flatnonzero(basis >= art_start):
-                nz = np.flatnonzero(np.abs(T[i, :art_start]) > 1e-9)
+            for i in (basis >= art_start).nonzero()[0]:
+                nz = (np.abs(T[i, :art_start]) > 1e-9).nonzero()[0]
                 if nz.size:
-                    self._pivot(T, basis, i, int(nz[0]))
+                    self._pivot(T, basis, i, int(nz[0]), buf)
         else:
             it1 = 0
 
         # phase 2: original objective priced out on the current basis;
         # artificial columns may never re-enter
-        T[-1, :] = 0.0
-        T[-1, :nx] = c_int
-        cb = np.zeros(m)
-        structural = basis < nx
-        cb[structural] = c_int[basis[structural]]
-        priced = np.flatnonzero(cb)
+        objective_row = T[-1]
+        objective_row.fill(0.0)
+        if problem.sense == MINIMIZE:
+            objective_row[plus_col] = c
+            objective_row[minus_free] = -c[free_at]
+        else:
+            objective_row[plus_col] = -c
+            objective_row[minus_free] = c[free_at]
+        cb = objective_row[basis]
+        priced = cb.nonzero()[0]
         T[-1] = np.subtract.reduce(
             np.concatenate([T[-1:], cb[priced, None] * T[priced]]), axis=0)
-        allowed = np.ones(ncols, dtype=bool)
-        allowed[art_start:] = False
-        status, it2 = self._iterate(T, basis, allowed, max_iter)
+        status, it2 = self._iterate(T, basis, art_start, max_iter, buf)
         if status == UNBOUNDED:
             return LpSolution(status=UNBOUNDED, iterations=it1 + it2)
 
         # primal extraction
         x_full = np.zeros(ncols)
         x_full[basis] = T[:m, -1]
-        x = x_full[plus_col].copy()
-        x[free] -= x_full[minus_col[free]]
-        objective = float(problem.c @ x)
+        x = x_full[plus_col]
+        x[free_at] -= x_full[minus_free]
+        objective = float(c @ x)
 
         # dual extraction: the initial identity column of row i carries
         # -y_i in the final reduced-cost row
         y = -T[-1, initial_basis]
-        y_user = sigma * y
+        y[flipped] *= -1.0
         if problem.sense == MAXIMIZE:
-            y_user = -y_user
-        duals_eq = y_user[:me].copy()
-        duals_in = y_user[me:].copy()
+            np.negative(y, out=y)
+        duals_eq = y[:me].copy()
+        duals_in = y[me:].copy()
 
         self._verify(problem, x, objective, duals_eq, duals_in)
         return LpSolution(status=OPTIMAL, x=x, objective=objective,
@@ -306,20 +354,20 @@ class DenseSimplexSolver(LpSolver):
     def _verify(self, problem, x, objective, duals_eq, duals_in):
         """Exit checks; a basis that produces bad residuals is reported
         as a numerical failure rather than returned."""
-        scale = 1.0 + float(np.max(np.abs(x), initial=0.0))
+        scale = 1.0 + float(np.abs(x).max(initial=0.0))
         if problem.A_eq.shape[0]:
-            r_eq = np.max(np.abs(problem.A_eq @ x - problem.b_eq))
+            r_eq = np.abs(problem.A_eq @ x - problem.b_eq).max()
             if r_eq > self.feasibility_tol * scale:
                 raise LpNumericalError("equality residual %g" % r_eq)
         if problem.A_in.shape[0]:
-            r_in = np.max(problem.A_in @ x - problem.b_in)
+            r_in = (problem.A_in @ x - problem.b_in).max()
             if r_in > self.feasibility_tol * scale:
                 raise LpNumericalError("inequality residual %g" % r_in)
-        if np.any(x[~problem.free] < -self.feasibility_tol * scale):
+        if (x[~problem.free] < -self.feasibility_tol * scale).any():
             raise LpNumericalError("sign violation on nonnegative variable")
         dual_obj = float(problem.b_eq @ duals_eq + problem.b_in @ duals_in)
         gap = abs(dual_obj - objective)
-        if gap > 1e-7 * (1.0 + abs(objective) + float(np.sum(np.abs(problem.b_in)))):
+        if gap > 1e-7 * (1.0 + abs(objective) + float(np.abs(problem.b_in).sum())):
             raise LpNumericalError("duality gap %g" % gap)
 
 

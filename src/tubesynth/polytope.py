@@ -56,12 +56,12 @@ class PolyhedralSet:
         q, n = A.shape
         if q < 1 or n < 1:
             raise ValueError("A must have at least one row and one column")
-        if np.any(np.max(np.abs(A), axis=1) == 0.0):
+        if (np.abs(A).max(axis=1) == 0.0).any():
             raise ValueError("A contains an all-zero row")
         b = np.asarray(self.b, dtype=float).reshape(-1)
         if b.size != q:
             raise ValueError("b has length %d, expected %d" % (b.size, q))
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("A and b must be finite")
         A = A.copy()
         b = b.copy()
@@ -225,6 +225,7 @@ def vertices(P: PolyhedralSet, max_dim=6, max_subsets=500000):
         raise UnboundedSetError("vertex enumeration needs a bounded set")
 
     found = []
+    found_coords = []        # the same vertices as lists of floats
     subsets = combinations(range(q), n)
     while True:
         rows = np.fromiter(chain.from_iterable(islice(subsets, _SUBSET_CHUNK)),
@@ -240,15 +241,19 @@ def vertices(P: PolyhedralSet, max_dim=6, max_subsets=500000):
         # negated, so a NaN residual is kept exactly as a per-subset
         # "skip if resid > tol" would keep it (the feasibility test then
         # drops it)
-        resid = np.max(np.abs(np.matmul(M, x[:, :, None])[:, :, 0] - rhs), axis=1)
-        kept = ~(resid > 1e-9 * (1.0 + np.max(np.abs(x), axis=1)))
+        resid = np.abs(np.matmul(M, x[:, :, None])[:, :, 0] - rhs).max(axis=1)
+        kept = ~(resid > 1e-9 * (1.0 + np.abs(x).max(axis=1)))
         x = x[kept]
-        feasible = np.all(np.matmul(P.A, x[:, :, None])[:, :, 0]
-                          <= P.b + VERTEX_DEDUP_TOL, axis=1)
-        for v in x[feasible]:   # sequential: the first of near-duplicates wins
-            if not found or not np.any(
-                    np.max(np.abs(v - np.array(found)), axis=1) < VERTEX_DEDUP_TOL):
+        feasible = (np.matmul(P.A, x[:, :, None])[:, :, 0]
+                    <= P.b + VERTEX_DEDUP_TOL).all(axis=1)
+        x = x[feasible]
+        # sequential: the first of near-duplicates wins; the distances are
+        # taken on Python floats, which round as NumPy's float64 does
+        for v, coords in zip(x, x.tolist()):
+            if all(max([abs(a - b) for a, b in zip(coords, w)]) >= VERTEX_DEDUP_TOL
+                   for w in found_coords):
                 found.append(v)
+                found_coords.append(coords)
     if not found:
         raise EmptySetError("set is empty")
     return found

@@ -132,9 +132,9 @@ def verify_certificates(blocks, source: PolyhedralSet, target: PolyhedralSet,
         if G.shape != (target.nrows, source.nrows):
             raise ValueError("certificate block is %dx%d, expected %dx%d"
                              % (G.shape + (target.nrows, source.nrows)))
-        worst = max(worst, float(np.max(G @ source.b - target.b)))
+        worst = max(worst, float((G @ source.b - target.b).max()))
         ok = (ok and G.min() >= -CERT_SIGN_TOL
-              and np.max(np.abs(G @ source.A - target.A @ M)) <= lp.FEASIBILITY_TOL)
+              and np.abs(G @ source.A - target.A @ M).max() <= lp.FEASIBILITY_TOL)
         certs.append(G)
     contained = bool(ok and worst <= tol)
     return ContainmentReport(contained=contained,

@@ -191,8 +191,7 @@ def build_lp1(model: PolytopicModel, H: PolyhedralSet, X_next: PolyhedralSet,
     nF = m * r
     nG = q1 * q0t
     nvars = q1 + nF + s * nG
-    C_ext = np.hstack([model.C, np.zeros((r, w - n))])
-    D = np.zeros((n, 0)) if V is None else model.D
+    C_ext = model.C if w == n else np.hstack([model.C, np.zeros((r, w - n))])
 
     ne = q1 * w              # equality rows per model vertex
     nc = 0 if control is None else control[0].nrows * len(control[1])
@@ -209,20 +208,22 @@ def build_lp1(model: PolytopicModel, H: PolyhedralSet, X_next: PolyhedralSet,
         eq = slice(i * ne, (i + 1) * ne)
         bnd = slice(i * q1, (i + 1) * q1)
         g = slice(q1 + nF + i * nG, q1 + nF + (i + 1) * nG)
-        A_eq[eq, q1:q1 + nF] = -_kron(X_next.A @ B_i, C_ext.T)
+        A_eq[eq, q1:q1 + nF] = _kron(-(X_next.A @ B_i), C_ext.T)
         A_eq[eq, g] = g_cols
-        b_eq[eq] = (X_next.A @ np.hstack([A_i, D])).reshape(-1)
+        # [A_i D] in C order, as np.hstack lays it out, for the same product
+        b_eq[eq] = (X_next.A @ (np.ascontiguousarray(A_i) if V is None
+                                else np.hstack([A_i, model.D]))).reshape(-1)
         A_in[bnd, :q1] = neg_eye
         A_in[bnd, g] = g_bound
         b_in[bnd] = X_next.b
 
     if control is not None:
+        # U F C h <= theta for every section vertex h, one row block each
         U, section_vertices = control
-        row = s * q1
-        for h in section_vertices:
-            A_in[row:row + U.nrows, q1:q1 + nF] = _kron(U.A, (model.C @ h)[None, :])
-            b_in[row:row + U.nrows] = U.b
-            row += U.nrows
+        outputs = np.array([model.C @ h for h in section_vertices])
+        A_in[s * q1:, q1:q1 + nF] = (U.A[None, :, :, None] * outputs[:, None, None, :]
+                                     ).reshape(nc, nF)
+        b_in[s * q1:].reshape(-1, U.nrows)[:] = U.b
 
     c = np.zeros(nvars)
     c[:q1] = 1.0
@@ -349,7 +350,7 @@ def synthesize(problem: SynthesisProblem, containment_tol=1e-7,
                 raise SynthesisError(k, "stage 1", "LP is %s" % sol1.status)
         next_key = key
         eps, F, blocks = split_lp1_solution(sol1.x, model, X_next.nrows)
-        if np.max(np.abs(eps), initial=0.0) <= eps_zero_tol:
+        if np.abs(eps).max(initial=0.0) <= eps_zero_tol:
             X, provenance[k], stage = H, TUBE_EXACT, "stage 1"
         else:
             if sol2 is None:
@@ -362,7 +363,7 @@ def synthesize(problem: SynthesisProblem, containment_tol=1e-7,
                 if sol2.status != lp.OPTIMAL:
                     raise SynthesisError(k, "stage 2", "LP is %s" % sol2.status)
             X, provenance[k], stage = PolyhedralSet(H.A, sol2.x), SHRUNK, "stage 2"
-        if np.any(X.b < 0.0):   # otherwise the origin is in X(k)
+        if (X.b < 0.0).any():   # otherwise the origin is in X(k)
             if support_lp(X, np.zeros(model.n)).status == lp.INFEASIBLE:
                 raise SynthesisError(k, stage, "traversed set is empty")
         source, maps = step_maps(model, F, X, V)

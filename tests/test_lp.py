@@ -58,6 +58,18 @@ def test_shape_validation():
         lp.LpProblem(c=[1], A_in=[[np.inf]], b_in=[1])
 
 
+@pytest.mark.parametrize("block", ["eq", "in"])
+def test_constraint_block_without_right_hand_side_is_rejected(block):
+    # rows without offsets used to build and then fail inside solve
+    with pytest.raises(ValueError, match="b_%s is missing for the 1 rows" % block):
+        lp.LpProblem(c=[1], **{"A_" + block: [[1]], "b_" + block: None})
+    with pytest.raises(ValueError, match="b_%s is missing for the 2 rows" % block):
+        lp.LpProblem(c=[1, 1], **{"A_" + block: np.ones((2, 2))})
+    # an empty block needs no offsets
+    assert lp.solve(lp.LpProblem(c=[1], **{"A_" + block: np.zeros((0, 1))})).status \
+        == lp.OPTIMAL
+
+
 def _random_lp(rng):
     n = int(rng.integers(2, 5))
     A, b = random_bounded_set(rng, n, extra_rows=3)
@@ -242,10 +254,80 @@ def _degenerate_lps():
     return out
 
 
+class _BranchProbe(lp.DenseSimplexSolver):
+    """The package solver, noting the rarely taken branches of each solve
+    in ``taken``."""
+
+    def solve(self, problem):
+        self.taken = set()
+        self._phases = 0
+        self._in_loop = False
+        sol = super().solve(problem)
+        if sol.status == lp.UNBOUNDED and self._phases == 2:
+            self.taken.add("unbounded after phase 1")
+        if problem.sense == lp.MAXIMIZE and problem.free.all():
+            self.taken.add("all free, maximize")
+        return sol
+
+    def _iterate(self, T, basis, limit, max_iter, buf):
+        if not self._phases and (np.signbit(T) & (T == 0.0)).any():
+            self.taken.add("negative zero in the tableau")
+        self._phases += 1
+        self._in_loop = True
+        try:
+            return super()._iterate(T, basis, limit, max_iter, buf)
+        finally:
+            self._in_loop = False
+
+    def _pivot(self, T, basis, row, col, buf):
+        if not self._in_loop:
+            self.taken.add("artificial pivoted out")
+        super()._pivot(T, basis, row, col, buf)
+
+
+def _rare_branch_lps():
+    """(branch, LP) pairs, each LP taking the named branch."""
+    return [
+        # row 3 = row 1 + row 2, all at zero level: phase 1 ends with an
+        # artificial basic at zero in a row that still has structural entries
+        ("artificial pivoted out",
+         lp.LpProblem(c=[1, 2], A_eq=[[1, 1], [1, -1], [2, 0]], b_eq=[0, 0, 0])),
+        ("artificial pivoted out",
+         lp.LpProblem(c=[-1, 1, 0], A_eq=[[1, 1, 0], [1, -1, 0], [2, 0, 0]],
+                      b_eq=[0, 0, 0])),
+        # flipped rows: -1 times a zero entry is -0.0, and so is a -0.0 offset
+        ("negative zero in the tableau",
+         lp.LpProblem(c=[1, 1], A_in=[[-1, 0], [0, -1], [1, 1]],
+                      b_in=[-1.0, -0.0, 4.0])),
+        ("negative zero in the tableau",
+         lp.LpProblem(c=[1, -1], A_in=[[-1, 0], [0, 1], [1, 1]],
+                      b_in=[-0.5, -0.0, 4.0], free=[True, True])),
+        ("all free, maximize",
+         lp.LpProblem(c=[1, -2, 0.5], A_in=np.vstack([np.eye(3), -np.eye(3)]),
+                      b_in=[1, 2, 3, 0.5, 0.25, 4], free=[True] * 3,
+                      sense=lp.MAXIMIZE)),
+        ("all free, maximize",
+         lp.LpProblem(c=[0.0, 1.0], A_eq=[[1, 1]], b_eq=[-1.0],
+                      A_in=[[0, 1], [1, -1]], b_in=[2.0, 0.0], free=[True, True],
+                      sense=lp.MAXIMIZE)),
+        # feasible after phase 1, then an improving ray in phase 2
+        ("unbounded after phase 1",
+         lp.LpProblem(c=[1, 0], A_eq=[[1, -1]], b_eq=[1.0], sense=lp.MAXIMIZE)),
+        ("unbounded after phase 1",
+         lp.LpProblem(c=[-1, 0], A_in=[[-1, 1]], b_in=[-1.0])),
+    ]
+
+
 def test_pivot_loop_matches_reference_bitwise():
     # the same pivots and the same bits as the list-basis np.outer loop,
-    # on the random LPs above, degenerate LPs and every LP of a tanks
-    # synthesis
+    # on the random LPs above, degenerate LPs, LPs that take the rare
+    # branches and every LP of a tanks synthesis
+    reference = DenseSimplexReference()
+    solver = _BranchProbe()
+    for branch, p in _rare_branch_lps():
+        got, want = solver.solve(p), reference.solve(p)
+        _assert_same_solution(got, want)
+        assert branch in solver.taken, branch
     problems = _degenerate_lps()
     for seed in (42, 7, 99):
         rng = np.random.default_rng(seed)
@@ -255,8 +337,6 @@ def test_pivot_loop_matches_reference_bitwise():
     synth.synthesize(tanks_problem(horizon=15)[0], solver=recording)
     assert len(recording.problems) == 18
     problems += recording.problems
-    reference = DenseSimplexReference()
-    solver = lp.DenseSimplexSolver()
     statuses = set()
     for p in problems:
         got, want = solver.solve(p), reference.solve(p)

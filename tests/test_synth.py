@@ -9,7 +9,7 @@ from tubesynth.reach import PolytopicModel, check_containment, step_maps, \
 from tubesynth.sim import sample_states, simulate_closed_loop, verify_membership
 from tubesynth.tube import TargetTube
 
-from oracles import lp1_kron_reference
+from oracles import DenseSimplexReference, lp1_kron_reference
 
 INTERVAL_ROWS = np.array([[1.0], [-1.0]])
 
@@ -733,3 +733,70 @@ def test_negative_offsets_of_a_nonempty_set_are_accepted():
     res = synth.synthesize(prob)
     assert np.any(res.sets[0].b < 0)
     assert res.certified
+
+
+# -- whole recursions against the reference simplex ----------------------------
+
+# (n, s, q, K, rho, d, r): states, vertex models, section rows, horizon,
+# spectral radius, final offset scale and outputs
+STABLE_FAMILY = [(2, 2, 6, 8, 1.1, 0.3, 2), (3, 2, 8, 8, 1.1, 0.3, 3),
+                 (3, 3, 10, 8, 1.0, 0.3, 2), (4, 2, 10, 8, 1.05, 0.4, 3)]
+
+
+def stable_family_problem(n, s, q, K, rho, d, r, seed):
+    """Nominal problem of the stable family: s perturbed copies of one
+    (A0, B0) with A0 scaled to spectral radius rho, m = min(2, n) inputs,
+    C = I or a random r x n map, and a tube {A_H x <= b0 (1 - (1-d) k/K)}
+    whose rows are +-e_i plus q - 2n random unit normals."""
+    rng = np.random.default_rng(seed)
+    m = min(2, n)
+    A0 = rng.normal(size=(n, n))
+    A0 *= rho / np.max(np.abs(np.linalg.eigvals(A0)))
+    B0 = rng.normal(size=(n, m))
+    vertices = [(A0 + rng.normal(0.0, 0.05, size=(n, n)),
+                 B0 + rng.normal(0.0, 0.05, size=(n, m))) for _ in range(s)]
+    C = np.eye(n) if r == n else rng.normal(size=(r, n))
+    rows = rng.normal(size=(q - 2 * n, n))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    A_H = np.vstack([np.eye(n), -np.eye(n), rows])
+    b0 = np.concatenate([np.ones(2 * n), rng.uniform(0.6, 1.0, size=q - 2 * n)])
+    tube = TargetTube([PolyhedralSet(A_H, b0 * (1.0 - (1.0 - d) * k / K))
+                       for k in range(K + 1)])
+    return synth.SynthesisProblem(model=PolytopicModel(vertices=vertices, C=C),
+                                  tube=tube)
+
+
+def recursion_outcome(problem, solver=None):
+    """The bytes of a synthesis (gains, X(k) offsets, provenance, step
+    verdicts and certificate blocks), or the error it stops with."""
+    try:
+        res = synth.synthesize(problem, solver=solver)
+    except synth.SynthesisError as exc:
+        return ("SynthesisError", exc.k, exc.stage, str(exc))
+    except lp.LpError as exc:
+        return (type(exc).__name__, str(exc))
+    steps = [(rpt.contained, repr(rpt.worst_violation),
+              [G.tobytes() for G in rpt.certificates or ()])
+             for rpt in res.step_reports]
+    return ([F.tobytes() for F in res.gains], [X.b.tobytes() for X in res.sets],
+            res.provenance, steps)
+
+
+@pytest.mark.parametrize("config", STABLE_FAMILY)
+def test_stable_family_recursions_match_the_reference_simplex(config):
+    # every synthesis of the family, failures included, comes out the same
+    # with the list-basis np.outer simplex
+    reference = DenseSimplexReference()
+    for seed in range(15):
+        problem = stable_family_problem(*config, seed)
+        assert recursion_outcome(problem) \
+            == recursion_outcome(problem, reference), seed
+
+
+@pytest.mark.parametrize("make", [lambda: tanks_problem(horizon=15)[0],
+                                  disturbed_problem, controlled_problem],
+                         ids=["tanks", "disturbed", "controlled"])
+def test_recursions_match_the_reference_simplex(make):
+    got = recursion_outcome(make())
+    assert got == recursion_outcome(make(), DenseSimplexReference())
+    assert isinstance(got[0], list)     # a synthesis, not an error
