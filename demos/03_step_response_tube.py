@@ -3,7 +3,7 @@
 
 import numpy as np
 
-from tubesynth import StepSpec, target_set, tube_from_step_specs
+from tubesynth import StepSpec, tube_from_step_specs
 
 # One output channel: reach the setpoint within 0.05 by t = 5 s, settle
 # within 0.01 by t = 10 s, never overshoot past 0.01, starting anywhere
@@ -22,7 +22,7 @@ for k in range(K + 1):
     up = t[k].b[0]
     print("  %2d  %+ .4f  %+ .4f" % (k, lo, up))
 
-print("\nterminal set offsets:", target_set(t).b)
+print("\nterminal set offsets:", t[t.horizon].b)
 print("rows per step:", t[0].nrows, "(two per constrained output)")
 
 # The same builder handles several outputs with different tolerances;

@@ -16,19 +16,18 @@ from .lp import (DenseSimplexSolver, LpError, LpNumericalError, LpProblem,
 from .polytope import (EmptySetError, PolyhedralSet, UnboundedSetError, box,
                        contains_point, is_bounded, support_lp, support_max,
                        vertices)
-from .reach import (CertificateError, ContainmentReport, PolytopicModel,
-                    check_containment, check_containment_disturbance,
-                    check_robust_invariant, contractivity_factor,
+from .reach import (ContainmentReport, PolytopicModel, check_containment,
+                    check_containment_disturbance, check_robust_invariant,
                     verify_certificates)
-from .sim import (MembershipReport, Runs, RunsReport, SimulationError, Trajectory,
-                  discretize_zoh, sample_states, simulate_closed_loop,
-                  simulate_runs, tanks_linearize, tanks_nonlinear_simulate,
-                  verify_membership, verify_runs)
+from .sim import (Runs, RunsReport, SimulationError, discretize_zoh,
+                  sample_states, simulate_closed_loop, simulate_runs,
+                  tanks_linearize, tanks_nonlinear_simulate, verify_membership,
+                  verify_runs)
 from .synth import (SHRUNK, TUBE_EXACT, SynthesisError, SynthesisProblem,
                     SynthesisResult, build_lp1, build_lp2, split_lp1_solution,
                     synthesize)
 from .tube import (StepSpec, TargetTube, all_bounded, origin_interior_margin,
-                   target_set, tube_from_envelopes, tube_from_step_specs)
+                   tube_from_envelopes, tube_from_step_specs)
 
 __version__ = "0.1.0"
 
@@ -37,16 +36,16 @@ __all__ = [
     "LpSolution", "LpSolver", "solve",
     "EmptySetError", "PolyhedralSet", "UnboundedSetError", "box",
     "contains_point", "is_bounded", "support_lp", "support_max", "vertices",
-    "CertificateError", "ContainmentReport", "PolytopicModel",
-    "check_containment", "check_containment_disturbance",
-    "check_robust_invariant", "contractivity_factor", "verify_certificates",
-    "MembershipReport", "Runs", "RunsReport", "SimulationError", "Trajectory",
-    "discretize_zoh", "sample_states", "simulate_closed_loop",
-    "simulate_runs", "tanks_linearize", "tanks_nonlinear_simulate",
-    "verify_membership", "verify_runs",
+    "ContainmentReport", "PolytopicModel", "check_containment",
+    "check_containment_disturbance", "check_robust_invariant",
+    "verify_certificates",
+    "Runs", "RunsReport", "SimulationError", "discretize_zoh",
+    "sample_states", "simulate_closed_loop", "simulate_runs",
+    "tanks_linearize", "tanks_nonlinear_simulate", "verify_membership",
+    "verify_runs",
     "SHRUNK", "TUBE_EXACT", "SynthesisError", "SynthesisProblem",
     "SynthesisResult", "build_lp1", "build_lp2", "split_lp1_solution",
     "synthesize",
     "StepSpec", "TargetTube", "all_bounded", "origin_interior_margin",
-    "target_set", "tube_from_envelopes", "tube_from_step_specs",
+    "tube_from_envelopes", "tube_from_step_specs",
 ]

@@ -523,7 +523,7 @@ def _write_envelope_csv(path, spec, Ts, K, runs_by_r1, coord):
                [[np.arange(K + 1),
                  np.array([spec.lower_envelope(k * Ts) for k in range(K + 1)]),
                  np.array([spec.upper_envelope(k * Ts) for k in range(K + 1)])]
-                + [runs_by_r1[r].states[:K + 1, coord] for r in labels]])
+                + [runs_by_r1[r][:K + 1, coord] for r in labels]])
 
 
 def _write_sets_csv(path, tube_sets, traversed_sets):
@@ -556,8 +556,8 @@ def run_demo_tanks(out_dir, horizon=15, runs=100, seed=0, r1=None, tol=1e-7):
     nl_runs = {area: sim.tanks_nonlinear_simulate(area, TANKS_R2, x0, result.gains,
                                                   TANKS_SETPOINT)
                for area, x0 in zip(areas, starts)}
-    _, nl_report = sim.verify_runs(np.stack([tr.states for tr in nl_runs.values()]),
-                                   problem.tube.sets, tol=1e-3)
+    _, nl_report = sim.verify_runs(np.stack(list(nl_runs.values())), problem.tube.sets,
+                                   tol=1e-3)
     nl_audit = audit_runs(nl_report, 1e-3)
     for failure in nl_audit["failures"]:
         failure["run"] = "nonlinear_r1_%g" % areas[failure["run"]]

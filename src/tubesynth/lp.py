@@ -31,6 +31,7 @@ dense update gives it.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Optional
@@ -353,7 +354,9 @@ class DenseSimplexSolver(LpSolver):
 
     def _verify(self, problem, x, objective, duals_eq, duals_in):
         """Exit checks; a basis that produces bad residuals is reported
-        as a numerical failure rather than returned."""
+        as a numerical failure rather than returned.  A non-finite entry
+        of x or of the duals makes its objective non-finite (0 * inf and
+        0 * nan are nan), where every tolerance comparison would pass."""
         scale = 1.0 + float(np.abs(x).max(initial=0.0))
         if problem.A_eq.shape[0]:
             r_eq = np.abs(problem.A_eq @ x - problem.b_eq).max()
@@ -366,6 +369,8 @@ class DenseSimplexSolver(LpSolver):
         if (x[~problem.free] < -self.feasibility_tol * scale).any():
             raise LpNumericalError("sign violation on nonnegative variable")
         dual_obj = float(problem.b_eq @ duals_eq + problem.b_in @ duals_in)
+        if not (math.isfinite(objective) and math.isfinite(dual_obj)):
+            raise LpNumericalError("objective %g, dual objective %g" % (objective, dual_obj))
         gap = abs(dual_obj - objective)
         if gap > 1e-7 * (1.0 + abs(objective) + float(np.abs(problem.b_in).sum())):
             raise LpNumericalError("duality gap %g" % gap)

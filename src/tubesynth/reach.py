@@ -23,17 +23,11 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import lp
-from .polytope import (EmptySetError, PolyhedralSet, UnboundedSetError, support_lp,
-                       support_max)
+from .polytope import EmptySetError, PolyhedralSet, support_lp
 
 DEFAULT_TOL = 1e-7
 # certificate entries may undershoot zero by this much
 CERT_SIGN_TOL = 1e-10
-
-
-class CertificateError(Exception):
-    """A certificate LP failed for numerical reasons (e.g. a shape set
-    without interior); the condition is reported, never guessed around."""
 
 
 @dataclass
@@ -229,28 +223,6 @@ def check_containment_disturbance(model: PolytopicModel, F, source: PolyhedralSe
                                   tol=DEFAULT_TOL) -> ContainmentReport:
     """``check_containment`` with the disturbance set ``v_set``."""
     return check_containment(model, F, source, target, tol, disturbance=v_set)
-
-
-def contractivity_factor(A, shape_set: PolyhedralSet) -> float:
-    """Smallest factor eta such that A maps shape_set into eta*shape_set.
-
-    ``shape_set`` must be given with unit offsets, P(W, 1); a factor
-    below one certifies contraction of the autonomous step x+ = A x.
-    Row-wise, eta is the largest support of the image directions, and
-    stacking the support duals yields G >= 0 with G W = W A and
-    G 1 <= eta 1.
-    """
-    if not np.all(shape_set.b == 1.0):
-        raise ValueError("shape set must have all offsets equal to one")
-    A = np.asarray(A, dtype=float)
-    if A.shape != (shape_set.dim, shape_set.dim):
-        raise ValueError("A must be %d-by-%d" % (shape_set.dim, shape_set.dim))
-    # a unit-offset set contains the origin, so it is never empty
-    try:
-        eta = max(support_max(shape_set, a) for a in shape_set.A @ A)
-    except UnboundedSetError as exc:
-        raise CertificateError("shape set is unbounded along an image direction") from exc
-    return float(max(eta, 0.0))
 
 
 def check_robust_invariant(model: PolytopicModel, F_static, S: PolyhedralSet,

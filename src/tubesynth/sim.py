@@ -45,15 +45,6 @@ class SimulationError(Exception):
 
 
 @dataclass
-class Trajectory:
-    states: np.ndarray                    # (K+1, n)
-    controls: np.ndarray                  # (K, m)
-    realized: list                        # per step: vertex index (None if nonlinear)
-    disturbances: Optional[np.ndarray]    # (K, p) or None
-    overflow: bool = False
-
-
-@dataclass
 class Runs:
     """R closed-loop runs over one horizon, indexed by a leading run axis
     (views of runs-last arrays when ``simulate_runs`` made them)."""
@@ -68,13 +59,6 @@ class Runs:
     @property
     def horizon(self):
         return self.states.shape[1] - 1
-
-    def trajectory(self, r) -> Trajectory:
-        """Run r as a Trajectory (arrays are views into the stack)."""
-        return Trajectory(
-            states=self.states[r], controls=self.controls[r],
-            realized=self.realized[r].tolist(),
-            disturbances=None if self.disturbances is None else self.disturbances[r])
 
 
 def _products(M, x, out=None):
@@ -151,22 +135,10 @@ def simulate_runs(model: PolytopicModel, gains: Sequence[np.ndarray], x0s, rng,
                 disturbances=None if V is None else V.transpose(2, 0, 1))
 
 
-def simulate_closed_loop(model: PolytopicModel, gains: Sequence[np.ndarray], x0,
-                         rng,
-                         disturbance: Optional[Sequence[PolyhedralSet]] = None
-                         ) -> Trajectory:
+def simulate_closed_loop(model: PolytopicModel, gains: Sequence[np.ndarray], x0, rng,
+                         disturbance: Optional[Sequence[PolyhedralSet]] = None) -> Runs:
     """``simulate_runs`` with the single run from ``x0``."""
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.size != model.n:
-        raise ValueError("x0 has dimension %d, model has %d" % (x0.size, model.n))
-    return simulate_runs(model, gains, x0[None], rng, disturbance).trajectory(0)
-
-
-@dataclass
-class MembershipReport:
-    ok: bool
-    first_violation: Optional[tuple]      # (k, row, amount) or None
-    worst: float                          # max over steps of max row residual
+    return simulate_runs(model, gains, np.reshape(x0, (1, -1)), rng, disturbance)
 
 
 @dataclass
@@ -185,15 +157,6 @@ class RunsReport:
     @property
     def ok(self):
         return self.first_k < 0
-
-    def run(self, r) -> MembershipReport:
-        """Run r as a MembershipReport."""
-        first = None
-        if self.first_k[r] >= 0:
-            first = (int(self.first_k[r]), int(self.first_row[r]),
-                     float(self.first_amount[r]))
-        return MembershipReport(ok=first is None, first_violation=first,
-                                worst=float(self.worst[r]))
 
 
 def _residuals(P: PolyhedralSet, x):
@@ -243,11 +206,9 @@ def verify_runs(states, sets: Sequence[PolyhedralSet], tol=1e-7):
     return inside.T, report
 
 
-def verify_membership(traj: Trajectory, sets: Sequence[PolyhedralSet],
-                      tol=1e-7) -> MembershipReport:
-    """Check states[k] against sets[k] for every k; report the first miss."""
-    states = traj.states if isinstance(traj, Trajectory) else traj
-    return verify_runs(np.asarray(states)[None], sets, tol)[1].run(0)
+def verify_membership(states, sets: Sequence[PolyhedralSet], tol=1e-7) -> RunsReport:
+    """The ``verify_runs`` report of the single run ``states``, (K+1, n)."""
+    return verify_runs(np.asarray(states)[None], sets, tol)[1]
 
 
 def _hull_draw(V, rng, size):
@@ -273,7 +234,6 @@ def sample_states(P: PolyhedralSet, count, rng):
 # -- coupled tanks -------------------------------------------------------
 
 GRAVITY = 10.0  # m/s^2
-TANK_HEIGHT = 3.0  # m
 SAMPLE_TIME = 1.0  # s, of the linear models and the nonlinear runs
 
 
@@ -332,7 +292,7 @@ def discretize_zoh(A, B, Ts):
     return E[:n, :n], E[:n, n:]
 
 
-def tanks_nonlinear_simulate(R1, R2, x0, gains, setpoint, step=0.01) -> Trajectory:
+def tanks_nonlinear_simulate(R1, R2, x0, gains, setpoint, step=0.01) -> np.ndarray:
     """Integrate the nonlinear tanks under the sampled error feedback.
 
     ``x0`` and ``setpoint`` are physical levels (m).  The feedback acts
@@ -340,11 +300,10 @@ def tanks_nonlinear_simulate(R1, R2, x0, gains, setpoint, step=0.01) -> Trajecto
     over each SAMPLE_TIME interval, for len(gains) intervals; RK4
     integrates each interval in substeps of about ``step`` seconds.
     Physical flows are recovered from the shift and clipped so the pump
-    never runs backwards (inflow >= 0, outflow <= 0).  Levels above the
-    tank height set the overflow flag; a level inversion (x1 < x2)
-    aborts, because the model's square root leaves its domain.
+    never runs backwards (inflow >= 0, outflow <= 0).  A level inversion
+    (x1 < x2) aborts, because the model's square root leaves its domain.
 
-    Returns the trajectory in error coordinates, sampled every SAMPLE_TIME.
+    Returns the (K+1, 2) error states, sampled every SAMPLE_TIME.
     """
     x0 = np.asarray(x0, dtype=float).reshape(2)
     setpoint = np.asarray(setpoint, dtype=float).reshape(2)
@@ -362,8 +321,6 @@ def tanks_nonlinear_simulate(R1, R2, x0, gains, setpoint, step=0.01) -> Trajecto
     s1, s2 = float(setpoint[0]), float(setpoint[1])
 
     states = np.zeros((n_steps + 1, 2))
-    controls = np.zeros((n_steps, 2))
-    overflow = False
 
     x1, x2 = float(x0[0]), float(x0[1])
     states[0] = (x1 - s1, x2 - s2)
@@ -376,7 +333,6 @@ def tanks_nonlinear_simulate(R1, R2, x0, gains, setpoint, step=0.01) -> Trajecto
         e2 = x2 - s2
         F = np.asarray(gains[k], dtype=float).reshape(2, 1)
         u_shift = (F @ np.array([e2])).reshape(2)
-        controls[k] = u_shift
         # physical controls: undo the equilibrium shift, then clip so
         # inflow stays nonnegative and outflow nonpositive
         u1 = max(float(u_shift[0]) + L1 * shift, 0.0)
@@ -397,8 +353,5 @@ def tanks_nonlinear_simulate(R1, R2, x0, gains, setpoint, step=0.01) -> Trajecto
             # math.sqrt of a negative level difference
             raise SimulationError("level inversion at x = %s, within step %d"
                                   % (np.array([x1, x2]), k)) from None
-        if x1 > TANK_HEIGHT or x2 > TANK_HEIGHT:
-            overflow = True
         states[k + 1] = (x1 - s1, x2 - s2)
-    return Trajectory(states=states, controls=controls, realized=[None] * n_steps,
-                      disturbances=None, overflow=overflow)
+    return states

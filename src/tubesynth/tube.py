@@ -54,11 +54,6 @@ class TargetTube:
         return self.sets[k]
 
 
-def target_set(t: TargetTube) -> PolyhedralSet:
-    """Terminal set H(K) of the tube."""
-    return t.sets[-1]
-
-
 def all_bounded(t: TargetTube) -> bool:
     """Every H(k) bounded; a prerequisite for the synthesis guarantees."""
     return all(is_bounded(s) for s in t.sets)

@@ -350,7 +350,7 @@ def envelope_csv_reference(path, spec, Ts, K, runs_by_r1, coord):
             t = k * Ts
             row = [k, "%.17g" % spec.lower_envelope(t), "%.17g" % spec.upper_envelope(t)]
             for r in labels:
-                row.append("%.17g" % runs_by_r1[r].states[k][coord])
+                row.append("%.17g" % runs_by_r1[r][k][coord])
             w.writerow(row)
 
 

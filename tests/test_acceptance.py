@@ -156,23 +156,21 @@ def test_criterion_6_tanks_reproduction():
     # 100 random closed-loop runs from the first traversed set
     rng = np.random.default_rng(2601)
     terminal = box([-0.01, -0.01], [0.01, 0.01])
-    run_ok = 0
-    for x0 in sim.sample_states(res.sets[0], 100, rng):
-        traj = sim.simulate_closed_loop(model, res.gains, x0, rng)
-        inside = sim.verify_membership(traj, res.sets, tol=1e-7).ok
-        at_target = np.all(terminal.A @ traj.states[-1] <= terminal.b + 1e-7)
-        run_ok += inside and at_target
+    runs = sim.simulate_runs(model, res.gains, sim.sample_states(res.sets[0], 100, rng),
+                             rng)
+    _, report = sim.verify_runs(runs.states, res.sets, tol=1e-7)
+    at_target = np.all(runs.states[:, -1] @ terminal.A.T <= terminal.b + 1e-7, axis=1)
+    run_ok = int(np.sum(report.ok & at_target))
     linear_ok = run_ok == 100
 
     # three nonlinear runs, one per tank-1 area
     tube_sets = list(problem.tube.sets)
-    nl_worst = -np.inf
+    errors = []
     for j, R1 in enumerate((3.0, 4.0, 5.0)):
         e0 = sim.sample_states(res.sets[0], 1, np.random.default_rng(7 + j))[0]
-        traj = sim.tanks_nonlinear_simulate(R1, 5.0, np.array([2.0, 1.6]) + e0,
-                                            res.gains, (2.0, 1.6))
-        nl_worst = max(nl_worst, sim.verify_membership(traj, tube_sets,
-                                                       tol=1e-3).worst)
+        errors.append(sim.tanks_nonlinear_simulate(R1, 5.0, np.array([2.0, 1.6]) + e0,
+                                                   res.gains, (2.0, 1.6)))
+    nl_worst = sim.verify_runs(np.stack(errors), tube_sets, tol=1e-3)[1].worst.max()
     nonlinear_ok = nl_worst <= 1e-3
 
     # control rows hold at every tube-section vertex
@@ -265,12 +263,10 @@ def test_criterion_8_robust_invariance_and_dual_mode():
 
     rng = np.random.default_rng(88)
     gains = list(res.gains) + [F_hold] * K
-    runs_ok = 0
-    for x0 in sim.sample_states(res.sets[0], 20, rng):
-        traj = sim.simulate_closed_loop(plant, gains, x0, rng,
-                                        disturbance=[V] * len(gains))
-        tail = traj.states[K:2 * K + 1]
-        runs_ok += all(np.all(terminal.A @ x <= terminal.b + 1e-7) for x in tail)
+    runs = sim.simulate_runs(plant, gains, sim.sample_states(res.sets[0], 20, rng), rng,
+                             disturbance=[V] * len(gains))
+    tail = runs.states[:, K:2 * K + 1]
+    runs_ok = int(np.sum(np.all(tail @ terminal.A.T <= terminal.b + 1e-7, axis=(1, 2))))
 
     ok = classify_ok and res.certified and hold_ok and covers and runs_ok == 20
     _report(8, ok, "box examples classified=%s; dual-mode: synthesis "

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -446,9 +445,8 @@ def test_set_and_envelope_csvs_match_reference(tmp_path, tanks_synthesis):
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     K = problem.horizon
     rng = np.random.default_rng(3)
-    runs_by_r1 = {area: SimpleNamespace(states=synthetic_runs(rng, 1, K, 2, 1, 1).states[0])
-                  for area in cli.TANKS_R1}
-    runs_by_r1[3.0].states[:3] = [[0.0, -0.0], [1e-10, -2e-12], [np.nan, 0.5]]
+    runs_by_r1 = {area: synthetic_runs(rng, 1, K, 2, 1, 1).states[0] for area in cli.TANKS_R1}
+    runs_by_r1[3.0][:3] = [[0.0, -0.0], [1e-10, -2e-12], [np.nan, 0.5]]
     for coord, spec in enumerate(specs):
         cli._write_envelope_csv(tmp_path / "fast.csv", spec, spec.sample_time, K,
                                 runs_by_r1, coord)

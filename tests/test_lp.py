@@ -79,6 +79,17 @@ def _random_lp(rng):
                         sense=sense)
 
 
+def test_overflowing_tableau_is_a_numerical_error():
+    # the pivot 2e-10 takes the right-hand side 1e300 past the float range,
+    # so x comes out NaN; every residual comparison with NaN is false, and
+    # only the non-finite objective classifies the solve
+    p = lp.LpProblem(c=[1], A_in=[[2e-10]], b_in=[1e300], sense=lp.MAXIMIZE)
+    for solver in (lp.DenseSimplexSolver(), DenseSimplexReference()):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(lp.LpNumericalError, match="objective nan"):
+            solver.solve(p)
+
+
 def test_random_lps_match_vertex_enumeration():
     rng = np.random.default_rng(42)
     for _ in range(100):

@@ -179,40 +179,6 @@ def test_disturbance_certificates_satisfy_block_conditions():
         assert np.max(G @ stacked_b - tgt.b) <= 1e-8
 
 
-def test_contractivity_factors():
-    W = PolyhedralSet(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
-    assert reach.contractivity_factor(0.5 * np.eye(2), W) == pytest.approx(0.5, abs=1e-9)
-    assert reach.contractivity_factor(np.zeros((2, 2)), W) == pytest.approx(0.0, abs=1e-12)
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert reach.contractivity_factor(rot, W) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_contractivity_requires_unit_offsets():
-    W = PolyhedralSet(np.vstack([np.eye(2), -np.eye(2)]), 2 * np.ones(4))
-    with pytest.raises(ValueError):
-        reach.contractivity_factor(np.eye(2), W)
-
-
-def test_contractivity_reports_degenerate_sets():
-    # a unit-offset set always contains the origin, so the only failure
-    # mode is an unbounded image direction
-    half = PolyhedralSet([[1.0, 0.0]], [1.0])
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(reach.CertificateError):
-        reach.contractivity_factor(swap, half)
-
-
-def test_contractivity_bounded_by_one_when_box_maps_into_itself():
-    rng = np.random.default_rng(8)
-    W = PolyhedralSet(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
-    corners = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
-    for _ in range(25):
-        A = rng.normal(size=(2, 2))
-        A /= np.max(np.sum(np.abs(A), axis=1)) / rng.uniform(0.2, 1.0)
-        if np.max(np.abs(corners @ A.T)) <= 1.0:  # box image inside the box
-            assert reach.contractivity_factor(A, W) <= 1.0 + 1e-8
-
-
 def test_robust_invariance_examples():
     model = _autonomous(0.5 * np.eye(2), D=np.eye(2))
     ok = reach.check_robust_invariant(model, F0, unit_box(), box([-0.25] * 2, [0.25] * 2))

@@ -3,8 +3,10 @@ import pytest
 
 from oracles import simulate_reference, tanks_rk4_reference, verify_runs_reference
 from tubesynth import polytope, sim
+from tubesynth.cli import tanks_problem
 from tubesynth.polytope import PolyhedralSet, box, vertices
 from tubesynth.reach import PolytopicModel
+from tubesynth.synth import synthesize
 
 
 def scalar_model(a, b):
@@ -19,20 +21,20 @@ def vertex_model(model, i):
 
 def test_zero_dynamics():
     model = scalar_model(0.0, 0.0)
-    traj = sim.simulate_closed_loop(model, [np.zeros((1, 1))] * 4, [3.0],
-                                    np.random.default_rng(0))
-    assert traj.states[0, 0] == 3.0
-    assert np.all(traj.states[1:] == 0.0)
+    runs = sim.simulate_runs(model, [np.zeros((1, 1))] * 4, [[3.0]],
+                             np.random.default_rng(0))
+    assert runs.states[0, 0, 0] == 3.0
+    assert np.all(runs.states[0, 1:] == 0.0)
 
 
 def test_scalar_deadbeat():
     model = scalar_model(0.5, 1.0)
-    traj = sim.simulate_closed_loop(model, [np.array([[-0.5]])] * 3, [1.0],
-                                    np.random.default_rng(0))
-    assert traj.states.ravel().tolist() == [1.0, 0.0, 0.0, 0.0]
-    assert traj.controls[0, 0] == -0.5
+    runs = sim.simulate_runs(model, [np.array([[-0.5]])] * 3, [[1.0]],
+                             np.random.default_rng(0))
+    assert runs.states.ravel().tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert runs.controls[0, 0, 0] == -0.5
     # controls follow the exact feedback law u = F C x
-    assert np.array_equal(traj.controls[:, 0], -0.5 * traj.states[:-1, 0])
+    assert np.array_equal(runs.controls[0, :, 0], -0.5 * runs.states[0, :-1, 0])
 
 
 def test_fixed_vertex_matches_matrix_powers():
@@ -44,14 +46,14 @@ def test_fixed_vertex_matches_matrix_powers():
     gains = [rng.normal(size=(2, 2)) * 0.2 for _ in range(8)]
     x0 = rng.normal(size=3)
     for i in range(2):
-        traj = sim.simulate_closed_loop(vertex_model(model, i), gains, x0,
-                                        np.random.default_rng(i))
-        assert traj.realized == [0] * 8
+        runs = sim.simulate_runs(vertex_model(model, i), gains, x0[None],
+                                 np.random.default_rng(i))
+        assert runs.realized.tolist() == [[0] * 8]
         A, B = model.vertices[i]
         x = x0.copy()
         for k in range(8):
             x = (A + B @ gains[k] @ model.C) @ x
-            assert np.max(np.abs(traj.states[k + 1] - x)) <= 1e-12
+            assert np.max(np.abs(runs.states[0, k + 1] - x)) <= 1e-12
 
 
 def test_seeded_runs_are_reproducible():
@@ -60,42 +62,42 @@ def test_seeded_runs_are_reproducible():
                   (0.8 * np.eye(2), np.zeros((2, 1)))],
         C=np.zeros((1, 2)))
     gains = [np.zeros((1, 1))] * 5
-    a = sim.simulate_closed_loop(model, gains, [1, 1], np.random.default_rng(3))
-    b = sim.simulate_closed_loop(model, gains, [1, 1], np.random.default_rng(3))
+    a = sim.simulate_runs(model, gains, [[1, 1]], np.random.default_rng(3))
+    b = sim.simulate_runs(model, gains, [[1, 1]], np.random.default_rng(3))
     assert np.array_equal(a.states, b.states)
-    assert a.realized == b.realized
+    assert np.array_equal(a.realized, b.realized)
 
 
 def test_verify_membership_reports_first_violation():
     model = scalar_model(2.0, 0.0)
-    traj = sim.simulate_closed_loop(model, [np.zeros((1, 1))] * 4, [0.2],
-                                    np.random.default_rng(0))
+    runs = sim.simulate_runs(model, [np.zeros((1, 1))] * 4, [[0.2]],
+                             np.random.default_rng(0))
     sets = [box([-1], [1])] * 5
-    rep = sim.verify_membership(traj, sets, tol=1e-7)
-    assert not rep.ok
-    k, row, amount = rep.first_violation
-    assert k == 3 and amount == pytest.approx(0.6, abs=1e-12)  # 0.2*2^3 - 1
-    assert rep.worst == pytest.approx(2.2, abs=1e-12)
-    ok = sim.verify_membership(traj, [box([-4], [4])] * 5, tol=1e-7)
-    assert ok.ok and ok.first_violation is None
+    _, rep = sim.verify_runs(runs.states, sets, tol=1e-7)
+    assert rep.ok.tolist() == [False]
+    assert rep.first_k.tolist() == [3] and rep.first_row.tolist() == [0]
+    assert rep.first_amount[0] == pytest.approx(0.6, abs=1e-12)  # 0.2*2^3 - 1
+    assert rep.worst[0] == pytest.approx(2.2, abs=1e-12)
+    _, ok = sim.verify_runs(runs.states, [box([-4], [4])] * 5, tol=1e-7)
+    assert ok.ok.tolist() == [True] and ok.first_k.tolist() == [-1]
 
 
 def test_verify_membership_flags_non_finite_state():
     # 0 * inf makes every residual at k = 1 NaN; the step must still fail
     with np.errstate(invalid="ignore"):
-        rep = sim.verify_membership([[0.0, 0.0], [5.0, np.inf]],
-                                    [box([-1, -1], [1, 1])] * 2)
-    assert rep.ok is False
-    assert rep.first_violation[0] == 1 and rep.first_violation[2] == np.inf
-    assert rep.worst == np.inf
+        _, rep = sim.verify_runs([[[0.0, 0.0], [5.0, np.inf]]],
+                                 [box([-1, -1], [1, 1])] * 2)
+    assert rep.ok.tolist() == [False]
+    assert rep.first_k.tolist() == [1] and rep.first_amount.tolist() == [np.inf]
+    assert rep.worst.tolist() == [np.inf]
 
 
 def test_membership_length_mismatch():
     model = scalar_model(1.0, 0.0)
-    traj = sim.simulate_closed_loop(model, [np.zeros((1, 1))] * 2, [0.0],
-                                    np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        sim.verify_membership(traj, [box([-1], [1])] * 2)
+    runs = sim.simulate_runs(model, [np.zeros((1, 1))] * 2, [[0.0]],
+                             np.random.default_rng(0))
+    with pytest.raises(ValueError, match="have 3 states but 2 sets"):
+        sim.verify_runs(runs.states, [box([-1], [1])] * 2)
 
 
 def test_samplers_stay_inside():
@@ -156,20 +158,20 @@ def test_zoh_semigroup_property():
 
 
 def test_equilibrium_start_stays_at_zero_error():
-    traj = sim.tanks_nonlinear_simulate(5, 5, [2.0, 1.6],
-                                        [np.zeros((2, 1))] * 6, [2.0, 1.6])
-    assert np.max(np.abs(traj.states)) <= 1e-12
-    assert not traj.overflow
+    errors = sim.tanks_nonlinear_simulate(5, 5, [2.0, 1.6],
+                                          [np.zeros((2, 1))] * 6, [2.0, 1.6])
+    assert errors.shape == (7, 2)
+    assert np.max(np.abs(errors)) <= 1e-12
 
 
 def test_zero_gains_do_not_settle():
     # without feedback the pumps hold the equilibrium flows; the level
     # difference relaxes but the absolute error persists
     x0 = [1.8, 1.5]
-    traj = sim.tanks_nonlinear_simulate(5, 5, x0, [np.zeros((2, 1))] * 12,
-                                        [2.0, 1.6])
-    assert np.max(np.abs(traj.states[10])) > 0.01
-    assert np.max(np.abs(traj.states[12])) > 0.01
+    errors = sim.tanks_nonlinear_simulate(5, 5, x0, [np.zeros((2, 1))] * 12,
+                                          [2.0, 1.6])
+    assert np.max(np.abs(errors[10])) > 0.01
+    assert np.max(np.abs(errors[12])) > 0.01
 
 
 def test_rk4_step_halving_stability():
@@ -178,7 +180,7 @@ def test_rk4_step_halving_stability():
                                      step=0.01)
     b = sim.tanks_nonlinear_simulate(4, 5, [1.8, 1.52], gains, [2.0, 1.6],
                                      step=0.005)
-    assert np.max(np.abs(a.states - b.states)) < 1e-6
+    assert np.max(np.abs(a - b)) < 1e-6
 
 
 def test_level_inversion_aborts():
@@ -187,25 +189,18 @@ def test_level_inversion_aborts():
                                      [2.0, 1.6])
 
 
-def test_overflow_sets_flag():
-    # start near the rim with a gain pushing more water in
-    gains = [np.array([[5.0], [0.0]])] * 3
-    traj = sim.tanks_nonlinear_simulate(5, 5, [2.95, 2.10], gains, [2.0, 1.6])
-    assert traj.overflow
-
-
 def test_policy_validation():
     model = scalar_model(1.0, 0.0)
-    with pytest.raises(ValueError):
-        sim.simulate_closed_loop(model, [np.zeros((1, 1))], [0.0, 1.0],
-                                 np.random.default_rng(0))
+    with pytest.raises(ValueError, match="model has dimension 1"):
+        sim.simulate_runs(model, [np.zeros((1, 1))], [[0.0, 1.0]],
+                          np.random.default_rng(0))
 
 
 def test_disturbance_sets_need_map():
     model = scalar_model(0.5, 1.0)
     with pytest.raises(ValueError, match="no D"):
-        sim.simulate_closed_loop(model, [np.zeros((1, 1))], [0.0],
-                                 np.random.default_rng(0), disturbance=[box([-1], [1])])
+        sim.simulate_runs(model, [np.zeros((1, 1))], [[0.0]],
+                          np.random.default_rng(0), disturbance=[box([-1], [1])])
 
 
 def test_disturbance_sets_match_steps_and_dimension():
@@ -276,10 +271,10 @@ def test_batched_runs_match_reference():
     assert np.array_equal(runs.states, states)
     assert np.array_equal(runs.controls, controls)
     assert np.array_equal(runs.realized, realized)
-    one = sim.simulate_closed_loop(model, gains, x0s[7], np.random.default_rng(32))
+    one = sim.simulate_runs(model, gains, x0s[7:8], np.random.default_rng(32))
     states, _, realized = simulate_reference(model, gains, x0s[7:8], 32)
-    assert np.array_equal(one.states, states[0])
-    assert one.realized == realized[0].tolist()
+    assert np.array_equal(one.states, states)
+    assert np.array_equal(one.realized, realized)
 
 
 def test_batched_disturbed_runs_match_reference():
@@ -301,6 +296,53 @@ def test_batched_disturbed_runs_match_reference():
     assert np.array_equal(runs.states, states)
     assert np.array_equal(runs.controls, controls)
     assert np.array_equal(runs.realized, realized)
+
+
+# -- the one-run delegates against the batch functions at R = 1 ---------------
+
+def assert_delegates_match_batch(model, gains, x0, sets, seed, disturbance=None):
+    """``simulate_closed_loop`` and ``verify_membership`` from ``x0`` give
+    the bytes of ``simulate_runs`` and ``verify_runs`` on the one run."""
+    one = sim.simulate_closed_loop(model, gains, x0, np.random.default_rng(seed),
+                                   disturbance)
+    batch = sim.simulate_runs(model, gains, [x0], np.random.default_rng(seed),
+                              disturbance)
+    for name in ("states", "controls", "realized", "disturbances"):
+        got, want = getattr(one, name), getattr(batch, name)
+        if want is None:
+            assert got is None
+        else:
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+    report = sim.verify_membership(one.states[0], sets, tol=1e-7)
+    _, want = sim.verify_runs(batch.states, sets, tol=1e-7)
+    for name in ("worst", "first_k", "first_row", "first_amount"):
+        got = getattr(report, name)
+        assert got.shape == (1,) and got.tobytes() == getattr(want, name).tobytes()
+    return report
+
+
+def test_one_run_delegates_match_batch_on_a_tanks_start():
+    problem, _ = tanks_problem(horizon=15)
+    result = synthesize(problem)
+    rng = np.random.default_rng(5)
+    x0 = sim.sample_states(result.sets[0], 1, rng)[0]
+    report = assert_delegates_match_batch(problem.model, result.gains, x0,
+                                          result.sets, 6)
+    assert report.ok.tolist() == [True]
+
+
+def test_one_run_delegates_match_batch_on_a_disturbed_start():
+    model = PolytopicModel(vertices=[(0.4 * np.eye(2), np.eye(2)),
+                                     (0.6 * np.eye(2), -np.eye(2))],
+                           C=np.eye(2), D=np.array([[1.0], [-0.5]]))
+    gains = [np.array([[-0.1, 0.0], [0.0, 0.05]])] * 3
+    sets = [box([-w] * 2, [w] * 2) for w in (1.0, 0.5, 0.25, 0.12)]
+    V = [PolyhedralSet(np.array([[1.0], [-1.0]]), np.array([0.005, 0.003]))] * 3
+    report = assert_delegates_match_batch(model, gains, [0.95, -0.9], sets, 7,
+                                          disturbance=V)
+    # the start leaves the tube, so the report's violation fields are set
+    assert report.ok.tolist() == [False] and report.first_k[0] > 0
 
 
 def test_verify_runs_flags_and_reports():
@@ -375,6 +417,6 @@ def test_verify_runs_matches_reference_on_non_finite_and_boundary_states():
 def test_tanks_nonlinear_matches_array_rk4():
     gains = [np.array([[-0.3], [-0.9]]), np.array([[0.2], [-0.4]])] * 5
     for R1, x0 in ((3.0, [1.75, 1.52]), (5.0, [2.2, 1.7])):
-        traj = sim.tanks_nonlinear_simulate(R1, 5.0, x0, gains, [2.0, 1.6])
+        errors = sim.tanks_nonlinear_simulate(R1, 5.0, x0, gains, [2.0, 1.6])
         ref = tanks_rk4_reference(R1, 5.0, x0, gains, [2.0, 1.6])
-        assert np.array_equal(traj.states, ref)
+        assert np.array_equal(errors, ref)

@@ -6,7 +6,7 @@ from tubesynth.cli import tanks_problem
 from tubesynth.polytope import PolyhedralSet, box, vertices
 from tubesynth.reach import PolytopicModel, check_containment, step_maps, \
     verify_certificates
-from tubesynth.sim import sample_states, simulate_closed_loop, verify_membership
+from tubesynth.sim import sample_states, simulate_runs, verify_runs
 from tubesynth.tube import TargetTube
 
 from oracles import DenseSimplexReference, lp1_kron_reference
@@ -338,9 +338,9 @@ def test_closed_loop_stays_in_traversed_sets():
     t = TargetTube([box([-w] * 2, [w] * 2) for w in (1.0, 1.0, 0.8, 0.6, 0.5)])
     res = synth.synthesize(synth.SynthesisProblem(model=model, tube=t))
     assert res.certified
-    for x0 in sample_states(res.sets[0], 100, rng):
-        traj = simulate_closed_loop(model, res.gains, x0, rng)
-        assert verify_membership(traj, res.sets, tol=1e-7).ok
+    runs = simulate_runs(model, res.gains, sample_states(res.sets[0], 100, rng), rng)
+    _, report = verify_runs(runs.states, res.sets, tol=1e-7)
+    assert report.ok.all()
 
 
 def test_disturbed_synthesis_certifies():

@@ -41,7 +41,7 @@ def test_tube_from_step_specs_samples_and_terminal_box():
         assert t[k].b[0] == pytest.approx(0.01)
         assert t[k].b[1] == pytest.approx(v, abs=1e-12)
     # terminal set is the steady-state box
-    last = tube.target_set(t)
+    last = t[t.horizon]
     assert np.allclose(last.b, 0.01)
     assert contains_point(last, [0.0], tol=0.0)
 
