@@ -10,13 +10,14 @@ import numpy as np
 
 from tubesynth import (sample_states, simulate_runs, synthesize,
                        tanks_nonlinear_simulate, verify_runs)
-from tubesynth.cli import TANKS_SETPOINT, tanks_problem
+from tubesynth.cli import TANKS_R1, TANKS_R2, TANKS_SETPOINT, tanks_problem
 
 problem, specs = tanks_problem(horizon=15)
 model = problem.model
 
-print("vertex models (tank-1 area unknown in {3, 4, 5} m^2):")
-for (A, B), area in zip(model.vertices, (3, 4, 5)):
+print("vertex models (tank-1 area unknown in {%s} m^2):"
+      % ", ".join("%g" % area for area in TANKS_R1))
+for (A, B), area in zip(model.vertices, TANKS_R1):
     print("  R1=%d: A_d =" % area, np.round(A, 4).tolist())
 
 res = synthesize(problem)
@@ -36,13 +37,12 @@ print("\nlinear runs inside their traversed sets: %d/50" % report.ok.sum())
 # candidate area and audit against the tube sections; the starts come
 # from the same generator, after the linear runs.
 print("\nnonlinear runs (RK4 on the tank equations):")
-areas = (3.0, 4.0, 5.0)
-starts = sample_states(res.sets[0], len(areas), rng)
-errors = [tanks_nonlinear_simulate(R1, 5.0, np.asarray(TANKS_SETPOINT) + e0,
+starts = sample_states(res.sets[0], len(TANKS_R1), rng)
+errors = [tanks_nonlinear_simulate(R1, TANKS_R2, np.asarray(TANKS_SETPOINT) + e0,
                                    res.gains, TANKS_SETPOINT)
-          for R1, e0 in zip(areas, starts)]
+          for R1, e0 in zip(TANKS_R1, starts)]
 _, report = verify_runs(np.stack(errors), problem.tube.sets, tol=1e-3)
-for R1, e0, e, ok in zip(areas, starts, errors, report.ok):
+for R1, e0, e, ok in zip(TANKS_R1, starts, errors, report.ok):
     print("  R1=%g: start error %s, inside envelopes=%s, final error %s"
           % (R1, np.round(e0, 3).tolist(), ok,
              np.round(e[-1], 5).tolist()))

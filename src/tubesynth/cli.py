@@ -29,8 +29,8 @@ import numpy as np
 from . import lp, sim, synth
 # vertices is not called here but stays bound, as it was: the benchmark's
 # tracer (perfbench/tracing.py) expects to wrap it in this module
-from .polytope import EmptySetError, PolyhedralSet, UnboundedSetError, step_vertices, \
-    vertices
+from .polytope import MEMBERSHIP_TOL, EmptySetError, PolyhedralSet, UnboundedSetError, \
+    step_vertices, vertices
 from .reach import PolytopicModel, check_containment, check_robust_invariant
 from .tube import StepSpec, TargetTube, all_bounded, tube_from_step_specs
 
@@ -41,7 +41,7 @@ EXIT_AUDIT = 4
 
 # rows per block of trajectories.csv, in whole runs and at least one run:
 # a block is formatted in one pass and written in one call, and its working
-# memory grows with it (about 1.3 MB at 1536 rows, 96 tanks runs)
+# memory grows with it (about 0.9 MB at 1536 rows, 96 tanks runs)
 TRAJECTORY_BLOCK_ROWS = 1536
 
 
@@ -220,7 +220,8 @@ def load_config(path) -> ProblemConfig:
     disturbance_floor = _flag(flags.get("disturbance_floor", False),
                               "flags.disturbance_floor")
     tols = _object(obj.get("tolerances", {}), "tolerances")
-    containment_tol = _number(tols.get("containment", 1e-7), "tolerances.containment")
+    containment_tol = _number(tols.get("containment", MEMBERSHIP_TOL),
+                              "tolerances.containment")
     defect_zero_tol = _number(tols.get("defect_zero", synth.EPS_ZERO_TOL),
                               "tolerances.defect_zero")
     seeds = _object(obj.get("seeds", {}), "seeds")
@@ -292,7 +293,7 @@ def _write_csv(path, header, blocks):
     """Write a CSV file: the ``header`` names, then the rows of each block
     of columns in ``blocks`` (see csvfmt.write_rows)."""
     # imported on first use: compiling csvfmt and building its tables
-    # takes about 5 ms and 0.8 MB, which commands that write no CSV skip
+    # takes about 5 ms and 0.6 MB, which commands that write no CSV skip
     from . import csvfmt
 
     with open(path, "wb") as fh:
@@ -448,7 +449,7 @@ def _load_check(config_path, tol, *set_keys):
     """A check file, its model, its gain F and the tolerance in force;
     ``set_keys`` name the sets the check needs."""
     obj = _object(_load_json(config_path), "config", "model", "F", *set_keys)
-    tol = (_number(obj.get("tol", 1e-7), "tol") if tol is None
+    tol = (_number(obj.get("tol", MEMBERSHIP_TOL), "tol") if tol is None
            else _number(tol, "--tol"))
     return obj, decode_model(obj["model"]), decode_matrix(obj["F"], "F"), tol
 
@@ -517,8 +518,9 @@ def tanks_problem(horizon=15):
     return problem, specs
 
 
-def _write_envelope_csv(path, spec, Ts, K, runs_by_r1, coord):
+def _write_envelope_csv(path, spec, K, runs_by_r1, coord):
     labels = sorted(runs_by_r1)
+    Ts = spec.sample_time
     _write_csv(path, ["k", "lower", "upper"] + ["e%d_r1_%g" % (coord + 1, r) for r in labels],
                [[np.arange(K + 1),
                  np.array([spec.lower_envelope(k * Ts) for k in range(K + 1)]),
@@ -541,7 +543,7 @@ def _write_sets_csv(path, tube_sets, traversed_sets):
                  points[:, 0], points[:, 1]]])
 
 
-def run_demo_tanks(out_dir, horizon=15, runs=100, seed=0, r1=None, tol=1e-7):
+def run_demo_tanks(out_dir, horizon=15, runs=100, seed=0, r1=None, tol=MEMBERSHIP_TOL):
     _check_runs(runs, seed)
     tol = _number(tol, "--tol")
     if r1 is not None and not _number(r1, "--r1") > 0.0:
@@ -568,9 +570,8 @@ def run_demo_tanks(out_dir, horizon=15, runs=100, seed=0, r1=None, tol=1e-7):
     write_result_files(out, problem, result)
     write_trajectories_csv(out / "trajectories.csv", batch, inside)
     _write_json(out / "audit.json", audit)
-    Ts = specs[0].sample_time
-    _write_envelope_csv(out / "tank1_envelopes.csv", specs[0], Ts, horizon, nl_runs, 0)
-    _write_envelope_csv(out / "tank2_envelopes.csv", specs[1], Ts, horizon, nl_runs, 1)
+    _write_envelope_csv(out / "tank1_envelopes.csv", specs[0], horizon, nl_runs, 0)
+    _write_envelope_csv(out / "tank2_envelopes.csv", specs[1], horizon, nl_runs, 1)
     _write_sets_csv(out / "tube_sets.csv", list(problem.tube.sets), result.sets)
 
     print("tanks demo: %d linear runs (%d passed), %d nonlinear runs, "
@@ -622,7 +623,7 @@ def main(argv=None):
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--r1", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-7)
+    p.add_argument("--tol", type=float, default=MEMBERSHIP_TOL)
     p.set_defaults(run=lambda a: run_demo_tanks(a.out, horizon=a.k, runs=a.runs,
                                                 seed=a.seed, r1=a.r1, tol=a.tol))
 

@@ -23,8 +23,10 @@ one compaction per block drops them.  A float takes five words:
 A table keyed by (sign, decpt, significant digits) gives the bytes kept,
 as ``%g`` lays them out: fixed notation for decimal exponents -4 to 16,
 ``d.ddde-0X`` below, trailing zeros and a bare point dropped.  An
-integer from 0 to 10**7 - 1 takes one word, its digits from two table
-lookups.
+integer from 0 to 10**7 - 1 takes one word: its 8 zero-padded digits
+from two lookups in the table of 4-digit words, shifted right past the
+leading zeros.  Each block allocates its own working arrays; nothing is
+kept from one block to the next.
 
 Digits are exact for |x| in the window [1e-9, 1e7).  There x = M * 2**E
 with M the 53-bit significand, and decpt is the decimal exponent with
@@ -54,6 +56,10 @@ _FLOAT_WORDS = 5
 _FLOAT_SEP = 36                           # byte of the separator after a float
 _INT_HIGH = 10 ** 7
 _INT_SEP = 7
+# by the count of _TENS at or below an integer (its digits less one): the
+# bits of leading zeros in its 8 zero-padded digits
+_TENS = np.array([10 ** k for k in range(1, 7)], dtype=np.uint64)
+_INT_SHIFT = np.arange(56, 0, -8, dtype=np.uint64)
 _WORD = np.dtype("<u8")                   # a word holds its bytes little-endian
 _ZERO_DIGITS = 0x3030303030303030         # "00000000"
 _CRLF = int.from_bytes(b"\r\n", "little")
@@ -64,24 +70,15 @@ _POW10 = np.array([float(10 ** q) for q in range(_Q0, 26)])
 
 
 def _digit_words():
-    """The 4 ASCII digits of 0 to 9999 in the low bytes of little-endian
-    words: zero-padded, and with the leading zeros NUL."""
+    """The 4 zero-padded ASCII digits of 0 to 9999, the first in the
+    lowest byte of a little-endian word."""
     i = np.arange(100, dtype=np.uint64)
     pairs = (ord("0") + i // 10) | (ord("0") + i % 10) << 8
     i = np.arange(10000)
-    padded = pairs[i // 100] | pairs[i % 100] << 16
-    bare = padded.copy()
-    for byte, place in enumerate((1000, 100, 10)):
-        bare[i < place] &= ~np.uint64(0xFF << 8 * byte)
-    return padded, bare
+    return pairs[i // 100] | pairs[i % 100] << 16
 
 
-_QUADS, _BARE = _digit_words()
-# "%d" % y for y below 10**7 is _HEAD[y // 10**4] then _TAIL[y % 10**4],
-# or then _TAIL[10**4 + y % 10**4] when the head is not empty
-_HEAD = _BARE[:1000] >> 8
-_HEAD[0] = 0
-_TAIL = np.concatenate([_BARE, _QUADS])
+_QUADS = _digit_words()
 
 
 def _below_pow10(v, k):
@@ -139,64 +136,39 @@ def _float_table():
 _FLOAT_TABLE = _float_table()
 
 
-class _Scratch:
-    """Arrays reused from one block to the next, so that a long file
-    pages in its working memory once."""
-
-    def __init__(self):
-        self._arrays = {}
-
-    def __call__(self, name, shape, dtype=np.uint64):
-        size = shape if isinstance(shape, int) else shape[0] * shape[1]
-        a = self._arrays.get(name)
-        if a is None or a.size < size:
-            a = self._arrays[name] = np.empty(size, dtype)
-        return a[:size].reshape(shape)
-
-
-def _eight_digits(g, upper, part):
+def _eight_digits(g):
     """Replace each g < 10**8 by its 8 ASCII digits, the first in the
-    lowest byte; ``upper`` and ``part`` are scratch."""
-    np.floor_divide(g, 10000, out=upper)
-    np.multiply(upper, 10000, out=part)
-    g -= part
-    _QUADS.take(g.view(np.int64), out=part)
-    part <<= 32
+    lowest byte."""
+    upper = g // 10000
+    g -= upper * 10000
+    lower = _QUADS.take(g.view(np.int64))
     _QUADS.take(upper.view(np.int64), out=g)
-    g |= part
+    lower <<= 32
+    g |= lower
 
 
-def _float_words(x, negative, cells, tmp):
+def _float_words(x, negative, cells):
     """Write the five words of each x > 0 in the exact window into the
     word views ``cells``, one per column of len(x) // len(cells) rows;
     ``x`` is overwritten."""
-    n = len(x)
     bits = x.view(np.uint64)
-    s = tmp("s", n)
+    s = bits >> 52
     e = s.view(np.int64)
-    decpt = tmp("decpt", n, np.int64)
-    q = tmp("q", n, np.int64)
-    guess = tmp("guess", n, np.float64)
-    below = tmp("below", n, bool)
-    np.right_shift(bits, 52, out=s)
-    _DECPT_BOUND.take(e, out=decpt)
-    _CEIL_POW10.take(e, out=guess)
-    np.less(x, guess, out=below)
+    decpt = _DECPT_BOUND.take(e)
+    guess = _CEIL_POW10.take(e)
+    below = x < guess
     decpt -= below
-    np.subtract(17 - _Q0, decpt, out=q)                # q, less _Q0
+    q = (17 - _Q0) - decpt                             # q, less _Q0
     np.subtract(1075 - _Q0, e, out=e)
     e -= q                                             # s = -(E + q)
 
-    t = tmp("t", n)
-    p = tmp("p", n)
-    w = tmp("w", n)
     _POW10.take(q, out=guess)
     guess *= x
-    np.copyto(t, guess, casting="unsafe")
+    t = guess.astype(np.uint64)
     t -= 32                                            # T less 8 to 56
-    np.bitwise_and(bits, 0xFFFFFFFFFFFFF, out=p)
+    p = bits & 0xFFFFFFFFFFFFF
     p |= 1 << 52
-    _POW5.take(q, out=w)
+    w = _POW5.take(q)
     p *= w
     np.left_shift(t, s, out=w)
     p -= w                                             # M * 5**q - t * 2**s
@@ -215,15 +187,14 @@ def _float_words(x, negative, cells, tmp):
     np.copyto(t, 10 ** 16, where=below)
     decpt += below
 
-    lead = tmp("lead", n)
     np.floor_divide(t, 10 ** 8, out=p)
     np.multiply(p, 10 ** 8, out=w)
     t -= w                                             # digits 9 to 16
-    np.floor_divide(p, 10 ** 8, out=lead)              # digit 0
+    lead = p // 10 ** 8                                # digit 0
     np.multiply(lead, 10 ** 8, out=w)
     p -= w                                             # digits 1 to 8
-    _eight_digits(t, s, guess.view(np.uint64))
-    _eight_digits(p, s, guess.view(np.uint64))
+    _eight_digits(t)
+    _eight_digits(p)
     # the highest nonzero byte of the digit values gives the digit count
     np.bitwise_xor(t, _ZERO_DIGITS, out=w)
     np.copyto(guess, w, casting="unsafe")
@@ -231,8 +202,7 @@ def _float_words(x, negative, cells, tmp):
     np.bitwise_xor(p, _ZERO_DIGITS, out=w)
     np.copyto(x, w, casting="unsafe")
     guess += x
-    exponent = tmp("exponent", n, np.int32)
-    np.frexp(guess, out=(guess, exponent))
+    _, exponent = np.frexp(guess)
     np.subtract(exponent, 1, out=q)
     q >>= 3
     q += 1                                             # significant digits - 1
@@ -245,7 +215,7 @@ def _float_words(x, negative, cells, tmp):
     lead <<= 48
     lead |= 0xFF00FFFFFFFFFFFF
     np.bitwise_or(p, 0xFF00000000000000, out=w)
-    rows = n // len(cells)
+    rows = len(x) // len(cells)
     for j, cell in enumerate(cells):
         column = slice(j * rows, (j + 1) * rows)
         key = decpt[column]
@@ -254,47 +224,37 @@ def _float_words(x, negative, cells, tmp):
         _FLOAT_TABLE[4].take(key, out=cell[:, 4])
 
 
-def _float_cells(columns, shown, cells, tmp):
+def _one_at_a_time(cell, rows, values, fmt):
+    """Write ``fmt % values[r]`` into row r of the word view ``cell`` for
+    each r in ``rows``."""
+    size = cell.itemsize * cell.shape[1]
+    for r in rows:
+        cell[r] = np.frombuffer((fmt % values[r]).encode().ljust(size, b"\0"), dtype=_WORD)
+
+
+def _float_cells(columns, shown, cells):
     """Write the float ``columns`` into their word views ``cells``; only
     the ``shown`` (c, rows) fields need be right."""
-    x = tmp("x", shown.shape, np.float64)
-    for row, column in zip(x, columns):
-        row[:] = column
-    x = x.reshape(-1)
-    fast = tmp("fast", len(x), bool)
-    other = tmp("other", len(x), bool)
-    negative = tmp("negative", len(x), bool)
-    np.signbit(x, out=negative)
+    x = np.array(columns, dtype=np.float64).reshape(-1)
+    negative = np.signbit(x)
     np.abs(x, out=x)
-    np.greater_equal(x, _LOW, out=fast)
-    np.less(x, _HIGH, out=other)
-    fast &= other
-    np.invert(fast, out=other)
+    other = x >= _LOW
+    other &= x < _HIGH
+    np.invert(other, out=other)
     np.copyto(x, 1.0, where=other)
-    _float_words(x, negative, cells, tmp)
-    for j, r in zip(*np.nonzero(other.reshape(shown.shape) & shown)):
-        text = ("%.17g" % columns[j][r]).encode().ljust(8 * _FLOAT_WORDS, b"\0")
-        cells[j][r] = np.frombuffer(text, dtype=_WORD)
+    _float_words(x, negative, cells)
+    other = other.reshape(shown.shape) & shown
+    for column, cell, rows in zip(columns, cells, other):
+        _one_at_a_time(cell, np.flatnonzero(rows), column, "%.17g")
 
 
-def _int_cells(values, cell, tmp):
+def _int_cells(values, cell):
     """``"%d"`` text of ``values``, all in [0, 10**7), in the one-word
     view ``cell``."""
-    n = len(values)
-    y = tmp("y", n, np.int64)
-    head = tmp("head", n, np.int64)
-    word = tmp("word", n)
-    np.copyto(y, values, casting="unsafe")
-    np.floor_divide(y, 10000, out=head)
-    _HEAD.take(head, out=word)
-    head *= 10000
-    y -= head
-    np.not_equal(head, 0, out=head)
-    head *= 10000
-    y += head
-    _TAIL.take(y, out=cell[:, 0])
-    cell[:, 0] <<= 24
-    cell[:, 0] |= word
+    y = values.astype(np.uint64)
+    shift = _INT_SHIFT.take(np.searchsorted(_TENS, y, side="right"))
+    _eight_digits(y)
+    np.right_shift(y, shift, out=cell[:, 0])
 
 
 def _layout(d):
@@ -313,32 +273,31 @@ def _layout(d):
     return (width + 8) // 8, width, True
 
 
-def _block_bytes(columns, tmp):
-    """The CSV bytes of one block of rows, as a view of a scratch array."""
+def _block_bytes(columns):
+    """The CSV bytes of one block of rows."""
     data = [col[0] if isinstance(col, tuple) else col for col in columns]
     empty = [col[1] if isinstance(col, tuple) else None for col in columns]
     layout = [_layout(d) for d in data]
     ends = np.cumsum([nw for nw, _, _ in layout])
     count = len(data[0])
-    grid = tmp("grid", (count, ends[-1] + 1), _WORD)
+    grid = np.empty((count, ends[-1] + 1), _WORD)
     cells = [grid[:, end - nw:end] for end, (nw, _, _) in zip(ends, layout)]
 
     floats = [j for j, d in enumerate(data) if d.dtype.kind == "f"]
     if floats:
-        shown = tmp("shown", (len(floats), count), bool)
+        shown = np.empty((len(floats), count), bool)
         for i, j in enumerate(floats):
             if empty[j] is None:
                 shown[i] = True
             else:
                 np.logical_not(empty[j], out=shown[i])
-        _float_cells([data[j] for j in floats], shown, [cells[j] for j in floats], tmp)
+        _float_cells([data[j] for j in floats], shown, [cells[j] for j in floats])
     for d, cell, gone, (nw, sep, one_by_one) in zip(data, cells, empty, layout):
         if one_by_one:
-            for r in range(count) if gone is None else np.flatnonzero(~gone):
-                text = ("%d" % d[r]).encode().ljust(8 * nw, b"\0")
-                cell[r] = np.frombuffer(text, dtype=_WORD)
+            rows = range(count) if gone is None else np.flatnonzero(~gone)
+            _one_at_a_time(cell, rows, d, "%d")
         elif d.dtype.kind in "iub":
-            _int_cells(d, cell, tmp)
+            _int_cells(d, cell)
         elif d.dtype.kind == "S":
             cell[:] = 0
             text = cell.view(np.uint8)[:, :d.dtype.itemsize]
@@ -352,14 +311,11 @@ def _block_bytes(columns, tmp):
     for end, (nw, sep, _) in zip(ends[:-1], layout):
         chars[:, 8 * (end - nw) + sep] = ord(",")
     flat = chars.reshape(-1)
-    keep = tmp("keep", flat.size, bool)
-    np.not_equal(flat, 0, out=keep)
-    return flat[keep]
+    return flat[flat != 0]
 
 
 def write_rows(fh, blocks):
     """Write the rows of each block of columns in ``blocks`` to the binary
     file ``fh`` (see the module)."""
-    tmp = _Scratch()
     for columns in blocks:
-        fh.write(_block_bytes(columns, tmp))
+        fh.write(_block_bytes(columns))

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import lp
 
-# membership slack accepted by default; vertex deduplication distance
+# membership and containment slack accepted by default; vertex
+# deduplication distance
 MEMBERSHIP_TOL = 1e-7
 VERTEX_DEDUP_TOL = 1e-9
 # row subsets solved per stacked call in vertices

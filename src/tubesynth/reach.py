@@ -23,9 +23,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import lp
-from .polytope import EmptySetError, PolyhedralSet, support_lp
+from .polytope import MEMBERSHIP_TOL, EmptySetError, PolyhedralSet, support_lp
 
-DEFAULT_TOL = 1e-7
 # certificate entries may undershoot zero by this much
 CERT_SIGN_TOL = 1e-10
 
@@ -102,7 +101,7 @@ class ContainmentReport:
 
 
 def verify_certificates(blocks, source: PolyhedralSet, target: PolyhedralSet,
-                        maps, tol=DEFAULT_TOL) -> ContainmentReport:
+                        maps, tol=MEMBERSHIP_TOL) -> ContainmentReport:
     """Recheck multiplier certificates by matrix arithmetic alone.
 
     Block G_i certifies maps[i] * source inside target when
@@ -182,7 +181,7 @@ def step_maps(model: PolytopicModel, F, source: PolyhedralSet,
 
 
 def check_containment(model: PolytopicModel, F, source: PolyhedralSet,
-                      target: PolyhedralSet, tol=DEFAULT_TOL,
+                      target: PolyhedralSet, tol=MEMBERSHIP_TOL,
                       disturbance: Optional[PolyhedralSet] = None) -> ContainmentReport:
     """Does every admissible one-step image of ``source`` (plus D V when
     a ``disturbance`` set V is given) lie in ``target``?
@@ -220,13 +219,13 @@ def check_containment(model: PolytopicModel, F, source: PolyhedralSet,
 
 def check_containment_disturbance(model: PolytopicModel, F, source: PolyhedralSet,
                                   v_set: PolyhedralSet, target: PolyhedralSet,
-                                  tol=DEFAULT_TOL) -> ContainmentReport:
+                                  tol=MEMBERSHIP_TOL) -> ContainmentReport:
     """``check_containment`` with the disturbance set ``v_set``."""
     return check_containment(model, F, source, target, tol, disturbance=v_set)
 
 
 def check_robust_invariant(model: PolytopicModel, F_static, S: PolyhedralSet,
-                           V: PolyhedralSet, tol=DEFAULT_TOL) -> ContainmentReport:
+                           V: PolyhedralSet, tol=MEMBERSHIP_TOL) -> ContainmentReport:
     """Is S invariant for x+ = (A(k) + B(k) F C) x + D v, v in V?
 
     Plain containment check with source and target both equal to S

@@ -36,7 +36,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .polytope import PolyhedralSet, check_step_sets, step_vertices, vertices
+from .polytope import MEMBERSHIP_TOL, PolyhedralSet, check_step_sets, step_vertices, \
+    vertices
 from .reach import PolytopicModel
 
 
@@ -167,7 +168,7 @@ def _residuals(P: PolyhedralSet, x):
     return res
 
 
-def verify_runs(states, sets: Sequence[PolyhedralSet], tol=1e-7):
+def verify_runs(states, sets: Sequence[PolyhedralSet], tol=MEMBERSHIP_TOL):
     """Check states[r, k] against sets[k] for every run r and step k.
 
     Each set's residuals A x - b are formed for all runs at once as
@@ -206,7 +207,8 @@ def verify_runs(states, sets: Sequence[PolyhedralSet], tol=1e-7):
     return inside.T, report
 
 
-def verify_membership(states, sets: Sequence[PolyhedralSet], tol=1e-7) -> RunsReport:
+def verify_membership(states, sets: Sequence[PolyhedralSet],
+                      tol=MEMBERSHIP_TOL) -> RunsReport:
     """The ``verify_runs`` report of the single run ``states``, (K+1, n)."""
     return verify_runs(np.asarray(states)[None], sets, tol)[1]
 
@@ -252,21 +254,27 @@ def tanks_linearize(R1, R2, level1, level2):
     return A, np.eye(2)
 
 
-def _expm_series(M, tol=1e-14, max_terms=60):
+# the series of _expm_series stops at a term this small relative to its
+# sum, and fails after this many terms
+_EXPM_TOL = 1e-14
+_EXPM_MAX_TERMS = 60
+
+
+def _expm_series(M):
     """Scaled-and-squared truncated Taylor series of expm(M)."""
     norm = np.max(np.sum(np.abs(M), axis=1), initial=0.0)
     squarings = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 0.5 else 0
     Ms = M / (2.0 ** squarings)
     out = np.eye(M.shape[0])
     term = np.eye(M.shape[0])
-    for k in range(1, max_terms + 1):
+    for k in range(1, _EXPM_MAX_TERMS + 1):
         term = term @ Ms / k
         out = out + term
-        if np.max(np.abs(term)) <= tol * max(1.0, np.max(np.abs(out))):
+        if np.max(np.abs(term)) <= _EXPM_TOL * max(1.0, np.max(np.abs(out))):
             break
     else:
         raise RuntimeError("matrix exponential series did not converge "
-                           "within %d terms" % max_terms)
+                           "within %d terms" % _EXPM_MAX_TERMS)
     for _ in range(squarings):
         out = out @ out
     return out

@@ -58,8 +58,8 @@ import numpy as np
 from . import lp
 # vertices is not called here but stays bound, as it was: the benchmark's
 # tracer (perfbench/tracing.py) expects to wrap it in this module
-from .polytope import PolyhedralSet, check_step_sets, step_vertices, support_lp, \
-    vertices
+from .polytope import MEMBERSHIP_TOL, PolyhedralSet, check_step_sets, step_vertices, \
+    support_lp, vertices
 from .reach import ContainmentReport, PolytopicModel, check_containment, step_maps, \
     step_source, verify_certificates
 from .tube import TargetTube
@@ -276,7 +276,7 @@ def build_lp2(multiplier_blocks, H: PolyhedralSet, X_next: PolyhedralSet,
                         sense=lp.MAXIMIZE)
 
 
-def synthesize(problem: SynthesisProblem, containment_tol=1e-7,
+def synthesize(problem: SynthesisProblem, containment_tol=MEMBERSHIP_TOL,
                eps_zero_tol=EPS_ZERO_TOL, solver=None) -> SynthesisResult:
     """Run the backward recursion and certify every accepted step.
 

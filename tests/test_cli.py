@@ -448,8 +448,7 @@ def test_set_and_envelope_csvs_match_reference(tmp_path, tanks_synthesis):
     runs_by_r1 = {area: synthetic_runs(rng, 1, K, 2, 1, 1).states[0] for area in cli.TANKS_R1}
     runs_by_r1[3.0][:3] = [[0.0, -0.0], [1e-10, -2e-12], [np.nan, 0.5]]
     for coord, spec in enumerate(specs):
-        cli._write_envelope_csv(tmp_path / "fast.csv", spec, spec.sample_time, K,
-                                runs_by_r1, coord)
+        cli._write_envelope_csv(tmp_path / "fast.csv", spec, K, runs_by_r1, coord)
         envelope_csv_reference(tmp_path / "reference.csv", spec, spec.sample_time, K,
                                runs_by_r1, coord)
         assert (tmp_path / "fast.csv").read_bytes() == \

@@ -38,6 +38,33 @@ def test_edge_floats_written_as_percent_17g():
     assert_written_as_percent_17g(edge_floats())
 
 
+# 0 and both sides of every digit-count boundary up to 10**7, the first
+# value past the fast window: with it a column is written one at a time
+FAST_EDGE_INTEGERS = [0] + [v for k in range(1, 7) for v in (10 ** k - 1, 10 ** k)] \
+    + [10 ** 7 - 1]
+edge_integer_columns = pytest.mark.parametrize(
+    "values", [FAST_EDGE_INTEGERS, FAST_EDGE_INTEGERS + [10 ** 7]])
+
+
+@edge_integer_columns
+def test_edge_integers_written_as_percent_d(values):
+    assert written(np.array(values)).decode() == "".join("%d\r\n" % v for v in values)
+
+
+@edge_integer_columns
+def test_integer_kinds_are_those_of_csv_writer(values):
+    values = np.array(values)
+    flags = np.arange(len(values)) % 3 == 0
+    small = np.resize(np.array([0, 9, 10, 99, 100, 255], dtype=np.uint8), len(values))
+    empty = np.arange(len(values)) % 2 == 1
+    out = io.StringIO()
+    w = csv.writer(out)
+    for v, flag, b, gone in zip(values.tolist(), flags.tolist(), small.tolist(),
+                                empty.tolist()):
+        w.writerow([int(flag), b, "" if gone else v])
+    assert written(flags, small, (values, empty)) == out.getvalue().encode()
+
+
 bit_patterns = st.integers(0, 2 ** 64 - 1).map(
     lambda b: float(np.array([b], dtype=np.uint64).view(np.float64)[0]))
 any_float = (st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
