@@ -14,8 +14,8 @@ can be rechecked by matrix arithmetic.
 from .lp import (DenseSimplexSolver, LpError, LpNumericalError, LpProblem,
                  LpSolution, LpSolver, solve)
 from .polytope import (EmptySetError, PolyhedralSet, UnboundedSetError, box,
-                       contains_point, is_bounded, support_lp, support_max,
-                       vertices)
+                       contains_point, is_bounded, is_empty, support_lp,
+                       support_max, vertices)
 from .reach import (ContainmentReport, PolytopicModel, check_containment,
                     check_containment_disturbance, check_robust_invariant,
                     verify_certificates)
@@ -35,7 +35,8 @@ __all__ = [
     "DenseSimplexSolver", "LpError", "LpNumericalError", "LpProblem",
     "LpSolution", "LpSolver", "solve",
     "EmptySetError", "PolyhedralSet", "UnboundedSetError", "box",
-    "contains_point", "is_bounded", "support_lp", "support_max", "vertices",
+    "contains_point", "is_bounded", "is_empty", "support_lp", "support_max",
+    "vertices",
     "ContainmentReport", "PolytopicModel", "check_containment",
     "check_containment_disturbance", "check_robust_invariant",
     "verify_certificates",

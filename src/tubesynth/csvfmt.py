@@ -6,8 +6,8 @@ field passed as ``"%.17g" % v``: fields joined by commas, each row ended
 by CRLF, nothing quoted.  A block is a list of equal-length 1-D columns.
 A float column gives ``"%.17g" % v``, an integer or bool column
 ``"%d" % v`` and a bytes (``S``) column its text, which may hold no
-comma, quote or line break.  A column given as a pair (values, empty)
-leaves the fields empty where the bool array ``empty`` is true.
+comma, quote, line break or inner NUL.  A column given as a pair
+(values, empty) is empty where the bool array ``empty`` is true.
 
 Every field is laid out in 8-byte words whose unused bytes are NUL, and
 one compaction per block drops them.  A float takes five words:
@@ -304,14 +304,15 @@ def _block_bytes(columns):
             text[:] = np.ascontiguousarray(d).reshape(-1, 1).view(np.uint8)
             if np.isin(text, np.frombuffer(b',"\r\n', dtype=np.uint8)).any():
                 raise ValueError("text field holds a comma, quote or line break")
+            if ((text[:, :-1] == 0) & (text[:, 1:] != 0)).any():
+                raise ValueError("text field holds a NUL byte")
         if gone is not None:
             cell[gone] = 0
     grid[:, -1] = _CRLF
     chars = grid.view(np.uint8)
     for end, (nw, sep, _) in zip(ends[:-1], layout):
         chars[:, 8 * (end - nw) + sep] = ord(",")
-    flat = chars.reshape(-1)
-    return flat[flat != 0]
+    return grid.tobytes().translate(None, b"\0")
 
 
 def write_rows(fh, blocks):

@@ -13,6 +13,7 @@ compared by representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, islice
 from math import comb
 
@@ -156,40 +157,34 @@ def support_max(P: PolyhedralSet, a) -> float:
     return float(sol.objective)
 
 
+def is_empty(P: PolyhedralSet) -> bool:
+    """True iff P has no point.  No LP is run when every offset is
+    nonnegative, since the origin is then in P; else one feasibility LP."""
+    if (P.b >= 0.0).all():
+        return False
+    return support_lp(P, np.zeros(P.dim)).status == lp.INFEASIBLE
+
+
 def is_bounded(P: PolyhedralSet) -> bool:
-    """Support along every +-e_i is finite.  Empty sets raise."""
-    for i in range(P.dim):
-        e = np.zeros(P.dim)
-        for s in (1.0, -1.0):
-            e[i] = s
-            try:
-                support_max(P, e)
-            except UnboundedSetError:
-                return False
-        e[i] = 0.0
-    return True
+    """Whether P is bounded, from its row matrix alone.  Empty sets raise."""
+    if is_empty(P):
+        raise EmptySetError("set is empty")
+    return _rows_bound_every_set(P.A.shape, P.A.tobytes())
 
 
-# recession-cone verdicts by row matrix, see _rows_bound_every_set
-_CONE_CACHE = {}
-_CONE_CACHE_MAX = 256
+@lru_cache(maxsize=256)
+def _rows_bound_every_set(shape, rows) -> bool:
+    """Is every nonempty {x : A x <= b} bounded, whatever b is?  A is the
+    ``shape`` float matrix with the bytes ``rows``.
 
-
-def _rows_bound_every_set(A) -> bool:
-    """Is every nonempty {x : A x <= b} bounded, whatever b is?
-
-    True iff the recession cone {x : A x <= 0} is {0}.  The verdict
-    depends on A alone, so it is cached by the bytes of A: tubes share
-    one row matrix across all steps.
+    True iff the recession cone {x : A x <= 0} is {0}, that is iff its
+    support along every +-e_i is finite.  Tubes share one row matrix
+    across all steps, so the verdict is cached by the bytes of A.
     """
-    key = (A.shape, A.tobytes())
-    verdict = _CONE_CACHE.get(key)
-    if verdict is None:
-        if len(_CONE_CACHE) >= _CONE_CACHE_MAX:
-            _CONE_CACHE.clear()
-        verdict = is_bounded(PolyhedralSet(A, np.zeros(A.shape[0])))
-        _CONE_CACHE[key] = verdict
-    return verdict
+    cone = PolyhedralSet(np.frombuffer(rows).reshape(shape), np.zeros(shape[0]))
+    eye = np.eye(shape[1])
+    return all(support_lp(cone, e).status != lp.UNBOUNDED   # e_0, -e_0, e_1, ...
+               for e in np.hstack([eye, -eye]).reshape(-1, shape[1]))
 
 
 def vertices(P: PolyhedralSet, max_dim=6, max_subsets=500000):
@@ -221,8 +216,9 @@ def vertices(P: PolyhedralSet, max_dim=6, max_subsets=500000):
         raise UnboundedSetError("fewer rows than dimensions")
     if comb(q, n) > max_subsets:
         raise ValueError("row subsets %d exceed the cap %d" % (comb(q, n), max_subsets))
-    if not _rows_bound_every_set(P.A):
-        is_bounded(P)  # an empty set is reported as such, not as unbounded
+    if not _rows_bound_every_set(P.A.shape, P.A.tobytes()):
+        if is_empty(P):  # reported as such, not as unbounded
+            raise EmptySetError("set is empty")
         raise UnboundedSetError("vertex enumeration needs a bounded set")
 
     found = []

@@ -58,8 +58,8 @@ import numpy as np
 from . import lp
 # vertices is not called here but stays bound, as it was: the benchmark's
 # tracer (perfbench/tracing.py) expects to wrap it in this module
-from .polytope import MEMBERSHIP_TOL, PolyhedralSet, check_step_sets, step_vertices, \
-    support_lp, vertices
+from .polytope import MEMBERSHIP_TOL, PolyhedralSet, check_step_sets, is_empty, \
+    step_vertices, vertices
 from .reach import ContainmentReport, PolytopicModel, check_containment, step_maps, \
     step_source, verify_certificates
 from .tube import TargetTube
@@ -363,9 +363,8 @@ def synthesize(problem: SynthesisProblem, containment_tol=MEMBERSHIP_TOL,
                 if sol2.status != lp.OPTIMAL:
                     raise SynthesisError(k, "stage 2", "LP is %s" % sol2.status)
             X, provenance[k], stage = PolyhedralSet(H.A, sol2.x), SHRUNK, "stage 2"
-        if (X.b < 0.0).any():   # otherwise the origin is in X(k)
-            if support_lp(X, np.zeros(model.n)).status == lp.INFEASIBLE:
-                raise SynthesisError(k, stage, "traversed set is empty")
+        if is_empty(X):
+            raise SynthesisError(k, stage, "traversed set is empty")
         source, maps = step_maps(model, F, X, V)
         rpt = verify_certificates(blocks, source, X_next, maps, tol=containment_tol)
         if not rpt.contained:

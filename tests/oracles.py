@@ -298,6 +298,21 @@ def lp1_kron_reference(model, Q_now, bound_now, Q_next, bound_next,
                         free=free, sense=lp.MINIMIZE)
 
 
+def is_bounded_reference(P):
+    """polytope.is_bounded as one support LP over P along each +-e_i:
+    False at the first unbounded one; an empty P raises EmptySetError."""
+    for i in range(P.dim):
+        e = np.zeros(P.dim)
+        for s in (1.0, -1.0):
+            e[i] = s
+            try:
+                polytope.support_max(P, e)
+            except polytope.UnboundedSetError:
+                return False
+        e[i] = 0.0
+    return True
+
+
 def vertices_loop_reference(P, max_dim=6, max_subsets=500000):
     """polytope.vertices with one np.linalg.solve per row subset: its
     caps and boundedness check, then enum_vertices."""
@@ -309,8 +324,9 @@ def vertices_loop_reference(P, max_dim=6, max_subsets=500000):
         raise polytope.UnboundedSetError("fewer rows than dimensions")
     if comb(q, n) > max_subsets:
         raise ValueError("row subsets %d exceed the cap %d" % (comb(q, n), max_subsets))
-    if not polytope._rows_bound_every_set(P.A):
-        polytope.is_bounded(P)
+    if not polytope._rows_bound_every_set(P.A.shape, P.A.tobytes()):
+        if polytope.is_empty(P):
+            raise polytope.EmptySetError("set is empty")
         raise polytope.UnboundedSetError("vertex enumeration needs a bounded set")
     found = enum_vertices(P.A, P.b, feas_tol=polytope.VERTEX_DEDUP_TOL)
     if not found:

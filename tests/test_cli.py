@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import envelope_csv_reference, sets_csv_reference, trajectories_csv_reference
-from tubesynth import cli, lp, sim, synth
+from tubesynth import cli, lp, polytope, sim, synth
+from tubesynth.reach import ContainmentReport
 
 
 def mat(rows):
@@ -94,11 +95,74 @@ def test_synth_empty_traversed_set_exit_code(tmp_path):
     assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
-def test_synth_empty_tube_section_exit_code(tmp_path):
+def test_synth_empty_tube_section_exit_code(tmp_path, capsys):
     cfg_obj = scalar_config()
     cfg_obj["tube"]["explicit"][1] = {"A": mat([[1.0], [-1.0]]), "b": [-1.0, -1.0]}
     cfg = write(tmp_path / "cfg.json", cfg_obj)
     assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: set is empty\n"
+
+
+def test_synth_unbounded_tube_section_exit_code(tmp_path, capsys):
+    cfg_obj = scalar_config()
+    cfg_obj["tube"]["explicit"][1] = {"A": mat([[1.0]]), "b": [1.0]}
+    cfg = write(tmp_path / "cfg.json", cfg_obj)
+    assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        "config error: tube must be bounded for the guaranteed mode\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_synth_uncertified_step_writes_files_and_exits_4(tmp_path, capsys, monkeypatch):
+    # neither the LP1 multipliers nor the support-LP check prove containment
+    def not_contained(*args, **kwargs):
+        return ContainmentReport(contained=False, certificates=None, worst_violation=1.0)
+
+    monkeypatch.setattr(synth, "verify_certificates", not_contained)
+    monkeypatch.setattr(synth, "check_containment", not_contained)
+    cfg = write(tmp_path / "cfg.json", scalar_config())
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--config", cfg, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "warning: a step failed certification\n"
+    assert sorted(p.name for p in out.iterdir()) == \
+        ["certificates.json", "gains.json", "sets.json"]
+    certs = json.loads((out / "certificates.json").read_text())["steps"]
+    assert [step["contained"] for step in certs] == [False, False]
+
+
+def tanks_config(horizon):
+    """cli.tanks_problem as a problem file, its tube section by section."""
+    problem, _ = cli.tanks_problem(horizon)
+    model = problem.model
+
+    def encode_set(S):
+        return {"A": cli.encode_matrix(S.A), "b": S.b.tolist()}
+
+    return {"horizon": horizon,
+            "model": {"vertices": [{"A": cli.encode_matrix(A), "B": cli.encode_matrix(B)}
+                                   for A, B in model.vertices],
+                      "C": cli.encode_matrix(model.C)},
+            "tube": {"explicit": [encode_set(S) for S in problem.tube.sets]},
+            "control_constraints": [encode_set(U) for U in problem.control_constraints]}
+
+
+@pytest.mark.parametrize("horizon", [15, 60])
+def test_synth_bounded_tube_check_reuses_the_cone_verdict(tmp_path, monkeypatch, horizon):
+    # 11 LP1 and 7 LP2 solves, and the 4 LPs of the one cone verdict that
+    # the boundedness check and the vertex enumeration share; no section
+    # has a negative offset, so no emptiness LP runs
+    cfg = write(tmp_path / "cfg.json", tanks_config(horizon))
+    polytope._rows_bound_every_set.cache_clear()
+    solve = lp.solve
+    calls = []
+
+    def recording(problem, solver=None):
+        calls.append(problem)
+        return solve(problem, solver)
+
+    monkeypatch.setattr(lp, "solve", recording)
+    assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 22
 
 
 def test_synth_vertex_without_input_matrix_exit_code(tmp_path):

@@ -114,6 +114,18 @@ def test_text_needing_quotes_is_rejected(text):
         written(np.array([b"plain", text]))
 
 
+@pytest.mark.parametrize("text", [b"a\x00b", b"\x00b"])
+def test_text_with_inner_nul_is_rejected(text):
+    # csv.writer would write the NUL; the compaction would drop it
+    with pytest.raises(ValueError, match="NUL"):
+        written(np.array([b"plain", text]))
+
+
+def test_trailing_nul_is_padding():
+    # NumPy strips trailing NULs from an S item, as csv.writer then sees it
+    assert written(np.array([b"ab\x00", b"abc"])) == b"ab\r\nabc\r\n"
+
+
 def test_other_dtypes_are_rejected():
     with pytest.raises(ValueError, match="dtype"):
         written(np.array(["unicode"]))

@@ -3,8 +3,8 @@ import pytest
 
 from tubesynth import polytope as poly
 
-from oracles import enum_vertices, point_in_convex_polygon, random_bounded_set, \
-    vertices_loop_reference
+from oracles import enum_vertices, is_bounded_reference, point_in_convex_polygon, \
+    random_bounded_set, vertices_loop_reference
 
 
 def test_box_rows_unit():
@@ -83,6 +83,46 @@ def test_is_bounded():
         poly.is_bounded(poly.PolyhedralSet([[1.0], [-1.0]], [-1.0, -1.0]))
 
 
+def _bounded_or_empty(f, P):
+    try:
+        return f(P)
+    except poly.EmptySetError:
+        return "empty"
+
+
+def test_is_bounded_matches_per_direction_reference():
+    rng = np.random.default_rng(19)
+    seen = set()
+    for trial in range(240):
+        n = 1 + trial % 4
+        A, b = random_bounded_set(rng, n)
+        kind = trial // 4 % 5
+        if kind == 1:       # drop one box row: unbounded along that axis
+            keep = np.arange(len(b)) != int(rng.integers(2 * n))
+            A, b = A[keep], b[keep]
+        elif kind == 2:     # a cut past the far side of the box: empty
+            A = np.vstack([A, -A[0]])
+            b = np.append(b, -b[0] - rng.uniform(0.1, 1.0))
+        elif kind == 3:     # x_0 pinned to a value: lower-dimensional
+            b[0] = rng.uniform(-0.4, 0.4)
+            b[1] = -b[0]
+        elif kind == 4:     # a random half-space in R^n or only a few
+            A = rng.normal(size=(int(rng.integers(1, n + 2)), n))
+            b = rng.uniform(-1.0, 1.0, size=A.shape[0])
+        P = poly.PolyhedralSet(A, b)
+        want = _bounded_or_empty(is_bounded_reference, P)
+        assert _bounded_or_empty(poly.is_bounded, P) == want
+        seen.add(want)
+    assert seen == {True, False, "empty"}
+
+
+def test_is_empty_runs_no_lp_when_the_origin_is_inside(monkeypatch):
+    calls = []
+    monkeypatch.setattr(poly.lp, "solve", lambda *args: calls.append(args))
+    assert not poly.is_empty(poly.PolyhedralSet([[1.0], [-1.0]], [0.0, 0.5]))
+    assert calls == []
+
+
 def test_vertices_box_and_triangle():
     got = {tuple(np.round(v, 9)) for v in poly.vertices(poly.box([-1, -1], [1, 1]))}
     assert got == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
@@ -106,7 +146,9 @@ def test_vertices_error_modes():
 def test_vertices_empty_set_after_rows_cached_as_bounded():
     rows = poly.box([-1, -1], [1, 1]).A
     assert len(poly.vertices(poly.PolyhedralSet(rows, [1, 1, 1, 1]))) == 4
-    assert poly._CONE_CACHE[(rows.shape, rows.tobytes())] is True
+    hits = poly._rows_bound_every_set.cache_info().hits
+    assert poly._rows_bound_every_set(rows.shape, rows.tobytes()) is True
+    assert poly._rows_bound_every_set.cache_info().hits == hits + 1
     # x <= -1 and x >= 1: the cached rows are bounded, but no vertex is feasible
     with pytest.raises(poly.EmptySetError):
         poly.vertices(poly.PolyhedralSet(rows, [-1, -1, 1, 1]))
@@ -277,7 +319,7 @@ def test_vertices_when_every_subset_is_singular(monkeypatch):
         poly.vertices(strip)
     # past a (forced) boundedness verdict, a batch without one solvable
     # subset finds no vertex and reports the set empty, like the loop
-    monkeypatch.setattr(poly, "_rows_bound_every_set", lambda A: True)
+    monkeypatch.setattr(poly, "_rows_bound_every_set", lambda *rows: True)
     for f in (poly.vertices, vertices_loop_reference):
         with pytest.raises(poly.EmptySetError):
             f(strip)
