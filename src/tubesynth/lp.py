@@ -356,7 +356,9 @@ class DenseSimplexSolver(LpSolver):
         """Exit checks; a basis that produces bad residuals is reported
         as a numerical failure rather than returned.  A non-finite entry
         of x or of the duals makes its objective non-finite (0 * inf and
-        0 * nan are nan), where every tolerance comparison would pass."""
+        0 * nan are nan), where every tolerance comparison would pass.
+        The duals must meet LpSolution's sign and reduced-cost
+        conditions, since callers ship them as certificates."""
         scale = 1.0 + float(np.abs(x).max(initial=0.0))
         if problem.A_eq.shape[0]:
             r_eq = np.abs(problem.A_eq @ x - problem.b_eq).max()
@@ -374,6 +376,18 @@ class DenseSimplexSolver(LpSolver):
         gap = abs(dual_obj - objective)
         if gap > 1e-7 * (1.0 + abs(objective) + float(np.abs(problem.b_in).sum())):
             raise LpNumericalError("duality gap %g" % gap)
+        # minimising: duals_in <= 0 and c - A'y >= 0; maximising flips both
+        sign = 1.0 if problem.sense == MINIMIZE else -1.0
+        y_max = float(np.abs(np.concatenate([duals_eq, duals_in])).max(initial=0.0))
+        dual_tol = self.feasibility_tol * (1.0 + y_max)
+        wrong_sign = float((sign * duals_in).max(initial=0.0))
+        if wrong_sign > dual_tol:
+            raise LpNumericalError("dual sign violation %g" % wrong_sign)
+        reduced = sign * (problem.c - problem.A_eq.T @ duals_eq - problem.A_in.T @ duals_in)
+        worst = max(float(-reduced[~problem.free].min(initial=0.0)),
+                    float(np.abs(reduced[problem.free]).max(initial=0.0)))
+        if worst > dual_tol:
+            raise LpNumericalError("reduced cost residual %g" % worst)
 
 
 _DEFAULT_SOLVER = DenseSimplexSolver()

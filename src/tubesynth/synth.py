@@ -36,21 +36,23 @@ blocks miss a threshold is decided by the support-LP containment check
 instead, so a "not contained" verdict always comes from the tight
 check.  The reports ship with the result.
 
+One backward step (both LPs, X(k), the emptiness probe, the
+certificate recheck and its support-LP fallback) is ``solve_step``.
+
 A tube built from step-response specs is constant after its settling
-time, so its late steps repeat one another's LP inputs.  A step whose
-builder arguments (H(k), X(k+1), V(k), U(k) and whether the
-disturbance floor applies) are byte-identical to the next step's
-reuses that step's LP solutions instead of solving the same LPs again:
-identical inputs give bit-identical solutions, so the result is
-unchanged, and the synthesis cost follows the number of distinct steps
-rather than the horizon.  Everything after the solves still runs at
-every step: unpacking the gain and multipliers into fresh arrays,
-fixing X(k), the emptiness probe and the certificate recheck.
+time, so its late steps repeat one another's inputs.  A step whose
+inputs (H(k), X(k+1), V(k), U(k) and whether the disturbance floor
+applies) are byte-identical to the next step's is that step, copied:
+identical inputs give bit-identical results, so it takes step k+1's
+X(k) (an immutable set), provenance and report verdict, with its own
+copies of the gain, the defect and the certificate blocks.  The whole
+synthesis cost, not just its LPs, follows the number of distinct steps
+rather than the horizon.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -58,8 +60,8 @@ import numpy as np
 from . import lp
 # vertices is not called here but stays bound, as it was: the benchmark's
 # tracer (perfbench/tracing.py) expects to wrap it in this module
-from .polytope import MEMBERSHIP_TOL, PolyhedralSet, check_step_sets, is_empty, \
-    step_vertices, vertices
+from .polytope import MEMBERSHIP_TOL, EmptySetError, PolyhedralSet, UnboundedSetError, \
+    check_step_sets, is_empty, step_vertices, vertices
 from .reach import ContainmentReport, PolytopicModel, check_containment, step_maps, \
     step_source, verify_certificates
 from .tube import TargetTube
@@ -276,6 +278,40 @@ def build_lp2(multiplier_blocks, H: PolyhedralSet, X_next: PolyhedralSet,
                         sense=lp.MAXIMIZE)
 
 
+def solve_step(model: PolytopicModel, H: PolyhedralSet, X_next: PolyhedralSet, V=None,
+               control=None, floors=None, nonneg=True, containment_tol=MEMBERSHIP_TOL,
+               eps_zero_tol=EPS_ZERO_TOL, solver=None, k=0):
+    """One backward step from the section H into X_next: (X(k), F(k),
+    defect, provenance, report).
+
+    ``V`` and ``control`` are build_lp1's, ``floors`` and ``nonneg`` are
+    build_lp2's.  The second LP runs only when the defect's infinity
+    norm exceeds ``eps_zero_tol``.  The report is the first LP's
+    multiplier blocks when reach.verify_certificates accepts them, and
+    the support-LP check's otherwise.  Raises SynthesisError naming
+    step ``k`` when either LP has no optimum or X(k) is empty.
+    """
+    sol1 = lp.solve(build_lp1(model, H, X_next, V, control=control), solver)
+    if sol1.status != lp.OPTIMAL:
+        raise SynthesisError(k, "stage 1", "LP is %s" % sol1.status)
+    eps, F, blocks = split_lp1_solution(sol1.x, model, X_next.nrows)
+    if np.abs(eps).max(initial=0.0) <= eps_zero_tol:
+        X, provenance, stage = H, TUBE_EXACT, "stage 1"
+    else:
+        sol2 = lp.solve(build_lp2(blocks, H, X_next, V, nonneg=nonneg,
+                                  floor_values=floors), solver)
+        if sol2.status != lp.OPTIMAL:
+            raise SynthesisError(k, "stage 2", "LP is %s" % sol2.status)
+        X, provenance, stage = PolyhedralSet(H.A, sol2.x), SHRUNK, "stage 2"
+    if is_empty(X):
+        raise SynthesisError(k, stage, "traversed set is empty")
+    source, maps = step_maps(model, F, X, V)
+    report = verify_certificates(blocks, source, X_next, maps, tol=containment_tol)
+    if not report.contained:
+        report = check_containment(model, F, X, X_next, containment_tol, V)
+    return X, F, eps, provenance, report
+
+
 def synthesize(problem: SynthesisProblem, containment_tol=MEMBERSHIP_TOL,
                eps_zero_tol=EPS_ZERO_TOL, solver=None) -> SynthesisResult:
     """Run the backward recursion and certify every accepted step.
@@ -295,9 +331,11 @@ def synthesize(problem: SynthesisProblem, containment_tol=MEMBERSHIP_TOL,
     bound residual max(G b_src - b_tgt), an upper bound on the tight
     support gap.  Otherwise the report is the support-LP check's.
 
-    A step whose LP inputs are byte-identical to step k+1's takes that
-    step's LP solutions rather than solving again; its certificates are
-    still rechecked against its own sets.  Nothing is kept between
+    A step whose inputs are byte-identical to step k+1's is step k+1's
+    result, copied: the same X(k) and provenance, a report with the same
+    verdict, and its own copies of the gain, the defect and the
+    certificate blocks.  Every other step runs ``solve_step``, so the
+    whole cost follows the distinct steps.  Nothing is kept between
     calls: each call solves every distinct step.
     """
     model = problem.model
@@ -321,7 +359,7 @@ def synthesize(problem: SynthesisProblem, containment_tol=MEMBERSHIP_TOL,
     if problem.control_constraints is not None:
         try:
             section_vertices = step_vertices(tube.sets[:K])
-        except Exception as exc:
+        except (ValueError, EmptySetError, UnboundedSetError, lp.LpError) as exc:
             raise SynthesisError(-1, "vertices",
                                  "tube section enumeration failed: %s" % exc)
 
@@ -331,9 +369,8 @@ def synthesize(problem: SynthesisProblem, containment_tol=MEMBERSHIP_TOL,
     provenance = [None] * K
     step_reports = [None] * K
 
-    # a step whose LP inputs equal step k+1's keeps sol1 and sol2 from
-    # that step: PolyhedralSet equality compares the bytes of A and b,
-    # so equal keys mean bit-identical LPs and bit-identical solutions
+    # PolyhedralSet equality compares the bytes of A and b, so a key equal
+    # to step k+1's means bit-identical LPs, sets and recheck
     next_key = None
     for k in range(K - 1, -1, -1):
         H, X_next = tube[k], sets[k + 1]
@@ -342,35 +379,21 @@ def synthesize(problem: SynthesisProblem, containment_tol=MEMBERSHIP_TOL,
             else problem.control_constraints[k]
         floor = problem.disturbance_floor and k <= K - 2
         key = (H, X_next, V, U, floor)
-        if key != next_key:
-            lp1 = build_lp1(model, H, X_next, V, control=None if U is None
-                            else (U, section_vertices[k]))
-            sol1, sol2 = lp.solve(lp1, solver), None
-            if sol1.status != lp.OPTIMAL:
-                raise SynthesisError(k, "stage 1", "LP is %s" % sol1.status)
-        next_key = key
-        eps, F, blocks = split_lp1_solution(sol1.x, model, X_next.nrows)
-        if np.abs(eps).max(initial=0.0) <= eps_zero_tol:
-            X, provenance[k], stage = H, TUBE_EXACT, "stage 1"
+        if key == next_key:
+            # step k+1's results, with copies of the arrays callers own
+            rpt = step_reports[k + 1]
+            certs = rpt.certificates and [G.copy() for G in rpt.certificates]
+            sets[k], provenance[k] = sets[k + 1], provenance[k + 1]
+            gains[k], residuals[k] = gains[k + 1].copy(), residuals[k + 1].copy()
+            step_reports[k] = replace(rpt, certificates=certs)
         else:
-            if sol2 is None:
-                floors = None
-                if floor:
-                    floors = [H.A @ model.D @ v for v in v_vertices[k]]
-                lp2 = build_lp2(blocks, H, X_next, V, nonneg=problem.nonneg_bounds,
-                                floor_values=floors)
-                sol2 = lp.solve(lp2, solver)
-                if sol2.status != lp.OPTIMAL:
-                    raise SynthesisError(k, "stage 2", "LP is %s" % sol2.status)
-            X, provenance[k], stage = PolyhedralSet(H.A, sol2.x), SHRUNK, "stage 2"
-        if is_empty(X):
-            raise SynthesisError(k, stage, "traversed set is empty")
-        source, maps = step_maps(model, F, X, V)
-        rpt = verify_certificates(blocks, source, X_next, maps, tol=containment_tol)
-        if not rpt.contained:
-            rpt = check_containment(model, F, X, X_next, tol=containment_tol,
-                                    disturbance=V)
-        sets[k], gains[k], residuals[k], step_reports[k] = X, F, eps, rpt
+            control = None if U is None else (U, section_vertices[k])
+            floors = [H.A @ model.D @ v for v in v_vertices[k]] if floor else None
+            sets[k], gains[k], residuals[k], provenance[k], step_reports[k] = solve_step(
+                model, H, X_next, V, control=control, floors=floors,
+                nonneg=problem.nonneg_bounds, containment_tol=containment_tol,
+                eps_zero_tol=eps_zero_tol, solver=solver, k=k)
+        next_key = key
 
     return SynthesisResult(gains=gains, sets=sets, residuals=residuals,
                            provenance=provenance, step_reports=step_reports)

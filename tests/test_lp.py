@@ -90,6 +90,34 @@ def test_overflowing_tableau_is_a_numerical_error():
             solver.solve(p)
 
 
+# (problem, optimal x, duals_in, message): every pair of duals closes the
+# duality gap, so only the dual conditions can reject it
+_BAD_DUALS = [
+    # max x s.t. x <= 1, x <= 2: y = (2, -0.5) has a negative entry
+    (lp.LpProblem(c=[1], A_in=[[1], [1]], b_in=[1, 2], sense=lp.MAXIMIZE),
+     [1.0], [2.0, -0.5], "dual sign violation"),
+    # the same LP with y = (0.5, 0.25): A'y = 0.75 < c
+    (lp.LpProblem(c=[1], A_in=[[1], [1]], b_in=[1, 2], sense=lp.MAXIMIZE),
+     [1.0], [0.5, 0.25], "reduced cost residual"),
+    # min 0 x over a free x >= 0: y = -1 leaves c - A'y = -1 on a free column
+    (lp.LpProblem(c=[0], A_in=[[-1]], b_in=[0], free=[True]),
+     [0.0], [-1.0], "reduced cost residual"),
+]
+
+
+@pytest.mark.parametrize("problem, x, duals_in, message", _BAD_DUALS,
+                         ids=["sign", "reduced-cost", "free-column"])
+def test_verify_rejects_duals_that_break_dual_feasibility(problem, x, duals_in, message):
+    solver = lp.DenseSimplexSolver()
+    x = np.array(x)
+    objective = float(problem.c @ x)
+    with pytest.raises(lp.LpNumericalError, match=message):
+        solver._verify(problem, x, objective, np.zeros(0), np.array(duals_in))
+    # the solver's own duals pass the same checks
+    sol = solver.solve(problem)
+    assert sol.status == lp.OPTIMAL and sol.objective == objective
+
+
 def test_random_lps_match_vertex_enumeration():
     rng = np.random.default_rng(42)
     for _ in range(100):

@@ -4,8 +4,7 @@ import pytest
 from tubesynth import lp, polytope, synth
 from tubesynth.cli import tanks_problem
 from tubesynth.polytope import PolyhedralSet, box, vertices
-from tubesynth.reach import PolytopicModel, check_containment, step_maps, \
-    verify_certificates
+from tubesynth.reach import PolytopicModel, check_containment, verify_certificates
 from tubesynth.sim import sample_states, simulate_runs, verify_runs
 from tubesynth.tube import TargetTube
 
@@ -440,6 +439,27 @@ def test_contradictory_control_rows_abort_with_step_index():
     assert err.value.stage == "stage 1"
 
 
+def test_unbounded_section_under_control_rows_is_a_synthesis_error():
+    # control rows need the section vertices, which an unbounded H(0) lacks
+    t = TargetTube([PolyhedralSet([[1.0]], [1.0]), box([-1], [1]), box([-1], [1])])
+    prob = synth.SynthesisProblem(model=scalar_model(0.5, 1.0), tube=t,
+                                  control_constraints=[box([-1], [1])] * 2)
+    with pytest.raises(synth.SynthesisError, match="bounded set") as err:
+        synth.synthesize(prob)
+    assert (err.value.k, err.value.stage) == (-1, "vertices")
+
+
+def test_a_fault_in_section_enumeration_is_not_a_synthesis_error(monkeypatch):
+    # only the set errors of vertices become SynthesisError(-1, "vertices")
+    def broken(sets):
+        raise RuntimeError("not a set error")
+
+    monkeypatch.setattr(synth, "step_vertices", broken)
+    prob = stepped_control_problem([3.0, 3.0])
+    with pytest.raises(RuntimeError, match="not a set error"):
+        synth.synthesize(prob)
+
+
 def test_control_rows_are_respected():
     model = scalar_model(0.5, 1.0)
     t = interval_tube(1.0, 1.0, 0.1)
@@ -582,34 +602,21 @@ def floor_flag_problem():
 
 
 def resolved_step(prob, X_next, k, tol=1e-7):
-    """Step k into X_next solved again from its own inputs with a fresh
-    solver: (gain, defect, offsets of X(k), provenance, report).  An LP
-    without an optimum raises SynthesisError, as in synthesize."""
+    """Step k into X_next solved again by solve_step from its own inputs,
+    built from the problem, with a fresh solver: (gain, defect, offsets
+    of X(k), provenance, report).  An LP without an optimum raises
+    SynthesisError, as in synthesize."""
     model, H = prob.model, prob.tube[k]
-    solver = lp.DenseSimplexSolver()
     V = None if prob.disturbance is None else prob.disturbance[k]
     ctrl = None
     if prob.control_constraints is not None:
         ctrl = (prob.control_constraints[k], vertices(H))
-    sol1 = solver.solve(synth.build_lp1(model, H, X_next, V, control=ctrl))
-    if sol1.status != lp.OPTIMAL:
-        raise synth.SynthesisError(k, "stage 1", "LP is %s" % sol1.status)
-    eps, F, blocks = synth.split_lp1_solution(sol1.x, model, X_next.nrows)
-    if np.max(np.abs(eps), initial=0.0) <= synth.EPS_ZERO_TOL:
-        X, prov = H, synth.TUBE_EXACT
-    else:
-        floors = None
-        if prob.disturbance_floor and k <= prob.horizon - 2:
-            floors = [H.A @ model.D @ v for v in vertices(V)]
-        sol2 = solver.solve(synth.build_lp2(
-            blocks, H, X_next, V, nonneg=prob.nonneg_bounds, floor_values=floors))
-        if sol2.status != lp.OPTIMAL:
-            raise synth.SynthesisError(k, "stage 2", "LP is %s" % sol2.status)
-        X, prov = PolyhedralSet(H.A, sol2.x), synth.SHRUNK
-    source, maps = step_maps(model, F, X, V)
-    rpt = verify_certificates(blocks, source, X_next, maps, tol=tol)
-    if not rpt.contained:
-        rpt = check_containment(model, F, X, X_next, tol=tol, disturbance=V)
+    floors = None
+    if prob.disturbance_floor and k <= prob.horizon - 2:
+        floors = [H.A @ model.D @ v for v in vertices(V)]
+    X, F, eps, prov, rpt = synth.solve_step(
+        model, H, X_next, V, control=ctrl, floors=floors, nonneg=prob.nonneg_bounds,
+        containment_tol=tol, solver=lp.DenseSimplexSolver(), k=k)
     return F, eps, X.b, prov, rpt
 
 
@@ -708,6 +715,33 @@ def test_synthesis_cost_follows_the_distinct_steps(monkeypatch):
     counter = CountingSolver()
     synth.synthesize(shrunk_fixed_point_problem(), solver=counter)
     assert (counter.lp1, counter.lp2) == (1, 1)
+
+
+@pytest.mark.parametrize("K", [15, 60])
+def test_a_repeated_step_is_the_next_step_copied(monkeypatch, K):
+    # the post-solve work runs once per distinct step: a repeated step is
+    # step k+1's set, with its own copies of step k+1's certificate blocks
+    rechecks = []
+
+    def spy(*args, **kwargs):
+        rechecks.append(args)
+        return verify_certificates(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "verify_certificates", spy)
+    prob = tanks_problem(horizon=K)[0]
+    res = synth.synthesize(prob)
+    assert len(rechecks) == 11
+    t = prob.tube
+    repeated = [k for k in range(K - 1)
+                if t[k] == t[k + 1] and res.sets[k + 1] == res.sets[k + 2]]
+    assert len(repeated) == K - 11
+    for k in repeated:
+        assert res.sets[k] is res.sets[k + 1]
+        blocks = res.step_reports[k].certificates
+        next_blocks = res.step_reports[k + 1].certificates
+        assert len(blocks) == len(next_blocks) == prob.model.s
+        for G, G_next in zip(blocks, next_blocks):
+            assert same_bytes(G, G_next) and not np.shares_memory(G, G_next), k
 
 
 # -- empty traversed sets ------------------------------------------------------
