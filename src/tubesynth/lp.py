@@ -10,16 +10,21 @@ Problems are small and dense (tens to a few hundred rows), so no
 attempt is made at sparse or revised-simplex machinery.  At these
 sizes a pivot spends more time in NumPy call overhead than in
 arithmetic, so the pivot loop is written to the call count.  Each solve
-allocates its scratch arrays once, and every per-pivot ufunc writes
-into them with ``out=``.  The entering column is the first set entry of
-a reduced-cost mask (``argmax``) below a column limit; phase 2 stops
-before the artificials.  The ratio test is one masked ``np.divide``;
-its minimum is read through ``argmin``, and an infinite minimum with no
-eligible row means unbounded.  A lone tied row leaves directly, and
-several go to the lowest basis index.  The tableau update is one
-broadcast ``np.multiply`` of the pivot column and row into a buffer,
-then one ``np.subtract``.  Each phase prices its objective row with one
-ordered ``np.subtract.reduce`` over the stacked rows.
+allocates its update buffer once, each phase its ratio-test arrays
+once, and every per-pivot ufunc writes into them with ``out=``.  The
+entering column is the first set entry of a reduced-cost mask
+(``argmax``) below a column limit; phase 2 stops before the
+artificials.  The ratio test is one masked ``np.divide``; its minimum
+is read through ``argmin``.  An infinite minimum with no eligible row
+means unbounded, and a NaN minimum (an overflowed tableau) is a
+numerical error.  A lone tied row leaves directly, and several go
+to the lowest basis index.  The tableau update is one broadcast
+``np.multiply`` of the pivot column and row into a buffer, then one
+``np.subtract``.  Both phases price their cost row the same way: one
+ordered ``np.subtract.reduce`` of the cost row and, in row order, each
+row times the cost of its basic column, where that cost is nonzero.
+Overflow and invalid-value warnings are silenced inside a solve, since
+the exit checks classify what they would report.
 
 Every step forms the same floating-point operations, in the same order,
 as an element-wise loop would, so the pivot sequence and every output
@@ -154,78 +159,70 @@ class LpSolver(ABC):
         """Solve and classify the problem; never return silently-bad data."""
 
 
-class _Buffers:
-    """Scratch arrays of one solve, sized to its tableau T ((m+1) x (ncols+1))."""
-
-    __slots__ = ("entering", "eligible", "clamped", "ratios", "tie", "product")
-
-    def __init__(self, T):
-        m = T.shape[0] - 1
-        self.entering = np.empty(T.shape[1] - 1, dtype=bool)
-        self.eligible = np.empty(m, dtype=bool)
-        self.clamped = np.empty(m)
-        self.ratios = np.empty(m)
-        self.tie = np.empty(m, dtype=bool)
-        self.product = np.empty_like(T)
+def _price(T, basis):
+    """Price the cost row T[-1] out on the basis: subtract, in row order,
+    each row whose basic column has a nonzero cost, times that cost."""
+    cb = T[-1, basis]
+    priced = cb.nonzero()[0]
+    T[-1] = np.subtract.reduce(
+        np.concatenate([T[-1:], cb[priced, None] * T[priced]]), axis=0)
 
 
 class DenseSimplexSolver(LpSolver):
     """Reference two-phase dense simplex with Bland's rule."""
 
-    feasibility_tol = FEASIBILITY_TOL
-    reduced_cost_tol = REDUCED_COST_TOL
-    pivot_tol = PIVOT_TOL
-
     # -- tableau mechanics -------------------------------------------------
 
-    def _pivot(self, T, basis, row, col, buf):
+    def _pivot(self, T, basis, row, col, product):
         """Pivot on T[row, col]: divide the row by the pivot, subtract
         the row times the pivot column's entry from every row (the pivot
         row itself by a zero multiple) and reset the pivot column to a
-        unit vector.  ``buf`` holds the solve's scratch arrays."""
+        unit vector.  ``product`` is a scratch array shaped like T."""
         piv = T[row, col]
-        if abs(piv) < self.pivot_tol:
+        if abs(piv) < PIVOT_TOL:
             raise LpNumericalError("pivot %g below tolerance" % piv)
         prow = T[row]
         np.divide(prow, piv, out=prow)
         # the pivot column is its own multiplier column, with a zero at the
         # pivot row; what the update writes to that column is overwritten
         T[row, col] = 0.0
-        np.multiply(T[:, col:col + 1], prow, out=buf.product)
-        np.subtract(T, buf.product, out=T)
+        np.multiply(T[:, col:col + 1], prow, out=product)
+        np.subtract(T, product, out=T)
         # re-orthogonalise the pivot column exactly
         T[:, col] = 0.0
         T[row, col] = 1.0
         basis[row] = col
 
-    def _iterate(self, T, basis, limit, max_iter, buf):
+    def _iterate(self, T, basis, limit, max_iter, product):
         """Run simplex pivots until optimal or unbounded.
 
         Only the columns below ``limit`` may enter the basis; ``basis``
         is an int array of the basic column per row.  Entering column:
-        lowest index with reduced cost below -reduced_cost_tol; leaving
+        lowest index with reduced cost below -REDUCED_COST_TOL; leaving
         row: minimum ratio, ties broken by lowest basis index (Bland).
         The problem is unbounded when no row has a pivot entry above
-        pivot_tol, so that every ratio stays infinite.
+        PIVOT_TOL, so that every ratio stays infinite.  ``product`` is
+        passed on to ``_pivot``.
         """
         m = T.shape[0] - 1
-        neg_tol = -self.reduced_cost_tol
-        pivot_tol = self.pivot_tol
         reduced = T[-1, :limit]
         rhs = T[:m, -1]
-        entering = buf.entering[:limit]
-        eligible, clamped, ratios, tie = buf.eligible, buf.clamped, buf.ratios, buf.tie
+        entering = np.empty(limit, dtype=bool)
+        eligible = np.empty(m, dtype=bool)
+        tie = np.empty(m, dtype=bool)
+        clamped = np.empty(m)
+        ratios = np.empty(m)
         less, greater, maximum, divide, less_equal = (
             np.less, np.greater, np.maximum, np.divide, np.less_equal)
         inf = np.inf
         it = 0
         while True:
-            less(reduced, neg_tol, out=entering)
+            less(reduced, -REDUCED_COST_TOL, out=entering)
             col = int(entering.argmax())
             if not entering[col]:
                 return OPTIMAL, it
             colvals = T[:m, col]
-            greater(colvals, pivot_tol, out=eligible)
+            greater(colvals, PIVOT_TOL, out=eligible)
             maximum(rhs, 0.0, out=clamped)
             ratios.fill(inf)
             divide(clamped, colvals, out=ratios, where=eligible)
@@ -234,16 +231,19 @@ class DenseSimplexSolver(LpSolver):
             # an infinite minimum is unbounded unless a ratio overflowed
             if rmin == inf and not eligible.any():
                 return UNBOUNDED, it
+            if math.isnan(rmin):
+                raise LpNumericalError("ratio test minimum is nan")
             less_equal(ratios, rmin + 1e-12 * (1.0 + abs(rmin)), out=tie)
             rows = tie.nonzero()[0]
             row = int(rows[0] if rows.size == 1 else rows[basis[rows].argmin()])
-            self._pivot(T, basis, row, col, buf)
+            self._pivot(T, basis, row, col, product)
             it += 1
             if it > max_iter:
                 raise LpNumericalError("iteration limit %d exceeded" % max_iter)
 
     # -- main entry --------------------------------------------------------
 
+    @np.errstate(over="ignore", invalid="ignore")
     def solve(self, problem: LpProblem) -> LpSolution:
         c, free = problem.c, problem.free
         A_eq, b_eq, A_in, b_in = problem.A_eq, problem.b_eq, problem.A_in, problem.b_in
@@ -292,42 +292,34 @@ class DenseSimplexSolver(LpSolver):
         T[art_rows, art_col] = 1.0
 
         max_iter = 500 * (m + ncols + 10)
-        buf = _Buffers(T)
+        product = np.empty_like(T)
 
         # phase 1: minimise the sum of artificials
         if art_rows.size:
             T[-1, art_start:ncols] = 1.0
-            # the artificial rows subtracted one after another, in row order
-            T[-1] = np.subtract.reduce(T[np.concatenate([[m], art_rows])], axis=0)
-            status, it1 = self._iterate(T, basis, ncols, max_iter, buf)
+            _price(T, basis)
+            status, it1 = self._iterate(T, basis, ncols, max_iter, product)
             if status != OPTIMAL:
                 raise LpNumericalError("phase 1 cannot be unbounded")
-            if -T[-1, -1] > self.feasibility_tol:
+            if -T[-1, -1] > FEASIBILITY_TOL:
                 return LpSolution(status=INFEASIBLE, iterations=it1)
             # pivot out any artificial stuck in the basis at zero level;
             # rows with no structural entry are redundant and stay inert
             for i in (basis >= art_start).nonzero()[0]:
                 nz = (np.abs(T[i, :art_start]) > 1e-9).nonzero()[0]
                 if nz.size:
-                    self._pivot(T, basis, i, int(nz[0]), buf)
+                    self._pivot(T, basis, i, int(nz[0]), product)
         else:
             it1 = 0
 
-        # phase 2: original objective priced out on the current basis;
-        # artificial columns may never re-enter
-        objective_row = T[-1]
-        objective_row.fill(0.0)
-        if problem.sense == MINIMIZE:
-            objective_row[plus_col] = c
-            objective_row[minus_free] = -c[free_at]
-        else:
-            objective_row[plus_col] = -c
-            objective_row[minus_free] = c[free_at]
-        cb = objective_row[basis]
-        priced = cb.nonzero()[0]
-        T[-1] = np.subtract.reduce(
-            np.concatenate([T[-1:], cb[priced, None] * T[priced]]), axis=0)
-        status, it2 = self._iterate(T, basis, art_start, max_iter, buf)
+        # phase 2: the objective, negated when maximising, priced out on
+        # the current basis; artificial columns may never re-enter
+        sign = 1.0 if problem.sense == MINIMIZE else -1.0
+        T[-1] = 0.0
+        T[-1, plus_col] = sign * c
+        T[-1, minus_free] = -sign * c[free_at]
+        _price(T, basis)
+        status, it2 = self._iterate(T, basis, art_start, max_iter, product)
         if status == UNBOUNDED:
             return LpSolution(status=UNBOUNDED, iterations=it1 + it2)
 
@@ -339,11 +331,9 @@ class DenseSimplexSolver(LpSolver):
         objective = float(c @ x)
 
         # dual extraction: the initial identity column of row i carries
-        # -y_i in the final reduced-cost row
-        y = -T[-1, initial_basis]
+        # -sign * y_i in the final reduced-cost row
+        y = -sign * T[-1, initial_basis]
         y[flipped] *= -1.0
-        if problem.sense == MAXIMIZE:
-            np.negative(y, out=y)
         duals_eq = y[:me].copy()
         duals_in = y[me:].copy()
 
@@ -362,13 +352,13 @@ class DenseSimplexSolver(LpSolver):
         scale = 1.0 + float(np.abs(x).max(initial=0.0))
         if problem.A_eq.shape[0]:
             r_eq = np.abs(problem.A_eq @ x - problem.b_eq).max()
-            if r_eq > self.feasibility_tol * scale:
+            if r_eq > FEASIBILITY_TOL * scale:
                 raise LpNumericalError("equality residual %g" % r_eq)
         if problem.A_in.shape[0]:
             r_in = (problem.A_in @ x - problem.b_in).max()
-            if r_in > self.feasibility_tol * scale:
+            if r_in > FEASIBILITY_TOL * scale:
                 raise LpNumericalError("inequality residual %g" % r_in)
-        if (x[~problem.free] < -self.feasibility_tol * scale).any():
+        if (x[~problem.free] < -FEASIBILITY_TOL * scale).any():
             raise LpNumericalError("sign violation on nonnegative variable")
         dual_obj = float(problem.b_eq @ duals_eq + problem.b_in @ duals_in)
         if not (math.isfinite(objective) and math.isfinite(dual_obj)):
@@ -379,7 +369,7 @@ class DenseSimplexSolver(LpSolver):
         # minimising: duals_in <= 0 and c - A'y >= 0; maximising flips both
         sign = 1.0 if problem.sense == MINIMIZE else -1.0
         y_max = float(np.abs(np.concatenate([duals_eq, duals_in])).max(initial=0.0))
-        dual_tol = self.feasibility_tol * (1.0 + y_max)
+        dual_tol = FEASIBILITY_TOL * (1.0 + y_max)
         wrong_sign = float((sign * duals_in).max(initial=0.0))
         if wrong_sign > dual_tol:
             raise LpNumericalError("dual sign violation %g" % wrong_sign)

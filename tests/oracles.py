@@ -387,7 +387,7 @@ class DenseSimplexReference(lp.DenseSimplexSolver):
 
     def _pivot(self, T, basis, row, col):
         piv = T[row, col]
-        if abs(piv) < self.pivot_tol:
+        if abs(piv) < lp.PIVOT_TOL:
             raise lp.LpNumericalError("pivot %g below tolerance" % piv)
         T[row] /= piv
         colvals = T[:, col].copy()
@@ -402,13 +402,13 @@ class DenseSimplexReference(lp.DenseSimplexSolver):
         it = 0
         while True:
             red = T[-1, :-1]
-            candidates = np.nonzero(allowed & (red < -self.reduced_cost_tol))[0]
+            candidates = np.nonzero(allowed & (red < -lp.REDUCED_COST_TOL))[0]
             if candidates.size == 0:
                 return lp.OPTIMAL, it
             col = int(candidates[0])
             colvals = T[:m, col]
             rhs = T[:m, -1]
-            eligible = colvals > self.pivot_tol
+            eligible = colvals > lp.PIVOT_TOL
             if not np.any(eligible):
                 return lp.UNBOUNDED, it
             ratios = np.full(m, np.inf)
@@ -483,7 +483,7 @@ class DenseSimplexReference(lp.DenseSimplexSolver):
             status, it1 = self._iterate(T, basis, allowed, max_iter)
             if status != lp.OPTIMAL:
                 raise lp.LpNumericalError("phase 1 cannot be unbounded")
-            if -T[-1, -1] > self.feasibility_tol:
+            if -T[-1, -1] > lp.FEASIBILITY_TOL:
                 return lp.LpSolution(status=lp.INFEASIBLE, iterations=it1)
             for i in range(m):
                 if basis[i] >= art_start:

@@ -376,6 +376,22 @@ def test_check_contain_verdicts(tmp_path):
     assert cli.main(["check-contain", "--config", cfg]) == 2
 
 
+def test_check_contain_overflowing_lp_is_a_synthesis_failure(tmp_path):
+    # a support LP whose ratio test overflows to NaN: numerical trouble in
+    # the LP, exit 3 with one line on stderr and no NumPy warning
+    cfg = write(tmp_path / "in.json", {
+        "model": {"vertices": [{"A": mat([[1e300]]), "B": mat([[0.0]])}],
+                  "C": mat([[1.0]])},
+        "F": mat([[0.0]]),
+        "P1": {"A": mat([[5e-10], [-2e-10]]), "b": [1e300, 1e300]},
+        "P2": {"A": mat([[-1.0]]), "b": [0.0]},
+    })
+    done = run_cli(["check-contain", "--config", cfg])
+    assert done.returncode == 3
+    err = done.stderr.decode().splitlines()
+    assert len(err) == 1 and err[0].startswith("synthesis failed: "), err
+
+
 def test_check_invariant_verdicts(tmp_path):
     base = {
         "model": {"vertices": [{"A": mat([[0.5, 0], [0, 0.5]]),

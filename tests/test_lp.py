@@ -90,6 +90,16 @@ def test_overflowing_tableau_is_a_numerical_error():
             solver.solve(p)
 
 
+def test_nan_ratio_test_minimum_is_a_numerical_error():
+    # the first ratio test overflows (1e300 / 2e-10 = inf), its pivot leaves
+    # NaN right-hand sides, and the next ratio test's minimum is NaN, with
+    # which no row ties
+    p = lp.LpProblem(c=[1, 1e300], A_in=[[2e-10, 1], [3e-10, -1], [0, 3e-10]],
+                     b_in=[1e300, 1e308, 0], sense=lp.MAXIMIZE)
+    with pytest.raises(lp.LpNumericalError, match="ratio test minimum is nan"):
+        lp.solve(p)
+
+
 # (problem, optimal x, duals_in, message): every pair of duals closes the
 # duality gap, so only the dual conditions can reject it
 _BAD_DUALS = [
@@ -116,6 +126,36 @@ def test_verify_rejects_duals_that_break_dual_feasibility(problem, x, duals_in, 
     # the solver's own duals pass the same checks
     sol = solver.solve(problem)
     assert sol.status == lp.OPTIMAL and sol.objective == objective
+
+
+# (problem, x, duals_eq, duals_in, message): x passes every check before
+# the one named, so only that check can reject it
+_BAD_PRIMALS = [
+    # min x s.t. x = 1: x = 2 misses the equality
+    (lp.LpProblem(c=[1], A_eq=[[1]], b_eq=[1]), [2.0], [1.0], [],
+     "equality residual"),
+    # max x s.t. x <= 1: x = 2 breaks the row
+    (lp.LpProblem(c=[1], A_in=[[1]], b_in=[1], sense=lp.MAXIMIZE), [2.0], [], [1.0],
+     "inequality residual"),
+    # min x s.t. x <= 1: x = -1 meets the row but not x >= 0
+    (lp.LpProblem(c=[1], A_in=[[1]], b_in=[1]), [-1.0], [], [0.0],
+     "sign violation on nonnegative variable"),
+    # max x s.t. x <= 1: x = 1 is optimal, but y = 0.5 prices it at 0.5
+    (lp.LpProblem(c=[1], A_in=[[1]], b_in=[1], sense=lp.MAXIMIZE), [1.0], [], [0.5],
+     "duality gap"),
+]
+
+
+@pytest.mark.parametrize("problem, x, duals_eq, duals_in, message", _BAD_PRIMALS,
+                         ids=["equality", "inequality", "sign", "gap"])
+def test_verify_rejects_primal_exit_check_failures(problem, x, duals_eq, duals_in,
+                                                   message):
+    solver = lp.DenseSimplexSolver()
+    x = np.array(x)
+    with pytest.raises(lp.LpNumericalError, match=message):
+        solver._verify(problem, x, float(problem.c @ x), np.array(duals_eq),
+                       np.array(duals_in))
+    assert solver.solve(problem).status == lp.OPTIMAL
 
 
 def test_random_lps_match_vertex_enumeration():
