@@ -270,7 +270,7 @@ def write_result_files(out_dir, problem: synth.SynthesisProblem,
     certs = []
     for k, rpt in enumerate(result.step_reports):
         entry = {"k": k, "contained": rpt.contained,
-                 "worst_violation": rpt.worst_violation}
+                 "worst_violation": _amount(rpt.worst_violation)}
         if rpt.certificates is not None:
             entry["certificates"] = [encode_matrix(G) for G in rpt.certificates]
         certs.append(entry)
@@ -340,8 +340,8 @@ def write_trajectories_csv(path, runs: sim.Runs, inside):
 
 
 def _amount(value):
-    """An audit amount as a JSON value: a float, or null when infinite
-    (a diverged or non-finite state), which JSON cannot hold."""
+    """An amount as a JSON value: a float, or null when infinite (a
+    diverged state or an unbounded image), which JSON cannot hold."""
     value = float(value)
     return value if np.isfinite(value) else None
 
@@ -457,7 +457,7 @@ def _load_check(config_path, tol, *set_keys):
 def _report_check(verdict, rpt, out_path):
     """Print the verdict line, write the report with its certificates to
     ``out_path`` (if given) and return the exit code of the verdict."""
-    summary = {verdict: rpt.contained, "worst_violation": rpt.worst_violation}
+    summary = {verdict: rpt.contained, "worst_violation": _amount(rpt.worst_violation)}
     print(json.dumps(summary))
     if out_path:
         if rpt.certificates is not None:

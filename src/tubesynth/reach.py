@@ -95,9 +95,16 @@ class PolytopicModel:
 
 @dataclass
 class ContainmentReport:
-    contained: bool
+    """A containment verdict is its certificate blocks: ``contained`` is
+    the read-only property ``certificates is not None``.
+    ``worst_violation`` is +inf when the image is unbounded."""
+
     certificates: Optional[List[np.ndarray]]
     worst_violation: float
+
+    @property
+    def contained(self) -> bool:
+        return self.certificates is not None
 
 
 def verify_certificates(blocks, source: PolyhedralSet, target: PolyhedralSet,
@@ -129,9 +136,7 @@ def verify_certificates(blocks, source: PolyhedralSet, target: PolyhedralSet,
         ok = (ok and G.min() >= -CERT_SIGN_TOL
               and np.abs(G @ source.A - target.A @ M).max() <= lp.FEASIBILITY_TOL)
         certs.append(G)
-    contained = bool(ok and worst <= tol)
-    return ContainmentReport(contained=contained,
-                             certificates=certs if contained else None,
+    return ContainmentReport(certificates=certs if ok and worst <= tol else None,
                              worst_violation=worst)
 
 
@@ -206,14 +211,11 @@ def check_containment(model: PolytopicModel, F, source: PolyhedralSet,
             if sol.status == lp.INFEASIBLE:
                 raise EmptySetError("source set is empty")
             if sol.status == lp.UNBOUNDED:
-                return ContainmentReport(contained=False, certificates=None,
-                                         worst_violation=np.inf)
+                return ContainmentReport(certificates=None, worst_violation=np.inf)
             worst = max(worst, float(sol.objective) - target.b[j])
             G[j] = sol.duals_in
         certs.append(G)
-    contained = bool(worst <= tol)
-    return ContainmentReport(contained=contained,
-                             certificates=certs if contained else None,
+    return ContainmentReport(certificates=certs if worst <= tol else None,
                              worst_violation=float(worst))
 
 

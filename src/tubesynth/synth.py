@@ -43,11 +43,11 @@ A tube built from step-response specs is constant after its settling
 time, so its late steps repeat one another's inputs.  A step whose
 inputs (H(k), X(k+1), V(k), U(k) and whether the disturbance floor
 applies) are byte-identical to the next step's is that step, copied:
-identical inputs give bit-identical results, so it takes step k+1's
-X(k) (an immutable set), provenance and report verdict, with its own
-copies of the gain, the defect and the certificate blocks.  The whole
-synthesis cost, not just its LPs, follows the number of distinct steps
-rather than the horizon.
+identical inputs give bit-identical results, so it reuses step k+1's
+solution.  Each step takes its solution's X(k) (an immutable set) and
+provenance as they are, with its own copies of the gain, the defect
+and the certificate blocks, so the whole synthesis cost follows the
+number of distinct steps.
 """
 
 from __future__ import annotations
@@ -331,11 +331,10 @@ def synthesize(problem: SynthesisProblem, containment_tol=MEMBERSHIP_TOL,
     bound residual max(G b_src - b_tgt), an upper bound on the tight
     support gap.  Otherwise the report is the support-LP check's.
 
-    A step whose inputs are byte-identical to step k+1's is step k+1's
-    result, copied: the same X(k) and provenance, a report with the same
-    verdict, and its own copies of the gain, the defect and the
-    certificate blocks.  Every other step runs ``solve_step``, so the
-    whole cost follows the distinct steps.  Nothing is kept between
+    A step whose inputs differ from step k+1's runs ``solve_step``; a
+    repeated step reuses step k+1's solution.  Either way the step takes
+    the solution's X(k) and provenance and its own copies of the gain,
+    the defect and the certificate blocks.  Nothing is kept between
     calls: each call solves every distinct step.
     """
     model = problem.model
@@ -379,21 +378,19 @@ def synthesize(problem: SynthesisProblem, containment_tol=MEMBERSHIP_TOL,
             else problem.control_constraints[k]
         floor = problem.disturbance_floor and k <= K - 2
         key = (H, X_next, V, U, floor)
-        if key == next_key:
-            # step k+1's results, with copies of the arrays callers own
-            rpt = step_reports[k + 1]
-            certs = rpt.certificates and [G.copy() for G in rpt.certificates]
-            sets[k], provenance[k] = sets[k + 1], provenance[k + 1]
-            gains[k], residuals[k] = gains[k + 1].copy(), residuals[k + 1].copy()
-            step_reports[k] = replace(rpt, certificates=certs)
-        else:
+        if key != next_key:
             control = None if U is None else (U, section_vertices[k])
             floors = [H.A @ model.D @ v for v in v_vertices[k]] if floor else None
-            sets[k], gains[k], residuals[k], provenance[k], step_reports[k] = solve_step(
+            step = solve_step(
                 model, H, X_next, V, control=control, floors=floors,
                 nonneg=problem.nonneg_bounds, containment_tol=containment_tol,
                 eps_zero_tol=eps_zero_tol, solver=solver, k=k)
         next_key = key
+        # X(k) and provenance are shared; each step owns its arrays
+        sets[k], F, eps, provenance[k], rpt = step
+        gains[k], residuals[k] = F.copy(), eps.copy()
+        step_reports[k] = replace(rpt, certificates=rpt.certificates
+                                  and [G.copy() for G in rpt.certificates])
 
     return SynthesisResult(gains=gains, sets=sets, residuals=residuals,
                            provenance=provenance, step_reports=step_reports)

@@ -116,7 +116,7 @@ def test_synth_unbounded_tube_section_exit_code(tmp_path, capsys):
 def test_synth_uncertified_step_writes_files_and_exits_4(tmp_path, capsys, monkeypatch):
     # neither the LP1 multipliers nor the support-LP check prove containment
     def not_contained(*args, **kwargs):
-        return ContainmentReport(contained=False, certificates=None, worst_violation=1.0)
+        return ContainmentReport(certificates=None, worst_violation=1.0)
 
     monkeypatch.setattr(synth, "verify_certificates", not_contained)
     monkeypatch.setattr(synth, "check_containment", not_contained)
@@ -128,6 +128,22 @@ def test_synth_uncertified_step_writes_files_and_exits_4(tmp_path, capsys, monke
         ["certificates.json", "gains.json", "sets.json"]
     certs = json.loads((out / "certificates.json").read_text())["steps"]
     assert [step["contained"] for step in certs] == [False, False]
+
+
+def test_synth_unbounded_uncertified_step_writes_null(tmp_path, capsys, monkeypatch):
+    # an infinite worst violation (an unbounded image) is written as null
+    def unbounded(*args, **kwargs):
+        return ContainmentReport(certificates=None, worst_violation=np.inf)
+
+    monkeypatch.setattr(synth, "verify_certificates", unbounded)
+    monkeypatch.setattr(synth, "check_containment", unbounded)
+    cfg = write(tmp_path / "cfg.json", scalar_config())
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--config", cfg, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "warning: a step failed certification\n"
+    certs = strict_json(out / "certificates.json")["steps"]
+    assert certs == [{"k": 0, "contained": False, "worst_violation": None},
+                     {"k": 1, "contained": False, "worst_violation": None}]
 
 
 def tanks_config(horizon):
@@ -316,6 +332,25 @@ def test_simulate_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_model_without_outputs_synthesizes_and_simulates(tmp_path):
+    # C has no rows: every gain is 1x0 and every control is an empty sum
+    cfg_obj = scalar_config()
+    cfg_obj["model"]["C"] = {"rows": 0, "cols": 1, "data": []}
+    cfg_obj["tube"]["explicit"] = [interval(1.0)] * 3
+    cfg = write(tmp_path / "cfg.json", cfg_obj)
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--config", cfg, "--out", str(out)]) == 0
+    gains = strict_json(out / "gains.json")
+    assert gains["outputs"] == 0
+    assert gains["gains"] == [{"rows": 1, "cols": 0, "data": []}] * 2
+    assert cli.main(["simulate", "--config", cfg, "--gains", str(out / "gains.json"),
+                     "--out", str(out), "--runs", "3"]) == 0
+    with open(out / "trajectories.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    steps = [row for row in rows if row["k"] != "2"]
+    assert len(steps) == 6 and all(row["u_1"] == "0" for row in steps)
+
+
 def test_gains_dimension_check(tmp_path):
     cfg = write(tmp_path / "cfg.json", scalar_config())
     out = tmp_path / "out"
@@ -409,6 +444,32 @@ def test_check_invariant_verdicts(tmp_path):
     assert cli.main(["check-invariant", "--config", cfg]) == 4
 
 
+@pytest.mark.parametrize("command, verdict, config", [
+    # P1 = {x >= 0} maps onto itself, which no bound caps
+    ("check-contain", "contained", {
+        "model": {"vertices": [{"A": mat([[1.0]]), "B": mat([[0.0]])}],
+                  "C": mat([[1.0]])},
+        "F": mat([[0.0]]),
+        "P1": {"A": mat([[-1.0]]), "b": [0.0]},
+        "P2": {"A": mat([[1.0]]), "b": [1.0]}}),
+    # a support LP of the stacked (x, v) set is unbounded
+    ("check-invariant", "invariant", {
+        "model": {"vertices": [{"A": mat([[1e300]]), "B": mat([[0.0]])}],
+                  "C": mat([[1.0]]), "D": mat([[1e300]])},
+        "F": mat([[0.0]]),
+        "S": {"A": mat([[5e-10], [-2e-10]]), "b": [1e300, 1e300]},
+        "V": {"A": mat([[1e-300], [-1.0]]), "b": [1e300, 1e300]}}),
+], ids=["contain", "invariant"])
+def test_check_unbounded_image_reports_null(tmp_path, capsys, command, verdict, config):
+    # an infinite worst violation is null on stdout and in the report,
+    # which stay strict JSON
+    cfg = write(tmp_path / "in.json", config)
+    rpt = tmp_path / "report.json"
+    assert cli.main([command, "--config", cfg, "--out", str(rpt)]) == 4
+    assert capsys.readouterr().out == '{"%s": false, "worst_violation": null}\n' % verdict
+    assert strict_json(rpt) == {verdict: False, "worst_violation": None}
+
+
 def test_step_spec_tube_config(tmp_path):
     cfg_obj = {
         "horizon": 15,
@@ -443,6 +504,21 @@ def test_demo_tanks_smoke(tmp_path):
     audit = json.loads((out / "audit.json").read_text())
     assert audit["failed"] == 0
     assert audit["nonlinear_worst_violation"] <= 1e-3
+
+
+def test_demo_tanks_nonlinear_envelope_failure_is_named_by_area(tmp_path, capsys):
+    # the linear runs pass, the nonlinear run with a tank-1 area of 20
+    # leaves its envelope: an audit failure with nothing on stderr, listed
+    # under the area's name while the counts are the linear runs'
+    out = tmp_path / "demo"
+    assert cli.main(["demo-tanks", "--out", str(out), "--runs", "5", "--r1", "20",
+                     "--seed", "0"]) == 4
+    assert capsys.readouterr().err == ""
+    audit = strict_json(out / "audit.json")
+    assert (audit["runs"], audit["passed"], audit["failed"]) == (5, 5, 0)
+    assert audit["failures"] == [{"run": "nonlinear_r1_20", "k": 10, "row": 1,
+                                  "violation": pytest.approx(0.0110549, abs=1e-7)}]
+    assert audit["nonlinear_worst_violation"] == audit["failures"][0]["violation"]
 
 
 @pytest.fixture(scope="module")

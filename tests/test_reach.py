@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,30 @@ def test_verify_certificates_rejects_each_failed_threshold():
         assert not v.contained and v.certificates is None
     assert reach.verify_certificates([G], unit_box(), loose, maps).worst_violation \
         == pytest.approx(0.1)
+
+
+def test_a_report_is_contained_exactly_when_it_carries_certificates():
+    fields = [f.name for f in dataclasses.fields(reach.ContainmentReport)]
+    assert fields == ["certificates", "worst_violation"]
+    with pytest.raises(AttributeError):
+        reach.ContainmentReport(certificates=None, worst_violation=0.0).contained = True
+    rng = np.random.default_rng(7)
+    reports = [reach.check_containment(_autonomous(np.eye(2)), F0,
+                                       PolyhedralSet([[1.0, 0.0]], [1.0]), unit_box())]
+    for _ in range(20):
+        pairs, C, F, src, tgt = random_containment_instance(rng)
+        model = reach.PolytopicModel(vertices=pairs, C=C)
+        P1, P2 = PolyhedralSet(*src), PolyhedralSet(*tgt)
+        rpt = reach.check_containment(model, F, P1, P2)
+        maps = model.closed_loop(F)
+        zero = [np.zeros((P2.nrows, P1.nrows))] * len(maps)
+        reports += [rpt, reach.verify_certificates(zero, P1, P2, maps)]
+        if rpt.contained:
+            reports.append(reach.verify_certificates(rpt.certificates, P1, P2, maps))
+    verdicts = [rpt.contained for rpt in reports]
+    assert True in verdicts and False in verdicts
+    for rpt in reports:
+        assert rpt.contained == (rpt.certificates is not None)
 
 
 def test_zero_disturbance_map_matches_nominal():
