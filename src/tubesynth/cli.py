@@ -113,14 +113,22 @@ def decode_matrix(obj, name="matrix"):
     return data.reshape(rows, cols)
 
 
-def decode_set(obj, name="set"):
-    obj = _object(obj, name, "A", "b")
-    A = decode_matrix(obj["A"], name + ".A")
-    b = _numbers(obj["b"], name + ".b")
+def _polyhedral_set(A, b, name):
     try:
         return PolyhedralSet(A, b)
     except ValueError as exc:
         raise ConfigError("%s: %s" % (name, exc))
+
+
+def decode_set(obj, name="set"):
+    obj = _object(obj, name, "A", "b")
+    return _polyhedral_set(decode_matrix(obj["A"], name + ".A"),
+                           _numbers(obj["b"], name + ".b"), name)
+
+
+def _decode_setlist(entries, what, length):
+    return [decode_set(e, "%s[%d]" % (what, k))
+            for k, e in enumerate(_list(entries, what, length))]
 
 
 def _load_json(path):
@@ -135,8 +143,7 @@ def _load_json(path):
 
 def _write_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 # -- problem configuration ------------------------------------------------
@@ -179,9 +186,7 @@ def _decode_step_spec(obj, name):
 def _decode_tube(obj, K, n):
     obj = _object(obj, "tube")
     if "explicit" in obj:
-        entries = _list(obj["explicit"], "tube.explicit", K + 1)
-        t = TargetTube([decode_set(e, "tube.explicit[%d]" % k)
-                        for k, e in enumerate(entries)])
+        t = TargetTube(_decode_setlist(obj["explicit"], "tube.explicit", K + 1))
     elif "step_specs" in obj:
         block = _object(obj["step_specs"], "tube.step_specs", "C", "specs")
         C = decode_matrix(block["C"], "tube.step_specs.C")
@@ -199,13 +204,12 @@ def _decode_tube(obj, K, n):
     return t
 
 
-def _decode_setlist(obj, K, what):
+def _decode_per_step(obj, K, what):
     """Per-step sets from a list of K sets, bare or as {"sets": [...]}."""
     if obj is None:
         return None
     entries = obj["sets"] if isinstance(obj, dict) and "sets" in obj else obj
-    return [decode_set(e, "%s[%d]" % (what, k))
-            for k, e in enumerate(_list(entries, what, K))]
+    return _decode_setlist(entries, what, K)
 
 
 def load_config(path) -> ProblemConfig:
@@ -228,9 +232,8 @@ def load_config(path) -> ProblemConfig:
     seed = _integer(seeds.get("simulate", 0), "seeds.simulate")
     if seed < 0:
         raise ConfigError("seeds.simulate must be non-negative, got %d" % seed)
-    disturbance = _decode_setlist(obj.get("disturbance"), K, "disturbance")
-    control_constraints = _decode_setlist(obj.get("control_constraints"), K,
-                                          "control_constraints")
+    disturbance, control_constraints = (_decode_per_step(obj.get(key), K, key)
+                                        for key in ("disturbance", "control_constraints"))
     problem = synth.SynthesisProblem(
         model=model, tube=_decode_tube(obj["tube"], K, model.n),
         disturbance=disturbance, control_constraints=control_constraints,
@@ -417,12 +420,9 @@ def _load_traversed_sets(gains_path, tube: TargetTube):
     out = []
     for k, entry in enumerate(_list(steps, "%s: steps" % sets_path, tube.horizon + 1)):
         name = "%s: steps[%d]" % (sets_path, k)
-        bounds = _numbers(_object(entry, name, "set_bounds")["set_bounds"],
-                          name + ".set_bounds")
-        try:
-            out.append(PolyhedralSet(tube[k].A, bounds))
-        except ValueError as exc:
-            raise ConfigError("%s.set_bounds: %s" % (name, exc))
+        bounds = _object(entry, name, "set_bounds")["set_bounds"]
+        name += ".set_bounds"
+        out.append(_polyhedral_set(tube[k].A, _numbers(bounds, name), name))
     return out
 
 

@@ -323,9 +323,11 @@ class DenseSimplexSolver(LpSolver):
         if status == UNBOUNDED:
             return LpSolution(status=UNBOUNDED, iterations=it1 + it2)
 
-        # primal extraction
+        # primal extraction; every tableau column is nonnegative (free
+        # variables are split), so a negative basic value is round-off
         x_full = np.zeros(ncols)
         x_full[basis] = T[:m, -1]
+        np.copyto(x_full, 0.0, where=x_full < 0.0)
         x = x_full[plus_col]
         x[free_at] -= x_full[minus_free]
         objective = float(c @ x)

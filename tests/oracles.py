@@ -506,7 +506,8 @@ class DenseSimplexReference(lp.DenseSimplexSolver):
             return lp.LpSolution(status=lp.UNBOUNDED, iterations=it1 + it2)
         x_full = np.zeros(ncols)
         for i in range(m):
-            x_full[basis[i]] = T[i, -1]
+            # a negative basic value is round-off (-0.0 and NaN pass)
+            x_full[basis[i]] = max(T[i, -1], 0.0)
         x = x_full[plus_col].copy()
         x[free] -= x_full[minus_col[free]]
         objective = float(problem.c @ x)
