@@ -409,10 +409,12 @@ def run_synth(config_path, out_dir, tol=None):
     return EXIT_OK
 
 
-def _load_traversed_sets(gains_path, tube: TargetTube):
+def _load_traversed_sets(gains_path, tube: TargetTube, tol):
     """Traversed sets from the sets.json written next to the gains, when
     available; the tube sections otherwise.  Sampling and auditing always
-    use the same sets, so re-audits of a synthesis run are exact."""
+    use the same sets, so re-audits of a synthesis run are exact.  Each
+    X(k) shares H(k)'s rows and must lie in H(k): no offset may exceed
+    H(k)'s by more than ``tol``."""
     sets_path = Path(gains_path).parent / "sets.json"
     if not sets_path.exists():
         return list(tube.sets)
@@ -422,7 +424,12 @@ def _load_traversed_sets(gains_path, tube: TargetTube):
         name = "%s: steps[%d]" % (sets_path, k)
         bounds = _object(entry, name, "set_bounds")["set_bounds"]
         name += ".set_bounds"
-        out.append(_polyhedral_set(tube[k].A, _numbers(bounds, name), name))
+        X = _polyhedral_set(tube[k].A, _numbers(bounds, name), name)
+        j = int(np.argmax(X.b - tube[k].b))
+        if X.b[j] > tube[k].b[j] + tol:
+            raise ConfigError("%s: row %d offset %r exceeds the tube section's %r"
+                              % (name, j, float(X.b[j]), float(tube[k].b[j])))
+        out.append(X)
     return out
 
 
@@ -431,8 +438,8 @@ def run_simulate(config_path, gains_path, runs, seed, out_dir, tol=None):
     cfg = load_config(config_path)
     problem = cfg.problem
     gains = load_gains(gains_path, problem.model, problem.horizon)
-    sets = _load_traversed_sets(gains_path, problem.tube)
     tol = cfg.containment_tol if tol is None else _number(tol, "--tol")
+    sets = _load_traversed_sets(gains_path, problem.tube, tol)
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
     batch, inside, audit = linear_audit(problem.model, gains, sets, runs, rng, tol,
                                         problem.disturbance)

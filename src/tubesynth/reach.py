@@ -196,7 +196,7 @@ def check_containment(model: PolytopicModel, F, source: PolyhedralSet,
     each map of ``step_maps`` and each target row a support LP gives the
     tightest bound; an unbounded support makes containment in the
     (finite) target impossible and short-circuits to
-    worst_violation = +inf.
+    worst_violation = +inf.  The certificate blocks are read-only.
     """
     if target.dim != model.n:
         raise ValueError("set dimensions do not match the model")
@@ -214,6 +214,7 @@ def check_containment(model: PolytopicModel, F, source: PolyhedralSet,
                 return ContainmentReport(certificates=None, worst_violation=np.inf)
             worst = max(worst, float(sol.objective) - target.b[j])
             G[j] = sol.duals_in
+        G.setflags(write=False)
         certs.append(G)
     return ContainmentReport(certificates=certs if worst <= tol else None,
                              worst_violation=float(worst))

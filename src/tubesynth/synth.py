@@ -42,17 +42,17 @@ certificate recheck and its support-LP fallback) is ``solve_step``.
 A tube built from step-response specs is constant after its settling
 time, so its late steps repeat one another's inputs.  A step whose
 inputs (H(k), X(k+1), V(k), U(k) and whether the disturbance floor
-applies) are byte-identical to the next step's is that step, copied:
+applies) are byte-identical to the next step's is that step, shared:
 identical inputs give bit-identical results, so it reuses step k+1's
-solution.  Each step takes its solution's X(k) (an immutable set) and
-provenance as they are, with its own copies of the gain, the defect
-and the certificate blocks, so the whole synthesis cost follows the
-number of distinct steps.
+solution, and the whole synthesis cost follows the number of distinct
+steps.  Every array a step hands out (the gain, the defect and the
+certificate blocks) is read-only, as its X(k) is immutable, so a
+repeated step holds step k+1's objects themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -237,12 +237,15 @@ def build_lp1(model: PolytopicModel, H: PolyhedralSet, X_next: PolyhedralSet,
 
 def split_lp1_solution(x, model: PolytopicModel, q1):
     """Unpack an LP1 primal vector of a step into X_next's q1 rows into
-    (defect, gain, multiplier blocks); the block width follows from x."""
+    (defect, gain, multiplier blocks); the block width follows from x.
+    All three are read-only views of one read-only copy of x."""
     nF = model.m * model.r
     nG = (x.size - q1 - nF) // model.s
-    eps = x[:q1].copy()
-    F = x[q1:q1 + nF].reshape(model.m, model.r).copy()
-    blocks = [x[q1 + nF + i * nG:q1 + nF + (i + 1) * nG].reshape(q1, nG // q1).copy()
+    x = np.array(x)
+    x.setflags(write=False)
+    eps = x[:q1]
+    F = x[q1:q1 + nF].reshape(model.m, model.r)
+    blocks = [x[q1 + nF + i * nG:q1 + nF + (i + 1) * nG].reshape(q1, nG // q1)
               for i in range(model.s)]
     return eps, F, blocks
 
@@ -332,10 +335,10 @@ def synthesize(problem: SynthesisProblem, containment_tol=MEMBERSHIP_TOL,
     support gap.  Otherwise the report is the support-LP check's.
 
     A step whose inputs differ from step k+1's runs ``solve_step``; a
-    repeated step reuses step k+1's solution.  Either way the step takes
-    the solution's X(k) and provenance and its own copies of the gain,
-    the defect and the certificate blocks.  Nothing is kept between
-    calls: each call solves every distinct step.
+    repeated step is step k+1's solution, shared.  The gains, defects
+    and certificate blocks are read-only, so a certified result cannot
+    be edited in place.  Nothing is kept between calls: each call
+    solves every distinct step.
     """
     model = problem.model
     K = problem.horizon
@@ -386,11 +389,7 @@ def synthesize(problem: SynthesisProblem, containment_tol=MEMBERSHIP_TOL,
                 nonneg=problem.nonneg_bounds, containment_tol=containment_tol,
                 eps_zero_tol=eps_zero_tol, solver=solver, k=k)
         next_key = key
-        # X(k) and provenance are shared; each step owns its arrays
-        sets[k], F, eps, provenance[k], rpt = step
-        gains[k], residuals[k] = F.copy(), eps.copy()
-        step_reports[k] = replace(rpt, certificates=rpt.certificates
-                                  and [G.copy() for G in rpt.certificates])
+        sets[k], gains[k], residuals[k], provenance[k], step_reports[k] = step
 
     return SynthesisResult(gains=gains, sets=sets, residuals=residuals,
                            provenance=provenance, step_reports=step_reports)

@@ -740,6 +740,34 @@ def test_simulate_rejects_malformed_sets_json(tmp_path):
                          "--out", str(tmp_path / "a"), "--runs", "3"]) == 2
 
 
+def test_simulate_rejects_a_sets_json_wider_than_the_tube(tmp_path, capsys):
+    # zero gains leave 15 of 20 runs outside H(2) = [-0.1, 0.1]; X(k) = [-1, 1]
+    # at every step would have audited them all as inside
+    cfg = write(tmp_path / "cfg.json", scalar_config())
+    files = tmp_path / "files"
+    files.mkdir()
+    write(files / "gains.json", {"gains": [mat([[0.0]])] * 2})
+    write(files / "sets.json",
+          {"steps": [{"k": k, "set_bounds": [1.0, 1.0]} for k in range(3)]})
+    out = tmp_path / "audit"
+    assert cli.main(["simulate", "--config", cfg, "--gains", str(files / "gains.json"),
+                     "--out", str(out), "--runs", "20", "--seed", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert "steps[2].set_bounds" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [scalar_config(), tanks_config(15)],
+                         ids=["scalar", "tanks15"])
+def test_simulate_accepts_the_sets_json_of_its_own_synthesis(tmp_path, config):
+    cfg = write(tmp_path / "cfg.json", config)
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--config", cfg, "--out", str(out)]) == 0
+    assert cli.main(["simulate", "--config", cfg, "--gains", str(out / "gains.json"),
+                     "--out", str(out), "--runs", "20", "--seed", "2"]) == 0
+
+
 @pytest.mark.parametrize("field", ["disturbance", "control_constraints"])
 def test_synth_rejects_non_numeric_set_offsets(tmp_path, field):
     bad = scalar_config()

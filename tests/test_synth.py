@@ -4,7 +4,8 @@ import pytest
 from tubesynth import lp, polytope, synth
 from tubesynth.cli import tanks_problem
 from tubesynth.polytope import PolyhedralSet, box, vertices
-from tubesynth.reach import PolytopicModel, check_containment, verify_certificates
+from tubesynth.reach import PolytopicModel, check_containment, step_maps, \
+    verify_certificates
 from tubesynth.sim import sample_states, simulate_runs, verify_runs
 from tubesynth.tube import TargetTube
 
@@ -625,6 +626,22 @@ def same_bytes(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def repeats_next_step(prob, res, k):
+    """Whether step k's inputs are step k+1's, as synthesize compares
+    them: H, the next set, V, U and the disturbance-floor flag."""
+    def inputs(j):
+        V = None if prob.disturbance is None else prob.disturbance[j]
+        U = None if prob.control_constraints is None else prob.control_constraints[j]
+        return (prob.tube[j], res.sets[j + 1], V, U,
+                prob.disturbance_floor and j <= prob.horizon - 2)
+    return inputs(k) == inputs(k + 1)
+
+
+def step_arrays(res, k):
+    """The gain, the defect and the certificate blocks of step k."""
+    return [res.gains[k], res.residuals[k]] + (res.step_reports[k].certificates or [])
+
+
 @pytest.mark.parametrize("make", [
     lambda: tanks_problem(horizon=15)[0],
     lambda: tanks_problem(horizon=40)[0],
@@ -640,7 +657,8 @@ def same_bytes(a, b):
         "disturbance-floor", "stepped-U", "shrunk-fixed-point"])
 def test_every_step_matches_its_own_resolve_bitwise(make):
     # a step that takes the next step's LP solutions must give the bytes
-    # that solving its own LPs gives, and own its arrays
+    # that solving its own LPs gives; it shares step k+1's arrays exactly
+    # when it repeats step k+1's inputs
     prob = make()
     res = synth.synthesize(prob)
     for k in range(prob.horizon):
@@ -656,8 +674,13 @@ def test_every_step_matches_its_own_resolve_bitwise(make):
         for G, G_ref in zip(got.certificates or [], rpt.certificates or []):
             assert same_bytes(G, G_ref), k
     for k in range(prob.horizon - 1):
-        assert not np.shares_memory(res.gains[k], res.gains[k + 1])
-        assert not np.shares_memory(res.residuals[k], res.residuals[k + 1])
+        arrays, next_arrays = step_arrays(res, k), step_arrays(res, k + 1)
+        if repeats_next_step(prob, res, k):
+            assert res.step_reports[k] is res.step_reports[k + 1], k
+            assert all(a is b for a, b in zip(arrays, next_arrays)), k
+        else:
+            assert not any(np.shares_memory(a, b)
+                           for a in arrays for b in next_arrays), k
     assert res.certified
 
 
@@ -718,9 +741,9 @@ def test_synthesis_cost_follows_the_distinct_steps(monkeypatch):
 
 
 @pytest.mark.parametrize("K", [15, 60])
-def test_a_repeated_step_is_the_next_step_copied(monkeypatch, K):
+def test_a_repeated_step_is_the_next_step_shared(monkeypatch, K):
     # the post-solve work runs once per distinct step: a repeated step is
-    # step k+1's set, with its own copies of step k+1's certificate blocks
+    # step k+1's set, gain, defect and certificate blocks
     rechecks = []
 
     def spy(*args, **kwargs):
@@ -734,14 +757,37 @@ def test_a_repeated_step_is_the_next_step_copied(monkeypatch, K):
     t = prob.tube
     repeated = [k for k in range(K - 1)
                 if t[k] == t[k + 1] and res.sets[k + 1] == res.sets[k + 2]]
-    assert len(repeated) == K - 11
+    assert repeated == list(range(10, K - 1))
     for k in repeated:
         assert res.sets[k] is res.sets[k + 1]
+        assert res.gains[k] is res.gains[k + 1]
+        assert res.residuals[k] is res.residuals[k + 1]
         blocks = res.step_reports[k].certificates
         next_blocks = res.step_reports[k + 1].certificates
         assert len(blocks) == len(next_blocks) == prob.model.s
         for G, G_next in zip(blocks, next_blocks):
-            assert same_bytes(G, G_next) and not np.shares_memory(G, G_next), k
+            assert same_bytes(G, G_next) and G is G_next, k
+
+
+def test_a_certified_result_cannot_be_edited_in_place():
+    # every array a step hands out is read-only, so the gains and the
+    # blocks that certify them stay the pair the recheck accepted
+    prob = tanks_problem(horizon=15)[0]
+    res = synth.synthesize(prob)
+    support = check_containment(prob.model, res.gains[0], res.sets[0], res.sets[1])
+    assert support.contained
+    for a in (res.gains[3], res.residuals[3], res.step_reports[12].certificates[0],
+              support.certificates[0]):
+        before = a.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] += 1.0
+        assert a.tobytes() == before
+    assert res.certified
+    for k in range(prob.horizon):
+        source, maps = step_maps(prob.model, res.gains[k], res.sets[k])
+        again = verify_certificates(res.step_reports[k].certificates, source,
+                                    res.sets[k + 1], maps)
+        assert again.contained, k
 
 
 # -- empty traversed sets ------------------------------------------------------
