@@ -209,7 +209,8 @@ def check_containment(model: PolytopicModel, F, source: PolyhedralSet,
         for j in range(target.nrows):
             sol = support_lp(source, directions[j])
             if sol.status == lp.INFEASIBLE:
-                raise EmptySetError("source set is empty")
+                raise EmptySetError("source set is empty" if disturbance is None
+                                    else "source set or disturbance set is empty")
             if sol.status == lp.UNBOUNDED:
                 return ContainmentReport(certificates=None, worst_violation=np.inf)
             worst = max(worst, float(sol.objective) - target.b[j])

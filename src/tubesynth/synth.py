@@ -74,7 +74,7 @@ EPS_ZERO_TOL = 1e-7
 
 
 class SynthesisError(Exception):
-    """Synthesis aborted; carries the step index where it failed."""
+    """Synthesis aborted at a real step k, 0 <= k < K, in "stage 1" or "stage 2"."""
 
     def __init__(self, k, stage, message):
         super().__init__("step k=%d (%s): %s" % (k, stage, message))
@@ -84,14 +84,16 @@ class SynthesisError(Exception):
 
 @dataclass
 class SynthesisProblem:
-    """Inputs of the backward recursion.
+    """Inputs of the backward recursion.  Every tube section H(k) and
+    disturbance set V(k) must be nonempty, or each certificate over an
+    empty one would hold vacuously.
 
     disturbance        : per-step sets V(k) = {W v <= gamma} over the p
                          disturbance coordinates, k = 0..K-1, bounding
                          the additive disturbance; needs model.D.
     control_constraints: per-step sets {U u <= theta} over the m inputs,
                          k = 0..K-1, enforced over the vertices of each
-                         tube section.
+                         tube section, which must then be enumerable.
     nonneg_bounds      : keep the shrunken offsets nonnegative; for a
                          nominal problem over a bounded tube with the
                          origin interior this makes the recursion always
@@ -292,22 +294,22 @@ def solve_step(model: PolytopicModel, H: PolyhedralSet, X_next: PolyhedralSet, V
     norm exceeds ``eps_zero_tol``.  The report is the first LP's
     multiplier blocks when reach.verify_certificates accepts them, and
     the support-LP check's otherwise.  Raises SynthesisError naming
-    step ``k`` when either LP has no optimum or X(k) is empty.
+    step ``k`` when either LP has no optimum or a shrunken X(k) is empty.
     """
     sol1 = lp.solve(build_lp1(model, H, X_next, V, control=control), solver)
     if sol1.status != lp.OPTIMAL:
         raise SynthesisError(k, "stage 1", "LP is %s" % sol1.status)
     eps, F, blocks = split_lp1_solution(sol1.x, model, X_next.nrows)
     if np.abs(eps).max(initial=0.0) <= eps_zero_tol:
-        X, provenance, stage = H, TUBE_EXACT, "stage 1"
+        X, provenance = H, TUBE_EXACT
     else:
         sol2 = lp.solve(build_lp2(blocks, H, X_next, V, nonneg=nonneg,
                                   floor_values=floors), solver)
         if sol2.status != lp.OPTIMAL:
             raise SynthesisError(k, "stage 2", "LP is %s" % sol2.status)
-        X, provenance, stage = PolyhedralSet(H.A, sol2.x), SHRUNK, "stage 2"
-    if is_empty(X):
-        raise SynthesisError(k, stage, "traversed set is empty")
+        X, provenance = PolyhedralSet(H.A, sol2.x), SHRUNK
+        if is_empty(X):
+            raise SynthesisError(k, "stage 2", "traversed set is empty")
     source, maps = step_maps(model, F, X, V)
     report = verify_certificates(blocks, source, X_next, maps, tol=containment_tol)
     if not report.contained:
@@ -315,12 +317,29 @@ def solve_step(model: PolytopicModel, H: PolyhedralSet, X_next: PolyhedralSet, V
     return X, F, eps, provenance, report
 
 
+def _input_vertices(sets, name, enumerated):
+    """step_vertices(sets[:enumerated]), each set checked nonempty first;
+    a set's error is re-raised with the set named, ``name % k``."""
+    found = {}
+    for k, S in enumerate(sets):
+        if S not in found:
+            try:
+                if is_empty(S):
+                    raise EmptySetError("set is empty")
+                found[S] = step_vertices([S])[0] if k < enumerated else None
+            except (ValueError, EmptySetError, UnboundedSetError) as exc:
+                raise type(exc)("%s: %s" % (name % k, exc)) from None
+    return [found[S] for S in sets[:enumerated]]
+
+
 def synthesize(problem: SynthesisProblem, containment_tol=MEMBERSHIP_TOL,
                eps_zero_tol=EPS_ZERO_TOL, solver=None) -> SynthesisResult:
     """Run the backward recursion and certify every accepted step.
 
-    Raises SynthesisError with the failing step when either stage LP
-    has no solution.  The first stage can only fail under control
+    An input set that SynthesisProblem rules out raises polytope's
+    error, naming the set, before any LP and whatever the flags.  A
+    SynthesisError names the failing step, 0 <= k < K, when either stage
+    LP has no solution.  The first stage can only fail under control
     constraints.  The second cannot fail for a nominal problem with
     nonnegative offsets, but may under a disturbance (see
     SynthesisProblem) or with the safeguards disabled.  With
@@ -344,9 +363,11 @@ def synthesize(problem: SynthesisProblem, containment_tol=MEMBERSHIP_TOL,
     K = problem.horizon
     tube = problem.tube
 
-    v_vertices = None
+    section_vertices = _input_vertices(
+        tube.sets, "tube section H(%d)", 0 if problem.control_constraints is None else K)
+    v_vertices = _input_vertices(problem.disturbance or [], "disturbance set V(%d)",
+                                 K if problem.disturbance_floor else 0)
     if problem.disturbance_floor:
-        v_vertices = step_vertices(problem.disturbance)
         # input requirement: the disturbance image fits in the next tube
         # section at every step
         for k in range(K):
@@ -356,14 +377,6 @@ def synthesize(problem: SynthesisProblem, containment_tol=MEMBERSHIP_TOL,
                 if np.any(H_next.A @ img > H_next.b + containment_tol):
                     raise ValueError(
                         "disturbance image leaves the tube section at step %d" % (k + 1))
-
-    section_vertices = None
-    if problem.control_constraints is not None:
-        try:
-            section_vertices = step_vertices(tube.sets[:K])
-        except (ValueError, EmptySetError, UnboundedSetError, lp.LpError) as exc:
-            raise SynthesisError(-1, "vertices",
-                                 "tube section enumeration failed: %s" % exc)
 
     sets = [None] * K + [tube[K]]
     gains = [None] * K

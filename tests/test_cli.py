@@ -1,6 +1,9 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -691,16 +694,20 @@ def test_simulate_samples_lower_dimensional_initial_set(tmp_path):
     assert audit["runs"] == audit["passed"] == 50
 
 
-def box7_simulate_files(tmp_path):
-    """A config whose X(0) is a 7-D box, above the enumeration cap of
-    polytope.vertices, and a gains file for it."""
+def box7_config():
+    """A one-step config whose tube sections are 7-D boxes, above the
+    enumeration cap of polytope.vertices."""
     n = 7
     box7 = {"A": mat(np.vstack([np.eye(n), -np.eye(n)])), "b": [1.0] * (2 * n)}
-    cfg_obj = {"horizon": 1,
-               "model": {"vertices": [{"A": mat(np.eye(n)), "B": mat(np.zeros((n, 1)))}],
-                         "C": mat(np.eye(1, n))},
-               "tube": {"explicit": [box7, box7]}}
-    cfg = write(tmp_path / "cfg.json", cfg_obj)
+    return {"horizon": 1,
+            "model": {"vertices": [{"A": mat(np.eye(n)), "B": mat(np.zeros((n, 1)))}],
+                      "C": mat(np.eye(1, n))},
+            "tube": {"explicit": [box7, box7]}}
+
+
+def box7_simulate_files(tmp_path):
+    """box7_config, whose X(0) is then a 7-D box, and a gains file for it."""
+    cfg = write(tmp_path / "cfg.json", box7_config())
     gains = write(tmp_path / "gains.json", {"gains": [mat([[0.0]])]})
     return cfg, gains
 
@@ -791,6 +798,48 @@ def _patched(**fields):
     return cfg
 
 
+EMPTY_INTERVAL = {"A": mat([[1.0], [-1.0]]), "b": [-1.0, -1.0]}
+
+
+def unbounded_section_under_control():
+    cfg = _patched(flags={"nonneg_bounds": False},
+                   control_constraints={"sets": [interval(1.0)] * 2})
+    cfg["tube"]["explicit"][0] = {"A": mat([[1.0]]), "b": [1.0]}
+    return cfg
+
+
+def empty_section():
+    cfg = _patched(flags={"nonneg_bounds": False})
+    cfg["tube"]["explicit"][1] = EMPTY_INTERVAL
+    return cfg
+
+
+def empty_disturbance_set():
+    cfg = _patched(flags={"disturbance_floor": False},
+                   disturbance={"sets": [EMPTY_INTERVAL, interval(0.01)]})
+    cfg["model"]["D"] = mat([[1.0]])
+    return cfg
+
+
+@pytest.mark.parametrize("config, named", [
+    (unbounded_section_under_control(), "tube section H(0)"),
+    (dict(box7_config(), control_constraints={"sets": [interval(1.0)]}),
+     "tube section H(0)"),
+    (empty_section(), "tube section H(1)"),
+    (empty_disturbance_set(), "disturbance set V(0)"),
+], ids=["unbounded-under-control", "box7-under-control", "empty-section",
+        "empty-disturbance"])
+def test_synth_rejects_a_set_its_steps_cannot_read(tmp_path, capsys, config, named):
+    # whatever the flags, a defective input set is an input error found
+    # before the first LP, not a synthesis failure or a vacuous certificate
+    out = tmp_path / "o"
+    assert cli.main(["synth", "--config", write(tmp_path / "cfg.json", config),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: %s: " % named)
+    assert not out.exists()
+
+
 def contain_config():
     return {
         "model": {"vertices": [{"A": mat([[0.5]]), "B": mat([[0.0]])}],
@@ -834,6 +883,18 @@ def invariant_config():
                   "C": mat([[0.0]]), "D": mat([[1.0]])},
         "F": mat([[0.0]]), "S": interval(1.0), "V": interval(0.25),
     }
+
+
+@pytest.mark.parametrize("command", ["check-contain", "check-invariant"])
+def test_check_with_an_empty_disturbance_set_names_it(tmp_path, capsys, command):
+    # the source set is not empty: only the disturbance set can be
+    config = dict(invariant_config(), P1=interval(1.0), P2=interval(1.0),
+                  V=EMPTY_INTERVAL)
+    assert cli.main([command, "--config", write(tmp_path / "cfg.json", config),
+                     "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == \
+        "config error: source set or disturbance set is empty\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])
@@ -1022,4 +1083,8 @@ def test_exit_code_contract_on_any_input(synthesized, command, as_gains, payload
                     "--runs", "3"]
         else:
             argv = [command, "--config", bad, "--out", out]
-        assert cli.main(argv) in (0, 2, 3, 4)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert cli.main(argv) in (0, 2, 3, 4)
+    # a synthesis failure names a real step, 0 <= k < horizon
+    for k in re.findall(r"^synthesis failed: step k=(-?\d+)", err.getvalue(), re.M):
+        assert 0 <= int(k) < payload["horizon"]

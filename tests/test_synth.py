@@ -426,6 +426,20 @@ def test_disturbance_image_outside_tube_is_rejected():
         synth.synthesize(prob)
 
 
+@pytest.mark.parametrize("floor", [False, True])
+def test_an_empty_disturbance_set_is_an_input_error(floor):
+    # x+ = 2 x + v has no point of V(k) = {v <= -1, -v <= -1} to add, so
+    # every certificate over section x V(k) would hold vacuously
+    model = PolytopicModel(vertices=[(np.array([[2.0]]), np.array([[0.0]]))],
+                           C=np.array([[1.0]]), D=np.array([[1.0]]))
+    V = PolyhedralSet(INTERVAL_ROWS, [-1.0, -1.0])
+    prob = synth.SynthesisProblem(model=model, tube=interval_tube(1.0, 1.0, 1.0),
+                                  disturbance=[V] * 2, disturbance_floor=floor)
+    with pytest.raises(polytope.EmptySetError,
+                       match=r"^disturbance set V\(0\): set is empty$"):
+        synth.synthesize(prob)
+
+
 def test_contradictory_control_rows_abort_with_step_index():
     # U F h <= -1 and -U F h <= -1 cannot both hold
     model = scalar_model(0.5, 1.0)
@@ -440,18 +454,19 @@ def test_contradictory_control_rows_abort_with_step_index():
     assert err.value.stage == "stage 1"
 
 
-def test_unbounded_section_under_control_rows_is_a_synthesis_error():
-    # control rows need the section vertices, which an unbounded H(0) lacks
+def test_unbounded_section_under_control_rows_is_an_input_error():
+    # control rows need the section vertices, which an unbounded H(0) lacks:
+    # an input error naming the section, not a synthesis failure
     t = TargetTube([PolyhedralSet([[1.0]], [1.0]), box([-1], [1]), box([-1], [1])])
     prob = synth.SynthesisProblem(model=scalar_model(0.5, 1.0), tube=t,
                                   control_constraints=[box([-1], [1])] * 2)
-    with pytest.raises(synth.SynthesisError, match="bounded set") as err:
+    with pytest.raises(polytope.UnboundedSetError,
+                       match=r"^tube section H\(0\): .*bounded set"):
         synth.synthesize(prob)
-    assert (err.value.k, err.value.stage) == (-1, "vertices")
 
 
 def test_a_fault_in_section_enumeration_is_not_a_synthesis_error(monkeypatch):
-    # only the set errors of vertices become SynthesisError(-1, "vertices")
+    # an error that is not one of a set's propagates as it is
     def broken(sets):
         raise RuntimeError("not a set error")
 
