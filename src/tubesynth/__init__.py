@@ -26,8 +26,8 @@ from .sim import (Runs, RunsReport, SimulationError, discretize_zoh,
 from .synth import (SHRUNK, TUBE_EXACT, SynthesisError, SynthesisProblem,
                     SynthesisResult, build_lp1, build_lp2, split_lp1_solution,
                     synthesize)
-from .tube import (StepSpec, TargetTube, all_bounded, origin_interior_margin,
-                   tube_from_envelopes, tube_from_step_specs)
+from .tube import (StepSpec, TargetTube, origin_interior_margin, tube_from_envelopes,
+                   tube_from_step_specs)
 
 __version__ = "0.1.0"
 
@@ -47,6 +47,6 @@ __all__ = [
     "SHRUNK", "TUBE_EXACT", "SynthesisError", "SynthesisProblem",
     "SynthesisResult", "build_lp1", "build_lp2", "split_lp1_solution",
     "synthesize",
-    "StepSpec", "TargetTube", "all_bounded", "origin_interior_margin",
+    "StepSpec", "TargetTube", "origin_interior_margin",
     "tube_from_envelopes", "tube_from_step_specs",
 ]

@@ -32,7 +32,7 @@ from . import lp, sim, synth
 from .polytope import MEMBERSHIP_TOL, EmptySetError, PolyhedralSet, UnboundedSetError, \
     step_vertices, vertices
 from .reach import PolytopicModel, check_containment, check_robust_invariant
-from .tube import StepSpec, TargetTube, all_bounded, tube_from_step_specs
+from .tube import StepSpec, TargetTube, tube_from_step_specs
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -396,8 +396,6 @@ def _check_runs(runs, seed):
 def run_synth(config_path, out_dir, tol=None):
     cfg = load_config(config_path)
     problem = cfg.problem
-    if problem.nonneg_bounds and not all_bounded(problem.tube):
-        raise ConfigError("tube must be bounded for the guaranteed mode")
     tol = cfg.containment_tol if tol is None else _number(tol, "--tol")
     result = synth.synthesize(problem, containment_tol=tol,
                               eps_zero_tol=cfg.defect_zero_tol)
@@ -414,9 +412,11 @@ def _load_traversed_sets(gains_path, tube: TargetTube, tol):
     available; the tube sections otherwise.  Sampling and auditing always
     use the same sets, so re-audits of a synthesis run are exact.  Each
     X(k) shares H(k)'s rows and must lie in H(k): no offset may exceed
-    H(k)'s by more than ``tol``."""
+    H(k)'s by more than ``tol``.  X(0), which the runs are drawn from,
+    must be enumerable; an error names it by its source."""
     sets_path = Path(gains_path).parent / "sets.json"
     if not sets_path.exists():
+        step_vertices(tube.sets[:1], "tube section H(%d)")
         return list(tube.sets)
     steps = _object(_load_json(sets_path), str(sets_path), "steps")["steps"]
     out = []
@@ -430,6 +430,7 @@ def _load_traversed_sets(gains_path, tube: TargetTube, tol):
             raise ConfigError("%s: row %d offset %r exceeds the tube section's %r"
                               % (name, j, float(X.b[j]), float(tube[k].b[j])))
         out.append(X)
+    step_vertices(out[:1], str(sets_path).replace("%", "%%") + ": steps[%d].set_bounds")
     return out
 
 

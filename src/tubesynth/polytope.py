@@ -256,13 +256,28 @@ def vertices(P: PolyhedralSet, max_dim=6, max_subsets=500000):
     return found
 
 
-def step_vertices(sets):
-    """``vertices`` of every set in the per-step list ``sets``; equal sets
-    (the same object, as in ``[V] * K``, or the same representation, as
-    in the settled sections of a tube) are enumerated once and share one
-    vertex list."""
+def step_vertices(sets, name="set %d", enumerated=None, bounded=False):
+    """``vertices`` of the first ``enumerated`` sets (all by default) of
+    the per-step list ``sets``, after checking every set nonempty and,
+    given ``bounded``, bounded by the cached cone verdict of its rows.
+    Equal sets (the same object, as in ``[V] * K``, or the same
+    representation, as in a settled tube) are checked once and share one
+    vertex list.  A failing set raises this module's error for it,
+    prefixed with ``name % k`` for the first step k that holds it."""
+    enumerated = len(sets) if enumerated is None else enumerated
     found = {}
-    for S in sets:
-        if S not in found:
-            found[S] = vertices(S)
-    return [found[S] for S in sets]
+    for k, S in enumerate(sets):
+        if S in found:
+            continue
+        try:
+            # an empty set is reported as empty, not as past the caps
+            if is_empty(S):
+                raise EmptySetError("set is empty")
+            # vertices checks boundedness itself
+            if bounded and k >= enumerated and not _rows_bound_every_set(
+                    S.A.shape, S.A.tobytes()):
+                raise UnboundedSetError("set is unbounded")
+            found[S] = vertices(S) if k < enumerated else None
+        except (ValueError, EmptySetError, UnboundedSetError) as exc:
+            raise type(exc)("%s: %s" % (name % k, exc)) from None
+    return [found[S] for S in sets[:enumerated]]

@@ -92,7 +92,7 @@ def simulate_runs(model: PolytopicModel, gains: Sequence[np.ndarray], x0s, rng,
     V(k), for each step k in turn the R points of V(k), as Dirichlet(1,
     ..., 1) weights over its vertices.  ``disturbance`` holds one set
     V(k) per step over the model's p disturbance coordinates (it needs a
-    D map); equal sets are enumerated once.
+    D map); equal sets are enumerated once, and an error names V(k).
 
     All runs are propagated together, each product as a column-order
     sum (see the module docstring): y = C x, u = F(k) y, then
@@ -113,7 +113,7 @@ def simulate_runs(model: PolytopicModel, gains: Sequence[np.ndarray], x0s, rng,
     V = None
     if disturbance is not None:
         V = np.empty((K, model.p, R))
-        for k, verts in enumerate(step_vertices(disturbance)):
+        for k, verts in enumerate(step_vertices(disturbance, "disturbance set V(%d)")):
             V[k] = _hull_draw(np.array(verts), rng, R)
 
     # runs-last buffers: row i of X[k] is coordinate i of every run

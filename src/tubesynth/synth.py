@@ -60,8 +60,8 @@ import numpy as np
 from . import lp
 # vertices is not called here but stays bound, as it was: the benchmark's
 # tracer (perfbench/tracing.py) expects to wrap it in this module
-from .polytope import MEMBERSHIP_TOL, EmptySetError, PolyhedralSet, UnboundedSetError, \
-    check_step_sets, is_empty, step_vertices, vertices
+from .polytope import MEMBERSHIP_TOL, PolyhedralSet, check_step_sets, is_empty, \
+    step_vertices, vertices
 from .reach import ContainmentReport, PolytopicModel, check_containment, step_maps, \
     step_source, verify_certificates
 from .tube import TargetTube
@@ -86,7 +86,8 @@ class SynthesisError(Exception):
 class SynthesisProblem:
     """Inputs of the backward recursion.  Every tube section H(k) and
     disturbance set V(k) must be nonempty, or each certificate over an
-    empty one would hold vacuously.
+    empty one would hold vacuously; under ``nonneg_bounds`` every section
+    must also be bounded, which its existence guarantee needs.
 
     disturbance        : per-step sets V(k) = {W v <= gamma} over the p
                          disturbance coordinates, k = 0..K-1, bounding
@@ -317,27 +318,12 @@ def solve_step(model: PolytopicModel, H: PolyhedralSet, X_next: PolyhedralSet, V
     return X, F, eps, provenance, report
 
 
-def _input_vertices(sets, name, enumerated):
-    """step_vertices(sets[:enumerated]), each set checked nonempty first;
-    a set's error is re-raised with the set named, ``name % k``."""
-    found = {}
-    for k, S in enumerate(sets):
-        if S not in found:
-            try:
-                if is_empty(S):
-                    raise EmptySetError("set is empty")
-                found[S] = step_vertices([S])[0] if k < enumerated else None
-            except (ValueError, EmptySetError, UnboundedSetError) as exc:
-                raise type(exc)("%s: %s" % (name % k, exc)) from None
-    return [found[S] for S in sets[:enumerated]]
-
-
 def synthesize(problem: SynthesisProblem, containment_tol=MEMBERSHIP_TOL,
                eps_zero_tol=EPS_ZERO_TOL, solver=None) -> SynthesisResult:
     """Run the backward recursion and certify every accepted step.
 
     An input set that SynthesisProblem rules out raises polytope's
-    error, naming the set, before any LP and whatever the flags.  A
+    error, naming the set, before the first stage LP.  A
     SynthesisError names the failing step, 0 <= k < K, when either stage
     LP has no solution.  The first stage can only fail under control
     constraints.  The second cannot fail for a nominal problem with
@@ -363,10 +349,12 @@ def synthesize(problem: SynthesisProblem, containment_tol=MEMBERSHIP_TOL,
     K = problem.horizon
     tube = problem.tube
 
-    section_vertices = _input_vertices(
-        tube.sets, "tube section H(%d)", 0 if problem.control_constraints is None else K)
-    v_vertices = _input_vertices(problem.disturbance or [], "disturbance set V(%d)",
-                                 K if problem.disturbance_floor else 0)
+    section_vertices = step_vertices(
+        tube.sets, "tube section H(%d)",
+        enumerated=0 if problem.control_constraints is None else K,
+        bounded=problem.nonneg_bounds)
+    v_vertices = step_vertices(problem.disturbance or [], "disturbance set V(%d)",
+                               enumerated=K if problem.disturbance_floor else 0)
     if problem.disturbance_floor:
         # input requirement: the disturbance image fits in the next tube
         # section at every step

@@ -26,7 +26,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .polytope import PolyhedralSet, is_bounded
+from .polytope import PolyhedralSet
 
 
 @dataclass
@@ -52,11 +52,6 @@ class TargetTube:
 
     def __getitem__(self, k) -> PolyhedralSet:
         return self.sets[k]
-
-
-def all_bounded(t: TargetTube) -> bool:
-    """Every H(k) bounded; a prerequisite for the synthesis guarantees."""
-    return all(is_bounded(s) for s in t.sets)
 
 
 def origin_interior_margin(t: TargetTube) -> float:

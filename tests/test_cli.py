@@ -103,7 +103,7 @@ def test_synth_empty_tube_section_exit_code(tmp_path, capsys):
     cfg_obj["tube"]["explicit"][1] = {"A": mat([[1.0], [-1.0]]), "b": [-1.0, -1.0]}
     cfg = write(tmp_path / "cfg.json", cfg_obj)
     assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == "config error: set is empty\n"
+    assert capsys.readouterr().err == "config error: tube section H(1): set is empty\n"
 
 
 def test_synth_unbounded_tube_section_exit_code(tmp_path, capsys):
@@ -112,7 +112,7 @@ def test_synth_unbounded_tube_section_exit_code(tmp_path, capsys):
     cfg = write(tmp_path / "cfg.json", cfg_obj)
     assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == \
-        "config error: tube must be bounded for the guaranteed mode\n"
+        "config error: tube section H(1): set is unbounded\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -716,8 +716,18 @@ def test_simulate_initial_set_past_vertex_cap_exits_2(tmp_path, capsys):
     cfg, gains = box7_simulate_files(tmp_path)
     assert cli.main(["simulate", "--config", cfg, "--gains", gains,
                      "--out", str(tmp_path / "out"), "--runs", "3"]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert capsys.readouterr().err == \
+        "config error: tube section H(0): dimension 7 above the enumeration cap 6\n"
+
+
+def test_simulate_empty_disturbance_set_is_named(tmp_path, capsys):
+    cfg = write(tmp_path / "cfg.json", empty_disturbance_set())
+    gains = write(tmp_path / "gains.json", {"gains": [mat([[0.0]])] * 2})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--gains", gains,
+                     "--out", str(out), "--runs", "3"]) == 2
+    assert capsys.readouterr().err == "config error: disturbance set V(0): set is empty\n"
+    assert not out.exists()
 
 
 def test_simulate_failed_initial_draw_leaves_no_out_dir(tmp_path):
@@ -814,6 +824,18 @@ def empty_section():
     return cfg
 
 
+def unbounded_section_nonneg():
+    cfg = scalar_config()
+    cfg["tube"]["explicit"][1] = {"A": mat([[1.0]]), "b": [1.0]}
+    return cfg
+
+
+def empty_section_nonneg():
+    cfg = scalar_config()
+    cfg["tube"]["explicit"][1] = EMPTY_INTERVAL
+    return cfg
+
+
 def empty_disturbance_set():
     cfg = _patched(flags={"disturbance_floor": False},
                    disturbance={"sets": [EMPTY_INTERVAL, interval(0.01)]})
@@ -827,11 +849,14 @@ def empty_disturbance_set():
      "tube section H(0)"),
     (empty_section(), "tube section H(1)"),
     (empty_disturbance_set(), "disturbance set V(0)"),
+    (unbounded_section_nonneg(), "tube section H(1)"),
+    (empty_section_nonneg(), "tube section H(1)"),
 ], ids=["unbounded-under-control", "box7-under-control", "empty-section",
-        "empty-disturbance"])
+        "empty-disturbance", "unbounded-nonneg", "empty-section-nonneg"])
 def test_synth_rejects_a_set_its_steps_cannot_read(tmp_path, capsys, config, named):
-    # whatever the flags, a defective input set is an input error found
-    # before the first LP, not a synthesis failure or a vacuous certificate
+    # a set that synthesize's up-front rule rejects under the config's flags
+    # is an input error found before the first stage LP, not a synthesis
+    # failure or a vacuous certificate
     out = tmp_path / "o"
     assert cli.main(["synth", "--config", write(tmp_path / "cfg.json", config),
                      "--out", str(out)]) == 2

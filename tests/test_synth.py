@@ -465,9 +465,20 @@ def test_unbounded_section_under_control_rows_is_an_input_error():
         synth.synthesize(prob)
 
 
+def test_an_unbounded_section_is_an_input_error_under_nonneg_bounds():
+    # the existence guarantee of nonneg_bounds needs a bounded tube; without
+    # it the same problem certifies
+    t = TargetTube([box([-1], [1]), PolyhedralSet([[1.0]], [1.0]), box([-0.1], [0.1])])
+    prob = synth.SynthesisProblem(model=scalar_model(0.5, 1.0), tube=t)
+    with pytest.raises(polytope.UnboundedSetError, match=r"^tube section H\(1\): "):
+        synth.synthesize(prob)
+    prob.nonneg_bounds = False
+    assert synth.synthesize(prob).certified
+
+
 def test_a_fault_in_section_enumeration_is_not_a_synthesis_error(monkeypatch):
     # an error that is not one of a set's propagates as it is
-    def broken(sets):
+    def broken(*args, **kwargs):
         raise RuntimeError("not a set error")
 
     monkeypatch.setattr(synth, "step_vertices", broken)

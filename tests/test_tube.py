@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tubesynth import tube
-from tubesynth.polytope import contains_point
+from tubesynth.polytope import contains_point, is_bounded
 
 
 def reference_spec(**overrides):
@@ -84,7 +84,7 @@ def test_builder_tubes_are_monotone_and_origin_interior():
     # constraint count: two rows per constrained output
     assert all(t[k].nrows == 4 for k in range(16))
     assert tube.origin_interior_margin(t) >= 1e-9
-    assert tube.all_bounded(t)
+    assert all(is_bounded(S) for S in t.sets)
 
 
 def test_setpoint_shifts_bounds():
