@@ -24,6 +24,9 @@ control set U(k).  A disturbance widens every multiplier block over the
 rows of reach.step_source(model, H(k), V(k)), the block-diagonal set
 over the stacked (state, disturbance) vector; control sets add rows
 U(k) F(k) C h <= theta(k) for every vertex h of the tube section.
+Under the disturbance floor each X(j), j = 1..K, covers D V(j-1), the
+disturbance of the step landing in it: one floor vector per set, checked
+against H(j) up front and a lower bound on the second LP's offsets.
 
 The first LP's multiplier blocks are the step's certificates: over the
 step source S they satisfy G_i A_S = Q(k+1) [A_i + B_i F C  D] (no D
@@ -41,8 +44,8 @@ certificate recheck and its support-LP fallback) is ``solve_step``.
 
 A tube built from step-response specs is constant after its settling
 time, so its late steps repeat one another's inputs.  A step whose
-inputs (H(k), X(k+1), V(k), U(k) and whether the disturbance floor
-applies) are byte-identical to the next step's is that step, shared:
+inputs (H(k), X(k+1), V(k), U(k) and, under the disturbance floor,
+V(k-1)) are byte-identical to the next step's is that step, shared:
 identical inputs give bit-identical results, so it reuses step k+1's
 solution, and the whole synthesis cost follows the number of distinct
 steps.  Every array a step hands out (the gain, the defect and the
@@ -84,10 +87,10 @@ class SynthesisError(Exception):
 
 @dataclass
 class SynthesisProblem:
-    """Inputs of the backward recursion.  Every tube section H(k) and
-    disturbance set V(k) must be nonempty, or each certificate over an
-    empty one would hold vacuously; under ``nonneg_bounds`` every section
-    must also be bounded, which its existence guarantee needs.
+    """Inputs of the backward recursion.  Every tube section H(k),
+    disturbance set V(k) and control set U(k) must be nonempty, or a
+    certificate over an empty one would hold vacuously; under
+    ``nonneg_bounds`` every section must be bounded, as its guarantee needs.
 
     disturbance        : per-step sets V(k) = {W v <= gamma} over the p
                          disturbance coordinates, k = 0..K-1, bounding
@@ -99,11 +102,11 @@ class SynthesisProblem:
                          nominal problem over a bounded tube with the
                          origin interior this makes the recursion always
                          succeed (the zero offsets are always feasible).
-    disturbance_floor  : additionally force each traversed set to cover
-                         the disturbance image D V(k) (applied at steps
-                         k <= K-2; the terminal step is covered by the
-                         input requirement D V(k) inside H(k+1), which
-                         is validated up front).
+    disturbance_floor  : additionally force each traversed set X(j),
+                         j = 1..K, to cover the image D V(j-1) of the
+                         disturbance that lands in it; every V(k) must
+                         then be enumerable, and D V(j-1) must lie in
+                         H(j), which for X(K) = H(K) is the whole floor.
 
     With a disturbance the second stage can still come up empty: the
     first stage fixes one optimal multiplier split between the state
@@ -255,15 +258,14 @@ def split_lp1_solution(x, model: PolytopicModel, q1):
 
 def build_lp2(multiplier_blocks, H: PolyhedralSet, X_next: PolyhedralSet,
               V: Optional[PolyhedralSet] = None, nonneg=False,
-              floor_values=None) -> lp.LpProblem:
+              floor=None) -> lp.LpProblem:
     """Second-stage LP: maximise the offset sum psi of X(k) = {A_H x <= psi}.
 
     Each block G_i = [G_x G_v] of the first LP (G_v spans the rows of
     this step's disturbance set V, when given) keeps its bound row:
     G_x psi <= b_next - G_v b_V; and psi <= b_H keeps X(k) inside the
-    section H.  ``nonneg`` pins the offsets at or above zero;
-    ``floor_values`` adds per-row lower bounds (one vector per
-    disturbance-image vertex).
+    section H.  ``nonneg`` pins the offsets at or above zero; ``floor``
+    is a vector of per-row lower bounds, psi >= floor.
     """
     q0 = H.nrows
     width = q0 if V is None else q0 + V.nrows
@@ -275,9 +277,9 @@ def build_lp2(multiplier_blocks, H: PolyhedralSet, X_next: PolyhedralSet,
                              % (G.shape[1], width))
         in_rows.append(G[:, :q0])
         in_rhs.append(X_next.b if V is None else X_next.b - G[:, q0:] @ V.b)
-    for v in floor_values or ():
+    if floor is not None:
         in_rows.append(-np.eye(q0))
-        in_rhs.append(-v)
+        in_rhs.append(-floor)
     free = np.zeros(q0, dtype=bool) if nonneg else np.ones(q0, dtype=bool)
     return lp.LpProblem(c=np.ones(q0), A_in=np.vstack(in_rows),
                         b_in=np.concatenate(in_rhs), free=free,
@@ -285,12 +287,12 @@ def build_lp2(multiplier_blocks, H: PolyhedralSet, X_next: PolyhedralSet,
 
 
 def solve_step(model: PolytopicModel, H: PolyhedralSet, X_next: PolyhedralSet, V=None,
-               control=None, floors=None, nonneg=True, containment_tol=MEMBERSHIP_TOL,
+               control=None, floor=None, nonneg=True, containment_tol=MEMBERSHIP_TOL,
                eps_zero_tol=EPS_ZERO_TOL, solver=None, k=0):
     """One backward step from the section H into X_next: (X(k), F(k),
     defect, provenance, report).
 
-    ``V`` and ``control`` are build_lp1's, ``floors`` and ``nonneg`` are
+    ``V`` and ``control`` are build_lp1's, ``floor`` and ``nonneg`` are
     build_lp2's.  The second LP runs only when the defect's infinity
     norm exceeds ``eps_zero_tol``.  The report is the first LP's
     multiplier blocks when reach.verify_certificates accepts them, and
@@ -305,7 +307,7 @@ def solve_step(model: PolytopicModel, H: PolyhedralSet, X_next: PolyhedralSet, V
         X, provenance = H, TUBE_EXACT
     else:
         sol2 = lp.solve(build_lp2(blocks, H, X_next, V, nonneg=nonneg,
-                                  floor_values=floors), solver)
+                                  floor=floor), solver)
         if sol2.status != lp.OPTIMAL:
             raise SynthesisError(k, "stage 2", "LP is %s" % sol2.status)
         X, provenance = PolyhedralSet(H.A, sol2.x), SHRUNK
@@ -323,13 +325,14 @@ def synthesize(problem: SynthesisProblem, containment_tol=MEMBERSHIP_TOL,
     """Run the backward recursion and certify every accepted step.
 
     An input set that SynthesisProblem rules out raises polytope's
-    error, naming the set, before the first stage LP.  A
-    SynthesisError names the failing step, 0 <= k < K, when either stage
-    LP has no solution.  The first stage can only fail under control
-    constraints.  The second cannot fail for a nominal problem with
-    nonnegative offsets, but may under a disturbance (see
-    SynthesisProblem) or with the safeguards disabled.  With
-    ``nonneg_bounds`` off the offsets can also describe an empty
+    error, naming the set, before the first stage LP; so does, as a
+    ValueError naming V(j-1) and H(j), a disturbance image D V(j-1)
+    outside H(j) under the floor.  A SynthesisError names the failing
+    step, 0 <= k < K, when either stage LP has no solution.  The first
+    stage can only fail under control constraints.  The second cannot
+    fail for a nominal problem with nonnegative offsets, but may under a
+    disturbance (see SynthesisProblem) or with the safeguards disabled.
+    With ``nonneg_bounds`` off the offsets can also describe an empty
     traversed set, which raises SynthesisError ("traversed set is
     empty") at that step; one feasibility LP decides it, and only when
     some offset is negative (otherwise the origin is in the set).
@@ -340,10 +343,8 @@ def synthesize(problem: SynthesisProblem, containment_tol=MEMBERSHIP_TOL,
     support gap.  Otherwise the report is the support-LP check's.
 
     A step whose inputs differ from step k+1's runs ``solve_step``; a
-    repeated step is step k+1's solution, shared.  The gains, defects
-    and certificate blocks are read-only, so a certified result cannot
-    be edited in place.  Nothing is kept between calls: each call
-    solves every distinct step.
+    repeated step is step k+1's read-only solution, shared.  Nothing is
+    kept between calls.
     """
     model = problem.model
     K = problem.horizon
@@ -355,16 +356,16 @@ def synthesize(problem: SynthesisProblem, containment_tol=MEMBERSHIP_TOL,
         bounded=problem.nonneg_bounds)
     v_vertices = step_vertices(problem.disturbance or [], "disturbance set V(%d)",
                                enumerated=K if problem.disturbance_floor else 0)
+    step_vertices(problem.control_constraints or [], "control set U(%d)", enumerated=0)
+    # floors[j]: the least offsets of X(j) covering D V(j-1); stage 2 reads
+    # j = 1..K-1, and X(K) = H(K) is checked here with stage 2's row slack
+    floors = [None] * (K + 1)
     if problem.disturbance_floor:
-        # input requirement: the disturbance image fits in the next tube
-        # section at every step
-        for k in range(K):
-            H_next = tube[k + 1]
-            for v in v_vertices[k]:
-                img = model.D @ v
-                if np.any(H_next.A @ img > H_next.b + containment_tol):
-                    raise ValueError(
-                        "disturbance image leaves the tube section at step %d" % (k + 1))
+        for j in range(1, K + 1):
+            floors[j] = np.max([tube[j].A @ model.D @ v for v in v_vertices[j - 1]], axis=0)
+            if np.any(floors[j] > tube[j].b + lp.FEASIBILITY_TOL):
+                raise ValueError("disturbance set V(%d): image leaves tube section "
+                                 "H(%d)" % (j - 1, j))
 
     sets = [None] * K + [tube[K]]
     gains = [None] * K
@@ -380,13 +381,12 @@ def synthesize(problem: SynthesisProblem, containment_tol=MEMBERSHIP_TOL,
         V = None if problem.disturbance is None else problem.disturbance[k]
         U = None if problem.control_constraints is None \
             else problem.control_constraints[k]
-        floor = problem.disturbance_floor and k <= K - 2
-        key = (H, X_next, V, U, floor)
+        V_landing = problem.disturbance[k - 1] if floors[k] is not None else None
+        key = (H, X_next, V, U, V_landing)
         if key != next_key:
             control = None if U is None else (U, section_vertices[k])
-            floors = [H.A @ model.D @ v for v in v_vertices[k]] if floor else None
             step = solve_step(
-                model, H, X_next, V, control=control, floors=floors,
+                model, H, X_next, V, control=control, floor=floors[k],
                 nonneg=problem.nonneg_bounds, containment_tol=containment_tol,
                 eps_zero_tol=eps_zero_tol, solver=solver, k=k)
         next_key = key

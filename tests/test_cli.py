@@ -82,9 +82,9 @@ def test_synth_rejects_wrong_tube_length(tmp_path):
 
 
 def test_synth_failure_exit_code(tmp_path):
+    # u >= 1 at both section vertices +-1 leaves step 1 no gain
     bad = scalar_config()
-    bad["control_constraints"] = {"sets": [
-        {"A": mat([[1.0], [-1.0]]), "b": [-1.0, -1.0]}] * 2}
+    bad["control_constraints"] = {"sets": [{"A": mat([[-1.0]]), "b": [-1.0]}] * 2}
     cfg = write(tmp_path / "bad.json", bad)
     assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
@@ -843,6 +843,18 @@ def empty_disturbance_set():
     return cfg
 
 
+def empty_control_set():
+    return _patched(control_constraints={"sets": [EMPTY_INTERVAL] * 2})
+
+
+def image_outside_section():
+    # D V(1) = [-0.2, 0.2] does not fit in H(2) = [-0.1, 0.1]
+    cfg = _patched(flags={"disturbance_floor": True},
+                   disturbance={"sets": [interval(0.01), interval(0.2)]})
+    cfg["model"]["D"] = mat([[1.0]])
+    return cfg
+
+
 @pytest.mark.parametrize("config, named", [
     (unbounded_section_under_control(), "tube section H(0)"),
     (dict(box7_config(), control_constraints={"sets": [interval(1.0)]}),
@@ -851,8 +863,11 @@ def empty_disturbance_set():
     (empty_disturbance_set(), "disturbance set V(0)"),
     (unbounded_section_nonneg(), "tube section H(1)"),
     (empty_section_nonneg(), "tube section H(1)"),
+    (empty_control_set(), "control set U(0)"),
+    (image_outside_section(), "disturbance set V(1)"),
 ], ids=["unbounded-under-control", "box7-under-control", "empty-section",
-        "empty-disturbance", "unbounded-nonneg", "empty-section-nonneg"])
+        "empty-disturbance", "unbounded-nonneg", "empty-section-nonneg",
+        "empty-control", "image-outside"])
 def test_synth_rejects_a_set_its_steps_cannot_read(tmp_path, capsys, config, named):
     # a set that synthesize's up-front rule rejects under the config's flags
     # is an input error found before the first stage LP, not a synthesis

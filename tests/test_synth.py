@@ -9,7 +9,7 @@ from tubesynth.reach import PolytopicModel, check_containment, step_maps, \
 from tubesynth.sim import sample_states, simulate_runs, verify_runs
 from tubesynth.tube import TargetTube
 
-from oracles import DenseSimplexReference, lp1_kron_reference
+from oracles import DenseSimplexReference, enum_vertices, lp1_kron_reference
 
 INTERVAL_ROWS = np.array([[1.0], [-1.0]])
 
@@ -189,7 +189,7 @@ def test_lp2_zero_vector_feasible_with_nonneg():
 def test_lp2_floor_rows_with_zero_map_equal_nonneg():
     blocks = [2 * np.eye(2)]
     with_floor = lp.solve(synth.build_lp2(blocks, interval(1.0), interval(0.1),
-                                          floor_values=[np.zeros(2)]))
+                                          floor=np.zeros(2)))
     with_nonneg = lp.solve(synth.build_lp2(blocks, interval(1.0), interval(0.1),
                                            nonneg=True))
     assert np.allclose(with_floor.x, with_nonneg.x, atol=1e-9)
@@ -363,11 +363,13 @@ def test_disturbed_synthesis_certifies():
 def test_disturbed_recursion_aborts_cleanly_or_certifies():
     # under a disturbance the second stage may be left without room by
     # the first stage's multiplier split; the contract is: certified
-    # output or a clean stage-2 abort naming the step, never bad gains
+    # output or a clean stage-2 abort naming the step, never bad gains.
+    # Under nonneg_bounds X(j-1) holds the origin, so step j-1's stage 2
+    # has room only when X(j) covers D V(j-1): flooring every X(j) to that
+    # loses no problem and rescues some whose step 0 had no room
     rng = np.random.default_rng(31337)
-    aborted = 0
-    certified = 0
-    for _ in range(30):
+    certified = {False: set(), True: set()}
+    for i in range(30):
         n = int(rng.integers(2, 4))
         s = int(rng.integers(1, 3))
         model = PolytopicModel(
@@ -379,19 +381,19 @@ def test_disturbed_recursion_aborts_cleanly_or_certifies():
                             rng.uniform(0.3, 1.5, size=n))
                         for _ in range(K + 1)])
         V = box([-0.002], [0.002])
-        prob = synth.SynthesisProblem(model=model, tube=t,
-                                      disturbance=[V] * K,
-                                      disturbance_floor=True)
-        try:
-            res = synth.synthesize(prob)
-        except synth.SynthesisError as err:
-            assert err.stage == "stage 2"
-            assert 0 <= err.k < K
-            aborted += 1
-            continue
-        assert res.certified
-        certified += 1
-    assert certified > 0 and certified + aborted == 30
+        for floor in (False, True):
+            prob = synth.SynthesisProblem(model=model, tube=t,
+                                          disturbance=[V] * K,
+                                          disturbance_floor=floor)
+            try:
+                res = synth.synthesize(prob)
+            except synth.SynthesisError as err:
+                assert err.stage == "stage 2"
+                assert 0 <= err.k < K
+                continue
+            assert res.certified
+            certified[floor].add(i)
+    assert certified[False] < certified[True]
 
 
 def test_disturbance_floor_enumerates_a_repeated_set_once(monkeypatch):
@@ -414,6 +416,20 @@ def test_disturbance_floor_enumerates_a_repeated_set_once(monkeypatch):
     assert len(enumerated) == 1 and enumerated[0] is V
 
 
+def image_just_outside_problem():
+    """x+ = 0.5 x + v with v in [-0.5, u/2], u = -2**-24: sections
+    [-2, 1] into the terminal section [-1, u].  The image D v = u/2
+    lies above u by about 3e-8, inside the containment tolerance but
+    past the slack of a stage-2 row."""
+    u = -2.0 ** -24
+    return synth.SynthesisProblem(
+        model=PolytopicModel(vertices=[(np.array([[0.5]]), np.array([[0.0]]))],
+                             C=np.array([[1.0]]), D=np.array([[1.0]])),
+        tube=TargetTube([box([-2.0], [1.0])] * 3 + [box([-1.0], [u])]),
+        disturbance=[box([-0.5], [u / 2])] * 3, nonneg_bounds=False,
+        disturbance_floor=True)
+
+
 def test_disturbance_image_outside_tube_is_rejected():
     model = PolytopicModel(vertices=[(0.4 * np.eye(2), np.eye(2))],
                            C=np.eye(2), D=np.eye(2))
@@ -422,8 +438,49 @@ def test_disturbance_image_outside_tube_is_rejected():
     prob = synth.SynthesisProblem(model=model, tube=t,
                                   disturbance=[V],
                                   disturbance_floor=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^disturbance set V\(0\): image leaves "
+                                         r"tube section H\(1\)$"):
         synth.synthesize(prob)
+    # 3e-8 outside H(K) is more than the slack of a stage-2 row, so no step
+    # could hold X(K) = H(K) to its floor
+    with pytest.raises(ValueError, match=r"^disturbance set V\(2\): image leaves "
+                                         r"tube section H\(3\)$"):
+        synth.synthesize(image_just_outside_problem())
+
+
+def rescued_problem():
+    """x+ = A x + B u + D v with a disturbance bound V(k) that changes at
+    every step, K = 4.  Without the floor step 0 has no room for the
+    image of V(0) and aborts; floored, every step certifies."""
+    model = PolytopicModel(
+        vertices=[(np.array([[-0.762, -0.541], [-0.089, 0.585]]),
+                   np.array([[0.158], [1.257]]))],
+        C=np.array([[-1.621, 1.379]]), D=np.array([[-0.034], [-0.008]]))
+    lo = [[-1.145, -1.371], [-1.485, -0.899], [-1.391, -0.515], [-0.785, -0.573],
+          [-1.063, -1.296]]
+    hi = [[0.362, 1.272], [0.39, 0.416], [1.226, 1.208], [0.441, 0.644],
+          [0.879, 0.442]]
+    return synth.SynthesisProblem(
+        model=model, tube=TargetTube([box(a, b) for a, b in zip(lo, hi)]),
+        disturbance=[box([-h], [h]) for h in (0.008, 0.005, 0.004, 0.007)],
+        disturbance_floor=True)
+
+
+def test_each_traversed_set_covers_the_disturbance_landing_in_it():
+    # X(j) must hold D v for every vertex v of V(j-1), j = 1..K: checked by
+    # matrix arithmetic over the oracle's enumeration, with no package LP
+    prob = rescued_problem()
+    res = synth.synthesize(prob)
+    assert res.certified
+    for j in range(1, prob.horizon + 1):
+        V, X = prob.disturbance[j - 1], res.sets[j]
+        image = np.array(enum_vertices(V.A, V.b)) @ prob.model.D.T
+        assert len(image) == 2
+        assert (image @ X.A.T - X.b).max() <= lp.FEASIBILITY_TOL, j
+    prob.disturbance_floor = False
+    with pytest.raises(synth.SynthesisError) as err:
+        synth.synthesize(prob)
+    assert (err.value.k, err.value.stage) == (0, "stage 2")
 
 
 @pytest.mark.parametrize("floor", [False, True])
@@ -441,17 +498,25 @@ def test_an_empty_disturbance_set_is_an_input_error(floor):
 
 
 def test_contradictory_control_rows_abort_with_step_index():
-    # U F h <= -1 and -U F h <= -1 cannot both hold
+    # u >= 1 at both section vertices h = +-1 asks F >= 1 and -F >= 1
     model = scalar_model(0.5, 1.0)
     t = interval_tube(1.0, 1.0, 0.1)
-    U = np.array([[1.0], [-1.0]])
-    theta = np.array([-1.0, -1.0])
     prob = synth.SynthesisProblem(model=model, tube=t,
-                                  control_constraints=[PolyhedralSet(U, theta)] * 2)
+                                  control_constraints=[PolyhedralSet([[-1.0]], [-1.0])] * 2)
     with pytest.raises(synth.SynthesisError) as err:
         synth.synthesize(prob)
     assert err.value.k == 1
     assert err.value.stage == "stage 1"
+
+
+def test_an_empty_control_set_is_an_input_error():
+    # no input satisfies u <= -1 and -u <= -1, so no step has a gain to find
+    prob = synth.SynthesisProblem(
+        model=scalar_model(0.5, 1.0), tube=interval_tube(1.0, 1.0, 0.1),
+        control_constraints=[PolyhedralSet(INTERVAL_ROWS, [-1.0, -1.0])] * 2)
+    with pytest.raises(polytope.EmptySetError,
+                       match=r"^control set U\(0\): set is empty$"):
+        synth.synthesize(prob)
 
 
 def test_unbounded_section_under_control_rows_is_an_input_error():
@@ -608,41 +673,23 @@ def shrunk_fixed_point_problem():
         tube=TargetTube([box([-1.0], [1.0])] * 5 + [box([-0.5], [0.5])]))
 
 
-def floor_flag_problem():
-    """x+ = 0.5 x + v with v in [-0.5, u/2], u = -2**-24: sections
-    [-2, 1] into the terminal section [-1, u].
-
-    Step K-1 is Shrunk onto [-1, u] byte for byte, so step K-2 has step
-    K-1's LP inputs except the disturbance-floor flag.  The image
-    D v = u/2 lies above u by less than the containment tolerance, so
-    the up-front check admits it, but step K-2's floor row psi_1 >= u/2
-    meets the cap psi_1 <= u of its stage 2: that step fails, which
-    taking step K-1's unfloored solution would hide.
-    """
-    u = -2.0 ** -24
-    return synth.SynthesisProblem(
-        model=PolytopicModel(vertices=[(np.array([[0.5]]), np.array([[0.0]]))],
-                             C=np.array([[1.0]]), D=np.array([[1.0]])),
-        tube=TargetTube([box([-2.0], [1.0])] * 3 + [box([-1.0], [u])]),
-        disturbance=[box([-0.5], [u / 2])] * 3, nonneg_bounds=False,
-        disturbance_floor=True)
-
-
 def resolved_step(prob, X_next, k, tol=1e-7):
     """Step k into X_next solved again by solve_step from its own inputs,
     built from the problem, with a fresh solver: (gain, defect, offsets
-    of X(k), provenance, report).  An LP without an optimum raises
+    of X(k), provenance, report).  Under the disturbance floor X(k),
+    k >= 1, covers D V(k-1).  An LP without an optimum raises
     SynthesisError, as in synthesize."""
     model, H = prob.model, prob.tube[k]
     V = None if prob.disturbance is None else prob.disturbance[k]
     ctrl = None
     if prob.control_constraints is not None:
         ctrl = (prob.control_constraints[k], vertices(H))
-    floors = None
-    if prob.disturbance_floor and k <= prob.horizon - 2:
-        floors = [H.A @ model.D @ v for v in vertices(V)]
+    floor = None
+    if prob.disturbance_floor and k >= 1:
+        floor = np.max([H.A @ model.D @ v for v in vertices(prob.disturbance[k - 1])],
+                       axis=0)
     X, F, eps, prov, rpt = synth.solve_step(
-        model, H, X_next, V, control=ctrl, floors=floors, nonneg=prob.nonneg_bounds,
+        model, H, X_next, V, control=ctrl, floor=floor, nonneg=prob.nonneg_bounds,
         containment_tol=tol, solver=lp.DenseSimplexSolver(), k=k)
     return F, eps, X.b, prov, rpt
 
@@ -654,12 +701,13 @@ def same_bytes(a, b):
 
 def repeats_next_step(prob, res, k):
     """Whether step k's inputs are step k+1's, as synthesize compares
-    them: H, the next set, V, U and the disturbance-floor flag."""
+    them: H, the next set, V, U and, under the disturbance floor, the
+    V(k-1) whose image X(k) covers."""
     def inputs(j):
         V = None if prob.disturbance is None else prob.disturbance[j]
         U = None if prob.control_constraints is None else prob.control_constraints[j]
-        return (prob.tube[j], res.sets[j + 1], V, U,
-                prob.disturbance_floor and j <= prob.horizon - 2)
+        landing = prob.disturbance[j - 1] if prob.disturbance_floor and j >= 1 else None
+        return (prob.tube[j], res.sets[j + 1], V, U, landing)
     return inputs(k) == inputs(k + 1)
 
 
@@ -710,22 +758,44 @@ def test_every_step_matches_its_own_resolve_bitwise(make):
     assert res.certified
 
 
+def floor_boundary_problem():
+    """x+ = [0.5 1; 0 0] x + v with |v_i| <= 1/8, from the unit box into
+    H(2) = [-1/2, 1/2] x [-1/8, 1/8].
+
+    Step 1's stage 2 trades offsets: psi_1 + 2 psi_3 <= 3/4 favours
+    psi_1, and only the floor psi_3 >= 1/8 (X(1) covering D V(0)) keeps
+    psi_3 off zero, which lands X(1) on H(2) byte for byte.  So step 0
+    has step 1's LP inputs except the floor, and its own stage 2 pushes
+    psi_3 to zero.
+    """
+    model = PolytopicModel(vertices=[(np.array([[0.5, 1.0], [0.0, 0.0]]),
+                                      np.zeros((2, 1)))],
+                           C=np.array([[1.0, 0.0]]), D=np.eye(2))
+    return synth.SynthesisProblem(
+        model=model,
+        tube=TargetTube([box([-1.0] * 2, [1.0] * 2)] * 2
+                        + [box([-0.5, -0.125], [0.5, 0.125])]),
+        disturbance=[box([-0.125] * 2, [0.125] * 2)] * 2, disturbance_floor=True)
+
+
 def test_floor_flag_keeps_a_step_from_taking_an_unfloored_solution():
-    # the steps K-1 and K-2 of floor_flag_problem differ in the floor
-    # flag alone: step K-1 is Shrunk onto H(K) byte for byte, and step
-    # K-2's own stage 2 has no solution
-    prob = floor_flag_problem()
+    # steps 1 and 0 differ in the floor alone: the unfloored step 0 must
+    # solve its own LPs rather than take floored step 1's solution
+    prob = floor_boundary_problem()
     K = prob.horizon
-    _, _, b, prov, _ = resolved_step(prob, prob.tube[K], K - 1)
-    assert prov == synth.SHRUNK and same_bytes(b, prob.tube[K].b)
-    with pytest.raises(synth.SynthesisError, match="stage 2"):
-        resolved_step(prob, prob.tube[K], K - 2)
+    _, _, b1, prov, _ = resolved_step(prob, prob.tube[K], 1)
+    assert prov == synth.SHRUNK and same_bytes(b1, prob.tube[K].b)
+    _, _, b0, _, _ = resolved_step(prob, prob.tube[K], 0)
+    assert not np.array_equal(b0, b1)
+    res = synth.synthesize(prob)
+    assert res.certified
+    assert res.sets[1] == prob.tube[K]
+    assert same_bytes(res.sets[0].b, b0)
+    # without the floor X(1) has no room for D V(0), so step 0 has none
+    prob.disturbance_floor = False
     with pytest.raises(synth.SynthesisError) as err:
         synth.synthesize(prob)
-    assert (err.value.k, err.value.stage) == (K - 2, "stage 2")
-    # without the floor every step is Shrunk onto H(K)
-    prob.disturbance_floor = False
-    assert synth.synthesize(prob).provenance == [synth.SHRUNK] * K
+    assert (err.value.k, err.value.stage) == (0, "stage 2")
 
 
 class CountingSolver(lp.LpSolver):
